@@ -23,7 +23,19 @@
 //! ([`SimObserver`]) that `cestim-trace` uses for distance/clustering
 //! analyses.
 //!
+//! The timing model exists once, as a private core (predictor, estimators,
+//! scoreboard, caches, in-flight window, resolution, gating, commit
+//! training) with two fetch sources: the live [`Simulator`] front end
+//! (interpreter, checkpoints, wrong-path fetch, recovery, eager forks,
+//! replay fetch mode, trace capture) and the [`TraceSimulator`] front end,
+//! which walks an imported `&[TraceRecord]`. Replaying a trace and running
+//! live in replay fetch mode therefore share every line of timing code;
+//! what the conformance suites still diff independently is the trace —
+//! the interpreter exporter against the live capture hook.
+//!
 //! See the [`Simulator`] type docs for the model and an example.
+//!
+//! [`TraceRecord`]: cestim_trace_io::TraceRecord
 
 #![warn(missing_docs)]
 
@@ -34,6 +46,7 @@ mod replay;
 mod simulator;
 mod smt;
 mod stats;
+mod timing;
 
 pub use cache::{Cache, CacheAccess};
 pub use config::{CacheConfig, PipelineConfig};

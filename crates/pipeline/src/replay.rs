@@ -1,93 +1,71 @@
-//! Trace-driven replay frontend.
-//!
-//! [`TraceSimulator`] re-times an imported branch trace
-//! ([`cestim_trace_io::TraceRecord`] stream) through the same pipeline
-//! model as the live [`Simulator`](crate::Simulator) in *replay fetch
-//! mode*, driving the same predictors and confidence estimators — but it
-//! is an **independent reimplementation**: it never touches the
-//! architectural interpreter, checkpoints, or undo logs, only the trace.
-//! The differential conformance suite in the workspace root pins the two
-//! implementations to bit-identical [`PipelineStats`], quadrants, and
-//! event streams; a bug in either shows up as a divergence (the
-//! rvsim-vs-spike methodology).
-//!
-//! Replay semantics (mirroring `Simulator::set_replay_fetch`):
-//!
-//! * fetch walks the trace — the actual path — with the live front end's
-//!   I-cache line batching, fetch width, speculation window, and
-//!   confidence gating;
-//! * every conditional branch is predicted and confidence-estimated with
-//!   the actual outcome pushed into the speculative history at fetch;
-//! * branches resolve out of order when their recorded source operands are
-//!   ready (register scoreboard; loads add D-cache latency at the recorded
-//!   address); a misprediction stalls fetch until
-//!   `resolve + 1 + mispredict_penalty` and counts a recovery with zero
-//!   squashed work;
-//! * predictors and estimators train at commit, in trace order, exactly as
-//!   live.
+//! The trace front end: [`TraceSimulator`], the crate's timing core fed by
+//! an imported `&[TraceRecord]`.
 
-use crate::{Cache, EstimatorQuadrants, PipelineConfig, PipelineStats};
-use crate::{GateEvent, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent};
-use crate::{ResolveEvent, SimObserver};
-use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
-use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator};
+use crate::timing::{Core, FetchSource, Peek};
+use crate::{EstimatorQuadrants, NullObserver, PipelineConfig, PipelineStats, SimObserver};
+use cestim_bpred::AnyPredictor;
+use cestim_core::AnyEstimator;
+use cestim_trace_io::TraceRecord;
+
+// Named by the unit tests below through `use super::*`.
+#[cfg(test)]
 use cestim_isa::Reg;
-use cestim_trace_io::{TraceClass, TraceRecord, NO_REG};
-use std::collections::VecDeque;
+#[cfg(test)]
+use cestim_trace_io::TraceClass;
 
-/// An in-flight (fetched, not yet committed) branch of the replay.
-#[derive(Debug)]
-struct ReplayInflight {
-    seq: u64,
-    pc: u32,
-    pred: Prediction,
-    actual_taken: bool,
-    mispredicted: bool,
-    ghr_at_predict: u32,
-    estimates: Vec<Confidence>,
-    est0_low: bool,
-    fetch_cycle: u64,
-    resolved: bool,
-    resolve_cycle: Option<u64>,
+/// The fetch source over an imported trace: a cursor into the records.
+struct TraceFetch<'t> {
+    records: &'t [TraceRecord],
+    cursor: usize,
 }
 
-/// Scoreboard slot for a trace register byte ([`NO_REG`] maps to the
-/// always-zero sentinel, like the live simulator's `NO_REG` slot).
-#[inline]
-fn reg_slot(b: u8) -> usize {
-    if b == NO_REG || b as usize >= Reg::COUNT {
-        Reg::COUNT
-    } else {
-        b as usize
+impl FetchSource for TraceFetch<'_> {
+    #[inline]
+    fn peek(&self) -> Option<Peek> {
+        self.records.get(self.cursor).map(Peek::of)
+    }
+
+    #[inline]
+    fn take(&mut self) -> TraceRecord {
+        let rec = self.records[self.cursor];
+        self.cursor += 1;
+        rec
     }
 }
 
 /// Replays a branch trace through the pipeline timing model.
 ///
-/// See the [module docs](self) for semantics. Eager execution is not
-/// supported (there is no wrong path to fork down); gating is.
+/// The trace ([`TraceRecord`] stream) is re-timed by the crate's one timing
+/// core, driving the same predictors and confidence estimators as the live
+/// [`Simulator`](crate::Simulator). The core has two fetch sources: the
+/// live interpreter and this one, which walks the records and never touches
+/// an interpreter, checkpoints, or undo logs. The trace and the live
+/// simulator's *replay fetch mode* feed the same replay stall policy, so
+/// they agree by construction; the independence still under test is the
+/// trace itself — the interpreter exporter versus the live simulator's
+/// fetch-time capture hook — and the conformance suite in the workspace
+/// root pins replayed imports to live replay bit for bit.
+///
+/// Replay semantics:
+///
+/// * fetch walks the trace — the actual path — with the live front end's
+///   I-cache line batching, fetch width, speculation window, and
+///   confidence gating;
+/// * every conditional branch is predicted and confidence-estimated with
+///   the actual outcome pushed into the speculative history at fetch;
+/// * branches resolve out of order when their recorded source operands are
+///   ready (register scoreboard; loads add D-cache latency at the recorded
+///   address); a misprediction stalls fetch until
+///   `resolve + 1 + mispredict_penalty` and counts a recovery with zero
+///   squashed work;
+/// * predictors and estimators train at commit, in trace order, exactly as
+///   live.
+///
+/// Eager execution is not supported (there is no wrong path to fork
+/// down); gating is.
 pub struct TraceSimulator<'t> {
-    records: &'t [TraceRecord],
-    cfg: PipelineConfig,
-    predictor: AnyPredictor,
-    estimators: Vec<AnyEstimator>,
-    estimator_labels: Vec<String>,
-    quadrants: Vec<EstimatorQuadrants>,
-    ghr: HistoryRegister,
-    scoreboard: [u64; Reg::COUNT + 1],
-    icache: Cache,
-    dcache: Cache,
-    inflight: VecDeque<ReplayInflight>,
-    resolve_track: VecDeque<u64>,
-    due_buf: Vec<(u64, u32)>,
-    now: u64,
-    cursor: usize,
-    fetch_stall_until: u64,
-    resolve_soonest: u64,
-    branch_seq: u64,
-    arch_insts: u64,
-    arch_branches: u64,
-    stats: PipelineStats,
+    core: Core,
+    trace: TraceFetch<'t>,
 }
 
 impl<'t> TraceSimulator<'t> {
@@ -103,45 +81,13 @@ impl<'t> TraceSimulator<'t> {
         cfg: PipelineConfig,
         predictor: impl Into<AnyPredictor>,
     ) -> TraceSimulator<'t> {
-        assert!(cfg.fetch_width > 0, "fetch width must be positive");
-        assert!(
-            cfg.max_unresolved_branches > 0,
-            "speculation window must be positive"
-        );
-        assert!(
-            cfg.gate_threshold != Some(0),
-            "a gate threshold of 0 would stall fetch forever"
-        );
         assert!(
             cfg.eager_max_forks.is_none(),
             "trace replay cannot fork wrong paths (eager execution)"
         );
-        let ghr = HistoryRegister::new(cfg.ghr_width);
-        let icache = Cache::new(cfg.icache);
-        let dcache = Cache::new(cfg.dcache);
-        let window = cfg.max_unresolved_branches;
         TraceSimulator {
-            records,
-            cfg,
-            predictor: predictor.into(),
-            estimators: Vec::new(),
-            estimator_labels: Vec::new(),
-            quadrants: Vec::new(),
-            ghr,
-            scoreboard: [0; Reg::COUNT + 1],
-            icache,
-            dcache,
-            inflight: VecDeque::with_capacity(window),
-            resolve_track: VecDeque::with_capacity(window),
-            due_buf: Vec::with_capacity(window),
-            now: 0,
-            cursor: 0,
-            fetch_stall_until: 0,
-            resolve_soonest: u64::MAX,
-            branch_seq: 0,
-            arch_insts: 0,
-            arch_branches: 0,
-            stats: PipelineStats::default(),
+            core: Core::new(cfg, predictor.into()),
+            trace: TraceFetch { records, cursor: 0 },
         }
     }
 
@@ -153,30 +99,22 @@ impl<'t> TraceSimulator<'t> {
     ///
     /// Panics if branches are already in flight.
     pub fn add_estimator(&mut self, estimator: impl Into<AnyEstimator>) -> usize {
-        assert!(
-            self.inflight.is_empty(),
-            "estimators must be attached before branches are in flight"
-        );
-        let estimator = estimator.into();
-        self.estimator_labels.push(estimator.name());
-        self.estimators.push(estimator);
-        self.quadrants.push(EstimatorQuadrants::default());
-        self.quadrants.len() - 1
+        self.core.add_estimator(estimator.into())
     }
 
     /// Names of the attached estimators, in index order.
     pub fn estimator_names(&self) -> &[String] {
-        &self.estimator_labels
+        &self.core.estimator_labels
     }
 
     /// Per-estimator quadrants accumulated so far.
     pub fn estimator_quadrants(&self) -> &[EstimatorQuadrants] {
-        &self.quadrants
+        &self.core.quadrants
     }
 
     /// Statistics accumulated so far (finalized only after the run).
     pub fn stats(&self) -> &PipelineStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Runs to completion with no observer.
@@ -185,317 +123,15 @@ impl<'t> TraceSimulator<'t> {
     }
 
     /// Replays the whole trace (or up to `max_cycles`), streaming events to
-    /// `obs`. Returns the final stats.
+    /// `obs`. Returns the final stats. Honours a cooperative deadline armed
+    /// on this thread exactly like [`Simulator::run`](crate::Simulator::run).
     pub fn run<O: SimObserver + ?Sized>(&mut self, obs: &mut O) -> PipelineStats {
-        while !self.done() && self.now < self.cfg.max_cycles {
-            self.step_cycle(obs);
-            // Same cycle-skip as the live run loop: while fetch is stalled
-            // nothing can happen before the stall ends or a branch
-            // resolves.
-            if self.now < self.fetch_stall_until {
-                let target = self
-                    .fetch_stall_until
-                    .min(self.resolve_soonest)
-                    .min(self.cfg.max_cycles);
-                self.now = self.now.max(target);
-            }
-        }
-        self.finalize();
-        self.stats
+        self.core.run(&mut self.trace, obs)
     }
 
     /// `true` once the trace is exhausted and the pipeline has drained.
     pub fn done(&self) -> bool {
-        self.inflight.is_empty() && self.cursor >= self.records.len()
-    }
-
-    fn finalize(&mut self) {
-        self.stats.cycles = self.now;
-        self.stats.committed_insts = self.arch_insts;
-        // Nothing is ever squashed in a replay.
-        self.stats.fetched_insts = self.arch_insts;
-        self.stats.fetched_branches = self.arch_branches;
-        self.stats.icache_accesses = self.icache.accesses();
-        self.stats.icache_misses = self.icache.misses();
-        self.stats.dcache_accesses = self.dcache.accesses();
-        self.stats.dcache_misses = self.dcache.misses();
-    }
-
-    fn step_cycle<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        if self.now >= self.resolve_soonest {
-            self.process_resolutions(obs);
-            self.process_commits(obs);
-        }
-        self.fetch(obs);
-        self.now += 1;
-    }
-
-    // ---- resolution ------------------------------------------------------
-
-    fn process_resolutions<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        if self.now < self.resolve_soonest {
-            return;
-        }
-        let mut soonest = u64::MAX;
-        self.due_buf.clear();
-        for (i, &at) in self.resolve_track.iter().enumerate() {
-            if at <= self.now {
-                self.due_buf.push((at, i as u32));
-            } else if at != u64::MAX {
-                soonest = soonest.min(at);
-            }
-        }
-        if self.due_buf.len() > 1 {
-            self.due_buf.sort_unstable();
-        }
-        let mut due_buf = std::mem::take(&mut self.due_buf);
-        for &(at, idx) in &due_buf {
-            let idx = idx as usize;
-            if idx < self.resolve_track.len() && self.resolve_track[idx] == at {
-                self.resolve_one(idx, obs);
-            }
-        }
-        due_buf.clear();
-        self.due_buf = due_buf;
-        self.resolve_soonest = soonest;
-    }
-
-    fn resolve_one<O: SimObserver + ?Sized>(&mut self, idx: usize, obs: &mut O) {
-        let (seq, pc, mispredicted) = {
-            let e = &mut self.inflight[idx];
-            e.resolved = true;
-            e.resolve_cycle = Some(self.now);
-            (e.seq, e.pc, e.mispredicted)
-        };
-        self.resolve_track[idx] = u64::MAX;
-        for est in &mut self.estimators {
-            est.on_branch_resolved(mispredicted);
-        }
-        obs.on_branch_resolved(&ResolveEvent {
-            seq,
-            pc,
-            mispredicted,
-            cycle: self.now,
-        });
-        if mispredicted {
-            // The stall was charged at fetch; resolution only counts the
-            // recovery (zero squashed work) — mirroring replay-mode live.
-            self.stats.recoveries += 1;
-            obs.on_recovery(&RecoveryEvent {
-                seq,
-                pc,
-                cycle: self.now,
-                squashed: 0,
-                penalty: self.cfg.mispredict_penalty,
-            });
-        }
-    }
-
-    // ---- commit ----------------------------------------------------------
-
-    fn process_commits<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        while self.inflight.front().is_some_and(|e| e.resolved) {
-            let head = self.inflight.pop_front().expect("head exists");
-            self.resolve_track.pop_front();
-            let correct = !head.mispredicted;
-            self.predictor
-                .update(head.pc, head.actual_taken, &head.pred);
-            for est in self.estimators.iter_mut() {
-                est.update(head.pc, head.ghr_at_predict, &head.pred, correct);
-            }
-            self.stats.committed_branches += 1;
-            if head.mispredicted {
-                self.stats.mispredicted_committed += 1;
-                self.stats.mispredicted_all += 1;
-            }
-            for (q, &c) in self.quadrants.iter_mut().zip(&head.estimates) {
-                q.all.record(correct, c);
-                q.committed.record(correct, c);
-            }
-            obs.on_branch_outcome(&OutcomeEvent {
-                seq: head.seq,
-                pc: head.pc,
-                predicted_taken: head.pred.taken,
-                actual_taken: head.actual_taken,
-                mispredicted: head.mispredicted,
-                committed: true,
-                fetch_cycle: head.fetch_cycle,
-                resolve_cycle: head.resolve_cycle,
-                ghr: head.ghr_at_predict,
-                estimates: &head.estimates,
-            });
-        }
-    }
-
-    // ---- fetch -----------------------------------------------------------
-
-    fn gated(&self) -> Option<u32> {
-        let threshold = self.cfg.gate_threshold?;
-        let lc = self
-            .inflight
-            .iter()
-            .filter(|e| !e.resolved && e.est0_low)
-            .count() as u32;
-        (lc >= threshold).then_some(lc)
-    }
-
-    fn fetch<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        if self.now < self.fetch_stall_until {
-            return;
-        }
-        if let Some(low_confidence) = self.gated() {
-            self.stats.gated_cycles += 1;
-            obs.on_fetch_gated(&GateEvent {
-                cycle: self.now,
-                low_confidence,
-            });
-            return;
-        }
-        if self.cursor >= self.records.len() {
-            return;
-        }
-        let mut run_line = u32::MAX;
-        let mut run_hits = 0u64;
-        for _ in 0..self.cfg.fetch_width {
-            let Some(&rec) = self.records.get(self.cursor) else {
-                break;
-            };
-            let pc = rec.pc;
-            let line = self.icache.line_of(pc);
-            if line == run_line {
-                run_hits += 1;
-            } else {
-                if run_hits > 0 {
-                    self.icache.repeat_hits(run_hits);
-                    run_hits = 0;
-                }
-                let access = self.icache.access(pc);
-                run_line = line;
-                if !access.hit {
-                    self.fetch_stall_until = self.now + access.latency;
-                    break;
-                }
-            }
-
-            if rec.class == TraceClass::CondBranch {
-                if self.inflight.len() >= self.cfg.max_unresolved_branches {
-                    break;
-                }
-                let redirect = self.fetch_branch(&rec, obs);
-                self.cursor += 1;
-                if redirect {
-                    break;
-                }
-            } else if !self.fetch_straightline(&rec) {
-                self.cursor += 1;
-                break;
-            } else {
-                self.cursor += 1;
-            }
-        }
-        if run_hits > 0 {
-            self.icache.repeat_hits(run_hits);
-        }
-    }
-
-    /// Fetches a branch record; returns `true` when the burst must end
-    /// (actual-taken redirect, or the stall a misprediction charged).
-    fn fetch_branch<O: SimObserver + ?Sized>(&mut self, rec: &TraceRecord, obs: &mut O) -> bool {
-        let pc = rec.pc;
-        let ghr_val = self.ghr.value();
-        let pred = self.predictor.predict(pc, ghr_val);
-        // Same fetch-time latency feed as the live simulator: estimators see
-        // the modeled resolution latency before estimating.
-        let operands_ready = self.operands_ready(rec.s1, rec.s2);
-        let resolve_at = operands_ready + self.cfg.branch_resolve_latency;
-        let resolve_latency = resolve_at - self.now;
-        let estimates: Vec<Confidence> = self
-            .estimators
-            .iter_mut()
-            .map(|e| {
-                e.note_resolve_latency(resolve_latency);
-                e.estimate(pc, ghr_val, &pred)
-            })
-            .collect();
-        let est0_low = estimates.first().is_some_and(|c| c.is_low());
-
-        let actual_taken = rec.taken;
-        let mispredicted = actual_taken != pred.taken;
-
-        let seq = self.branch_seq;
-        self.branch_seq += 1;
-        self.arch_insts += 1;
-        self.arch_branches += 1;
-        self.ghr.push(actual_taken);
-
-        self.resolve_soonest = self.resolve_soonest.min(resolve_at);
-        if mispredicted {
-            self.fetch_stall_until = self
-                .fetch_stall_until
-                .max(resolve_at + 1 + self.cfg.mispredict_penalty);
-        }
-
-        obs.on_branch_predicted(&PredictEvent {
-            seq,
-            pc,
-            predicted_taken: pred.taken,
-            actual_taken,
-            mispredicted,
-            cycle: self.now,
-            ghr: ghr_val,
-            estimates: &estimates,
-        });
-
-        self.resolve_track.push_back(resolve_at);
-        self.inflight.push_back(ReplayInflight {
-            seq,
-            pc,
-            pred,
-            actual_taken,
-            mispredicted,
-            ghr_at_predict: ghr_val,
-            estimates,
-            est0_low,
-            fetch_cycle: self.now,
-            resolved: false,
-            resolve_cycle: None,
-        });
-        actual_taken || mispredicted
-    }
-
-    /// Fetches a non-branch record; returns `false` when the burst must
-    /// end (control redirect or halt).
-    fn fetch_straightline(&mut self, rec: &TraceRecord) -> bool {
-        let operands_ready = self.operands_ready(rec.s1, rec.s2);
-        self.arch_insts += 1;
-
-        let (latency, redirect) = match rec.class {
-            TraceClass::Load => (self.dcache.access(rec.target).latency, false),
-            TraceClass::Store => {
-                let _ = self.dcache.access(rec.target);
-                (1, false)
-            }
-            TraceClass::Alu => (1, false),
-            TraceClass::Mul => (3, false),
-            TraceClass::Div => (12, false),
-            TraceClass::Jump | TraceClass::Call | TraceClass::Ret => (1, true),
-            TraceClass::Halt => {
-                // Counted as fetched; ends the burst (and the trace).
-                return false;
-            }
-            TraceClass::CondBranch => unreachable!("handled before straightline fetch"),
-        };
-        if rec.dst != NO_REG {
-            self.scoreboard[reg_slot(rec.dst)] = operands_ready + latency;
-        }
-        !redirect
-    }
-
-    #[inline]
-    fn operands_ready(&self, s1: u8, s2: u8) -> u64 {
-        self.now
-            .max(self.scoreboard[reg_slot(s1)])
-            .max(self.scoreboard[reg_slot(s2)])
+        self.core.done(&self.trace)
     }
 }
 
@@ -635,6 +271,46 @@ mod tests {
         // The replay never fetches a wrong path.
         assert_eq!(replay.squashed_insts, 0);
         assert!(normal.squashed_insts > 0);
+    }
+
+    #[test]
+    fn cooperative_cancel_abandons_an_overdue_replay() {
+        use std::time::{Duration, Instant};
+        let p = noisy_loop(100_000);
+        let trace = export_program(&p, 100_000_000).unwrap();
+        let mut replay = TraceSimulator::new(&trace, PipelineConfig::paper(), Gshare::new(12));
+        // Deadline already expired: the first poll window must fire.
+        let _g = cestim_obs::cancel::arm(Instant::now() - Duration::from_millis(1), 1024);
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| replay.run_to_completion()))
+                .unwrap_err();
+        let msg = caught
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| caught.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap();
+        assert!(cestim_obs::cancel::is_cancel_panic(&msg), "{msg}");
+        assert!(
+            !replay.done(),
+            "the replay must stop short of the trace end"
+        );
+    }
+
+    #[test]
+    fn unarmed_replays_are_unaffected_by_the_cancel_poll() {
+        let p = noisy_loop(500);
+        let trace = export_program(&p, 10_000_000).unwrap();
+        let run = || {
+            TraceSimulator::new(&trace, PipelineConfig::paper(), Gshare::new(12))
+                .run_to_completion()
+        };
+        let sa = run();
+        let _g = cestim_obs::cancel::arm(
+            std::time::Instant::now() + std::time::Duration::from_secs(3600),
+            1,
+        );
+        let sb = run();
+        assert_eq!(sa, sb, "an unexpired token must not perturb the replay");
     }
 
     #[test]

@@ -1,149 +1,274 @@
-//! The speculative pipeline simulator.
+//! The live front end: the speculative pipeline simulator.
 
-use crate::{Cache, EstimatorQuadrants, PipelineConfig, PipelineStats};
-use crate::{GateEvent, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent};
-use crate::{ResolveEvent, SimObserver};
-use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
-use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator};
-use cestim_isa::{AluOp, Checkpoint, Inst, Machine, Program, Reg, Step};
-use cestim_obs::{PhaseProfiler, PhaseTiming, Registry, TraceEvent, Tracer};
+use crate::timing::{Core, FetchSource, Peek};
+use crate::{NullObserver, PipelineConfig, PipelineStats, SimObserver};
+use cestim_bpred::AnyPredictor;
+use cestim_core::{AnyEstimator, Confidence};
+use cestim_isa::{Checkpoint, Inst, Machine, Program, Step};
+use cestim_obs::{PhaseTiming, Registry, Tracer};
 use cestim_trace_io::TraceRecord;
 use std::collections::VecDeque;
 
-/// One speculatively fetched, not-yet-committed conditional branch.
+// Names the unit tests below reach through `use super::*`.
+#[cfg(test)]
+use crate::{OutcomeEvent, PredictEvent, ResolveEvent};
+#[cfg(test)]
+use cestim_isa::Reg;
+
+/// What the live front end needs to rewind to an in-flight branch: kept
+/// per branch, in lockstep with the core's in-flight window.
 #[derive(Debug)]
-struct Inflight {
-    seq: u64,
-    pc: u32,
-    pred: Prediction,
-    actual_taken: bool,
-    mispredicted: bool,
-    ghr_at_predict: u32,
-    /// Slot in the simulator's [`EstimateSlab`] holding this branch's
-    /// per-estimator confidence estimates.
-    est_slot: u32,
-    /// Estimator 0's estimate was low confidence (cached here so gating
-    /// never touches the slab).
-    est0_low: bool,
-    cp_machine: Checkpoint,
-    /// Scoreboard undo-log position at fetch (see `Simulator::sb_undo`).
-    cp_sb_mark: u64,
-    cp_arch_insts: u64,
-    cp_arch_branches: u64,
-    fetch_cycle: u64,
-    resolved: bool,
-    resolve_cycle: Option<u64>,
+struct BranchCheckpoint {
+    machine: Checkpoint,
+    /// Scoreboard undo-log position at fetch (see `LiveFront::sb_undo`).
+    sb_mark: u64,
+    arch_insts: u64,
+    arch_branches: u64,
     /// Eager execution forked both paths of this branch.
     forked: bool,
 }
 
-/// Scoreboard index meaning "no register": one past the real registers, a
-/// sentinel slot that stays 0 forever so operand-readiness can be computed
-/// branchlessly.
-const NO_REG: u8 = Reg::COUNT as u8;
-
-/// Instruction class for the fetch loop's dispatch, predecoded from the
-/// `Inst` enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InstClass {
-    Branch,
-    Load,
-    Store,
-    /// Fixed-latency, non-redirecting (ALU, LI, NOP).
-    Fixed,
-    /// Unconditional control transfer (jump, call, ret).
-    Redirect,
-    Halt,
+/// The live front end's state besides the machine: the program, the
+/// per-branch checkpoints, the scoreboard undo log, trace capture and the
+/// commit-fault hook.
+struct LiveFront<'p> {
+    program: &'p Program,
+    /// Each instruction with its record as far as decoding fixes it,
+    /// indexed by PC, so fetch never re-decodes (see
+    /// [`TraceRecord::decode`]).
+    decoded: Vec<(Inst, TraceRecord)>,
+    checkpoints: VecDeque<BranchCheckpoint>,
+    /// Scoreboard undo log, mirroring the machine's register undo log:
+    /// `(register, overwritten ready-cycle)` per scoreboard write. Branch
+    /// checkpoints record a position instead of copying the whole
+    /// scoreboard; recovery replays the log backwards, commit releases
+    /// from the front.
+    sb_undo: VecDeque<(u8, u64)>,
+    sb_undo_base: u64,
+    /// When `Some`, every fetched instruction is appended as a
+    /// [`TraceRecord`] and wrong-path records are truncated away on
+    /// recovery, so the buffer always holds exactly the architectural
+    /// stream (`len == arch_insts`).
+    trace_capture: Option<Vec<TraceRecord>>,
+    fault_commit_every: u64,
+    fault_commit_seen: u64,
 }
 
-/// Per-instruction metadata predecoded once at construction. The program is
-/// immutable, so the fetch loop reads this flat table — a copy of the
-/// instruction plus its sources, destination, class, and latency — instead
-/// of re-matching the `Inst` enum on every fetched instruction.
-#[derive(Debug, Clone, Copy)]
-struct InstMeta {
-    inst: Inst,
-    s1: u8,
-    s2: u8,
-    dst: u8,
-    class: InstClass,
-    /// Execute latency for `InstClass::Fixed`.
-    latency: u8,
+impl LiveFront<'_> {
+    #[inline]
+    fn peek(&self, machine: &Machine) -> Option<Peek> {
+        if machine.halted() {
+            return None;
+        }
+        let (_, rec) = self.decoded.get(machine.pc() as usize)?;
+        Some(Peek::of(rec))
+    }
+
+    /// Executes the instruction at the PC (a branch follows `force`, or its
+    /// actual direction when `None`) and captures its record.
+    #[inline]
+    fn take(&mut self, machine: &mut Machine, force: Option<bool>) -> TraceRecord {
+        let (inst, decoded) = self.decoded[machine.pc() as usize];
+        let rec = decoded.with_step(&machine.step_decoded(inst, force));
+        if let Some(buf) = &mut self.trace_capture {
+            buf.push(rec);
+        }
+        rec
+    }
+
+    /// Counts a committed branch for the injected commit-stream fault (see
+    /// [`Simulator::inject_commit_fault`]); `true` flips its reported
+    /// direction.
+    fn commit_fault(&mut self) -> bool {
+        if self.fault_commit_every == 0 {
+            return false;
+        }
+        self.fault_commit_seen += 1;
+        self.fault_commit_seen
+            .is_multiple_of(self.fault_commit_every)
+    }
+
+    /// Unresolved in-flight branches that eager execution forked.
+    fn active_forks(&self, core: &Core) -> u32 {
+        core.inflight
+            .iter()
+            .zip(&self.checkpoints)
+            .filter(|(e, cp)| !e.resolved() && cp.forked)
+            .count() as u32
+    }
 }
 
-impl InstMeta {
-    fn decode(inst: &Inst) -> InstMeta {
-        let reg_idx = |r: Option<Reg>| r.map_or(NO_REG, |r| r.index() as u8);
-        let class = match inst {
-            Inst::Branch { .. } => InstClass::Branch,
-            Inst::Load { .. } => InstClass::Load,
-            Inst::Store { .. } => InstClass::Store,
-            Inst::Jump { .. } | Inst::Call { .. } | Inst::Ret => InstClass::Redirect,
-            Inst::Halt => InstClass::Halt,
-            Inst::Alu { .. } | Inst::AluImm { .. } | Inst::Li { .. } | Inst::Nop => {
-                InstClass::Fixed
-            }
+/// The speculative fetch source: follows every prediction, right or
+/// wrong, and rewinds to the branch's checkpoint when it resolves
+/// mispredicted.
+struct Speculative<'a, 'p> {
+    machine: &'a mut Machine,
+    front: &'a mut LiveFront<'p>,
+}
+
+impl FetchSource for Speculative<'_, '_> {
+    #[inline]
+    fn peek(&self) -> Option<Peek> {
+        self.front.peek(self.machine)
+    }
+
+    #[inline]
+    fn take(&mut self) -> TraceRecord {
+        self.front.take(self.machine, None)
+    }
+
+    fn take_branch(
+        &mut self,
+        core: &mut Core,
+        pred: bool,
+        est0_low: bool,
+        _resolve_at: u64,
+    ) -> (bool, bool) {
+        // Eager execution: fork both paths of a low-confidence branch
+        // (decided by estimator 0) while fork capacity remains.
+        let forked = core
+            .cfg
+            .eager_max_forks
+            .is_some_and(|max| est0_low && self.front.active_forks(core) < max);
+        if forked {
+            core.stats.eager_forks += 1;
+        }
+        // Checkpoint *before* executing the branch: restoring must land on
+        // the branch so the correct direction can be re-executed.
+        self.front.checkpoints.push_back(BranchCheckpoint {
+            machine: self.machine.checkpoint(),
+            sb_mark: self.front.sb_undo_base + self.front.sb_undo.len() as u64,
+            arch_insts: core.arch_insts,
+            arch_branches: core.arch_branches,
+            forked,
+        });
+        // Follow the prediction, right or wrong.
+        let actual = self.front.take(self.machine, Some(pred)).taken;
+        core.ghr.push(pred);
+        (actual, pred)
+    }
+
+    fn fetch_width(&mut self, core: &mut Core) -> u32 {
+        // Active eager forks consume half the fetch slots for the
+        // alternate paths.
+        let mut width = core.cfg.fetch_width;
+        if core.cfg.eager_max_forks.is_some() && self.front.active_forks(core) > 0 {
+            let alt = width / 2;
+            core.stats.eager_alt_slots += alt as u64;
+            width -= alt;
+        }
+        width
+    }
+
+    /// Rewinds to the checkpoint of the mispredicted branch at `idx`,
+    /// squashing everything younger.
+    fn on_mispredict<O: SimObserver + ?Sized>(&mut self, core: &mut Core, idx: usize, obs: &mut O) {
+        core.stats.recoveries += 1;
+        let squashed = core.squash_after(idx, obs);
+        let front = &mut *self.front;
+        front.checkpoints.truncate(idx + 1);
+        let cp = &front.checkpoints[idx];
+        // Wrong-path work after this branch, excluding the branch itself
+        // (which commits once re-steered).
+        core.stats.squashed_insts += core.arch_insts - (cp.arch_insts + 1);
+        core.stats.squashed_branches += core.arch_branches - (cp.arch_branches + 1);
+        core.arch_insts = cp.arch_insts + 1;
+        core.arch_branches = cp.arch_branches + 1;
+        if let Some(buf) = &mut front.trace_capture {
+            // Drop the captured wrong-path records; the mispredicted branch
+            // itself stays (it commits once re-steered).
+            buf.truncate(core.arch_insts as usize);
+        }
+
+        // Architectural rewind, then re-execute the branch down its correct
+        // direction.
+        self.machine.restore(&cp.machine);
+        while front.sb_undo_base + front.sb_undo.len() as u64 > cp.sb_mark {
+            let (r, old) = front.sb_undo.pop_back().expect("sb undo underflow");
+            core.scoreboard[r as usize] = old;
+        }
+        let e = &core.inflight[idx];
+        let actual = e.actual_taken;
+        let step = self.machine.step_forced(front.program, actual);
+        debug_assert!(matches!(
+            step,
+            Step::Branch { taken, followed, .. } if taken == actual && followed == actual
+        ));
+
+        // Repair the speculative history: outcomes up to the branch, then
+        // the branch's actual direction.
+        core.ghr.set(e.ghr_at_predict);
+        core.ghr.push(actual);
+
+        // Flush: fetch resumes after the extra recovery penalty — unless
+        // this branch had an eager fork, in which case the alternate path
+        // is already warm and the re-steer is free.
+        let penalty = if cp.forked {
+            core.stats.eager_covered += 1;
+            0
+        } else {
+            core.fetch_stall_until = core
+                .fetch_stall_until
+                .max(core.now + 1 + core.cfg.mispredict_penalty);
+            core.cfg.mispredict_penalty
         };
-        let (s1, s2) = inst.srcs();
-        InstMeta {
-            inst: *inst,
-            s1: reg_idx(s1),
-            s2: reg_idx(s2),
-            dst: reg_idx(inst.dst()),
-            class,
-            latency: alu_latency(inst) as u8,
+        core.emit_recovery(idx, squashed, penalty, obs);
+    }
+
+    fn on_commit(&mut self) {
+        let front = &mut *self.front;
+        let cp = front
+            .checkpoints
+            .pop_front()
+            .expect("checkpoint per branch");
+        // The oldest checkpoint is gone; undo entries older than it can
+        // never be needed again. Dropped in one bulk drain — commit is
+        // on the per-branch hot path and the entry type is trivial.
+        let n = (cp.sb_mark.saturating_sub(front.sb_undo_base) as usize).min(front.sb_undo.len());
+        if n > 0 {
+            front.sb_undo.drain(..n);
+            front.sb_undo_base += n as u64;
         }
+        self.machine.release(&cp.machine);
+    }
+
+    fn commit_fault(&mut self) -> bool {
+        self.front.commit_fault()
+    }
+
+    fn scoreboard_written(&mut self, reg: u8, old: u64) {
+        self.front.sb_undo.push_back((reg, old));
     }
 }
 
-/// Preallocated pool of per-branch estimate rows.
-///
-/// The speculation window bounds the number of in-flight branches, so the
-/// per-estimator confidence estimates of every in-flight branch live in one
-/// flat buffer of `window × n_estimators` entries, handed out as fixed-width
-/// rows through a free list. This removes the per-fetched-branch
-/// `Vec<Confidence>` allocation the hot path used to pay (sweep experiments
-/// attach 30–60 estimators to one pipeline, so an inline array is not an
-/// option).
-#[derive(Debug)]
-struct EstimateSlab {
-    width: usize,
-    buf: Vec<Confidence>,
-    free: Vec<u32>,
+/// The replay fetch source: the interpreter follows the actual path and
+/// feeds its records to the core's replay stall policy (the trait
+/// defaults), exactly as [`TraceSimulator`](crate::TraceSimulator) feeds
+/// an imported trace.
+struct Replaying<'a, 'p> {
+    machine: &'a mut Machine,
+    front: &'a mut LiveFront<'p>,
 }
 
-impl EstimateSlab {
-    fn new(width: usize, slots: usize) -> EstimateSlab {
-        EstimateSlab {
-            width,
-            buf: vec![Confidence::High; width * slots],
-            free: (0..slots as u32).rev().collect(),
-        }
+impl FetchSource for Replaying<'_, '_> {
+    #[inline]
+    fn peek(&self) -> Option<Peek> {
+        self.front.peek(self.machine)
     }
 
     #[inline]
-    fn alloc(&mut self) -> u32 {
-        self.free
-            .pop()
-            .expect("slab has one slot per speculation-window entry")
+    fn take(&mut self) -> TraceRecord {
+        self.front.take(self.machine, None)
     }
 
-    #[inline]
-    fn release(&mut self, slot: u32) {
-        debug_assert!(!self.free.contains(&slot), "double release");
-        self.free.push(slot);
+    fn on_commit(&mut self) {
+        // Nothing is ever rewound: drop the machine's undo history.
+        let now = self.machine.checkpoint();
+        self.machine.release(&now);
     }
 
-    #[inline]
-    fn row(&self, slot: u32) -> &[Confidence] {
-        let start = slot as usize * self.width;
-        &self.buf[start..start + self.width]
-    }
-
-    #[inline]
-    fn row_mut(&mut self, slot: u32) -> &mut [Confidence] {
-        let start = slot as usize * self.width;
-        &mut self.buf[start..start + self.width]
+    fn commit_fault(&mut self) -> bool {
+        self.front.commit_fault()
     }
 }
 
@@ -169,10 +294,15 @@ impl EstimateSlab {
 ///   estimators additionally hear every *resolution* via
 ///   [`ConfidenceEstimator::on_branch_resolved`].
 ///
+/// The timing model itself is the crate's shared core, the one
+/// [`TraceSimulator`](crate::TraceSimulator) also runs; this type is its
+/// live front end (interpreter, checkpoints, wrong-path fetch, recovery,
+/// eager forks, trace capture).
+///
 /// Any number of confidence estimators can be attached
 /// ([`Simulator::add_estimator`]); each is queried at every branch fetch and
-/// gets its own all/committed [`EstimatorQuadrants`] — one pipeline pass
-/// evaluates a whole sweep of estimator configurations.
+/// gets its own all/committed [`EstimatorQuadrants`](crate::EstimatorQuadrants)
+/// — one pipeline pass evaluates a whole sweep of estimator configurations.
 ///
 /// # Example
 ///
@@ -201,62 +331,14 @@ impl EstimateSlab {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// [`ConfidenceEstimator::on_branch_resolved`]: cestim_core::ConfidenceEstimator::on_branch_resolved
 pub struct Simulator<'p> {
-    program: &'p Program,
-    /// Predecoded per-instruction metadata, indexed by PC (see [`InstMeta`]).
-    meta: Vec<InstMeta>,
-    cfg: PipelineConfig,
+    core: Core,
     machine: Machine,
-    predictor: AnyPredictor,
-    estimators: Vec<AnyEstimator>,
-    estimator_labels: Vec<String>,
-    quadrants: Vec<EstimatorQuadrants>,
-    est_slab: EstimateSlab,
-    ghr: HistoryRegister,
-    /// Ready-cycle per register, plus the always-zero [`NO_REG`] sentinel
-    /// slot at the end.
-    scoreboard: [u64; Reg::COUNT + 1],
-    /// Scoreboard undo log, mirroring the machine's register undo log:
-    /// `(register index, overwritten ready-cycle)` per scoreboard write.
-    /// Branch checkpoints record a position instead of copying the whole
-    /// scoreboard; recovery replays the log backwards, commit releases
-    /// from the front.
-    sb_undo: VecDeque<(u8, u64)>,
-    sb_undo_base: u64,
-    icache: Cache,
-    dcache: Cache,
-    inflight: VecDeque<Inflight>,
-    /// Resolve deadline of each in-flight branch, in lockstep with
-    /// `inflight` (`u64::MAX` once resolved). The per-cycle resolution scan
-    /// walks this one-cache-line ring instead of the full `Inflight`
-    /// payloads.
-    resolve_track: VecDeque<u64>,
-    /// Scratch `(deadline, index)` list of due resolutions, reused across
-    /// scans.
-    due_buf: Vec<(u64, u32)>,
-    now: u64,
-    fetch_stall_until: u64,
-    /// Earliest `resolve_at` among unresolved in-flight branches (stale-low
-    /// is allowed; `u64::MAX` when none). Lets the per-cycle resolution scan
-    /// exit without touching the in-flight queue on most cycles.
-    resolve_soonest: u64,
-    branch_seq: u64,
-    arch_insts: u64,
-    arch_branches: u64,
-    stats: PipelineStats,
-    tracer: Tracer,
-    profiler: PhaseProfiler,
-    fault_commit_every: u64,
-    fault_commit_seen: u64,
-    /// Replay fetch mode (see [`Simulator::set_replay_fetch`]): fetch
-    /// follows the *actual* path and stalls on a misprediction instead of
-    /// executing down the wrong path.
+    front: LiveFront<'p>,
+    /// Replay fetch mode (see [`Simulator::set_replay_fetch`]).
     replay_fetch: bool,
-    /// When `Some`, every fetched instruction is appended as a
-    /// [`TraceRecord`] and wrong-path records are truncated away on
-    /// recovery, so the buffer always holds exactly the architectural
-    /// stream (`len == arch_insts`).
-    trace_capture: Option<Vec<TraceRecord>>,
 }
 
 impl<'p> Simulator<'p> {
@@ -277,75 +359,38 @@ impl<'p> Simulator<'p> {
         cfg: PipelineConfig,
         predictor: impl Into<AnyPredictor>,
     ) -> Simulator<'p> {
-        assert!(cfg.fetch_width > 0, "fetch width must be positive");
-        assert!(
-            cfg.max_unresolved_branches > 0,
-            "speculation window must be positive"
-        );
-        assert!(
-            cfg.gate_threshold != Some(0),
-            "a gate threshold of 0 would stall fetch forever"
-        );
-        let machine = Machine::new(program);
-        let ghr = HistoryRegister::new(cfg.ghr_width);
-        let icache = Cache::new(cfg.icache);
-        let dcache = Cache::new(cfg.dcache);
         let window = cfg.max_unresolved_branches;
-        let est_slab = EstimateSlab::new(0, window);
         Simulator {
-            meta: (0..program.len() as u32)
-                .map(|pc| InstMeta::decode(program.inst(pc).expect("pc in range")))
-                .collect(),
-            program,
-            cfg,
-            machine,
-            predictor: predictor.into(),
-            estimators: Vec::new(),
-            estimator_labels: Vec::new(),
-            quadrants: Vec::new(),
-            est_slab,
-            ghr,
-            scoreboard: [0; Reg::COUNT + 1],
-            sb_undo: VecDeque::new(),
-            sb_undo_base: 0,
-            icache,
-            dcache,
-            inflight: VecDeque::with_capacity(window),
-            resolve_track: VecDeque::with_capacity(window),
-            due_buf: Vec::with_capacity(window),
-            now: 0,
-            fetch_stall_until: 0,
-            resolve_soonest: u64::MAX,
-            branch_seq: 0,
-            arch_insts: 0,
-            arch_branches: 0,
-            stats: PipelineStats::default(),
-            tracer: Tracer::disabled(),
-            profiler: PhaseProfiler::default(),
-            fault_commit_every: 0,
-            fault_commit_seen: 0,
+            core: Core::new(cfg, predictor.into()),
+            machine: Machine::new(program),
+            front: LiveFront {
+                program,
+                decoded: (0..program.len() as u32)
+                    .map(|pc| {
+                        let inst = *program.inst(pc).expect("pc in range");
+                        (inst, TraceRecord::decode(pc, &inst))
+                    })
+                    .collect(),
+                checkpoints: VecDeque::with_capacity(window),
+                sb_undo: VecDeque::new(),
+                sb_undo_base: 0,
+                trace_capture: None,
+                fault_commit_every: 0,
+                fault_commit_seen: 0,
+            },
             replay_fetch: false,
-            trace_capture: None,
         }
     }
 
     /// Switches the front end into *replay* fetch mode, the reference
-    /// semantics for trace replay (`TraceSimulator` mirrors it exactly):
-    ///
-    /// * fetch follows the **actual** direction of every branch (no
-    ///   wrong-path execution), and the speculative history receives the
-    ///   actual outcome at fetch,
-    /// * a mispredicted branch still occupies the speculation window until
-    ///   its dataflow-timed resolution, but instead of a rewind the front
-    ///   end stalls until `resolve + 1 + mispredict_penalty` — the same
-    ///   cycle fetch would resume at after a live recovery,
-    /// * resolution of a misprediction charges a recovery (with zero
-    ///   squashed work) and trains estimators via
-    ///   [`ConfidenceEstimator::on_branch_resolved`] as usual.
-    ///
-    /// Committed-stream statistics, committed quadrants, and per-estimator
-    /// training are identical to the normal mode; the all-branches
-    /// population collapses onto the committed one (nothing is squashed).
+    /// semantics for trace replay: the interpreter follows the **actual**
+    /// path and feeds the same replay stall policy that
+    /// [`TraceSimulator`](crate::TraceSimulator) applies to an imported
+    /// trace (see its docs). Nothing is squashed — a misprediction
+    /// stalls fetch until the cycle a live recovery would resume at — so
+    /// committed-stream statistics, committed quadrants, and estimator
+    /// training match the normal mode, while the all-branches population
+    /// collapses onto the committed one.
     ///
     /// # Panics
     ///
@@ -353,11 +398,11 @@ impl<'p> Simulator<'p> {
     /// contradicts not fetching wrong paths) or branches are in flight.
     pub fn set_replay_fetch(&mut self, on: bool) {
         assert!(
-            !(on && self.cfg.eager_max_forks.is_some()),
+            !(on && self.core.cfg.eager_max_forks.is_some()),
             "replay fetch mode is incompatible with eager execution"
         );
         assert!(
-            self.inflight.is_empty(),
+            self.core.inflight.is_empty(),
             "switch fetch modes before branches are in flight"
         );
         self.replay_fetch = on;
@@ -369,12 +414,12 @@ impl<'p> Simulator<'p> {
     /// run the buffer is exactly the committed stream — byte-for-byte what
     /// [`cestim_trace_io::export_program`] produces for the same program.
     pub fn set_trace_capture(&mut self, on: bool) {
-        self.trace_capture = on.then(Vec::new);
+        self.front.trace_capture = on.then(Vec::new);
     }
 
     /// Takes the captured trace, leaving capture disabled.
     pub fn take_captured_trace(&mut self) -> Vec<TraceRecord> {
-        self.trace_capture.take().unwrap_or_default()
+        self.front.trace_capture.take().unwrap_or_default()
     }
 
     /// Test-support hook: corrupt the *reported* outcome of every
@@ -389,38 +434,38 @@ impl<'p> Simulator<'p> {
     /// `CESTIM_QA_FAULT` environment variable — and has zero cost when off.
     #[doc(hidden)]
     pub fn inject_commit_fault(&mut self, every: u64) {
-        self.fault_commit_every = every;
-        self.fault_commit_seen = 0;
+        self.front.fault_commit_every = every;
+        self.front.fault_commit_seen = 0;
     }
 
     /// Installs an event tracer; subsequent pipeline events are recorded
     /// into it, mirroring the [`SimObserver`] stream. Pass
     /// [`Tracer::disabled`] to turn tracing back off.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.core.tracer = tracer;
     }
 
     /// The installed tracer (disabled by default).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.core.tracer
     }
 
     /// Removes and returns the tracer, leaving tracing disabled.
     pub fn take_tracer(&mut self) -> Tracer {
-        std::mem::take(&mut self.tracer)
+        std::mem::take(&mut self.core.tracer)
     }
 
     /// Enables (or disables) per-phase wall-clock profiling of
     /// [`step_cycle`](Simulator::step_cycle)'s resolve/commit/fetch phases.
     /// Resets any previously accumulated timings.
     pub fn set_profiling(&mut self, enabled: bool) {
-        self.profiler = PhaseProfiler::new(enabled);
+        self.core.profiler = cestim_obs::PhaseProfiler::new(enabled);
     }
 
     /// Accumulated per-phase wall-clock timings (empty unless profiling was
     /// enabled).
     pub fn phase_timings(&self) -> Vec<PhaseTiming> {
-        self.profiler.timings()
+        self.core.profiler.timings()
     }
 
     /// Exports the run's statistics, per-estimator quadrants, and phase
@@ -428,7 +473,7 @@ impl<'p> Simulator<'p> {
     /// run completes (counters like `pipeline.cycles` are finalized by
     /// [`run`](Simulator::run) / [`finish`](Simulator::finish)).
     pub fn export_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
-        let s = &self.stats;
+        let s = &self.core.stats;
         for (name, v) in [
             ("pipeline.cycles", s.cycles),
             ("pipeline.fetched_insts", s.fetched_insts),
@@ -461,7 +506,7 @@ impl<'p> Simulator<'p> {
             registry.float_gauge(name, labels).set(v);
         }
         let names = self.estimator_names();
-        for (name, q) in names.iter().zip(&self.quadrants) {
+        for (name, q) in names.iter().zip(&self.core.quadrants) {
             for (population, quad) in [("all", &q.all), ("committed", &q.committed)] {
                 for (cell, v) in [
                     ("c_hc", quad.c_hc),
@@ -477,7 +522,7 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        for t in self.profiler.timings() {
+        for t in self.core.profiler.timings() {
             let mut l = labels.to_vec();
             l.push(("phase", &t.name));
             registry.counter("pipeline.phase_nanos", &l).set(t.nanos);
@@ -499,33 +544,24 @@ impl<'p> Simulator<'p> {
     /// Panics if branches are already in flight (attach all estimators
     /// before running).
     pub fn add_estimator(&mut self, estimator: impl Into<AnyEstimator>) -> usize {
-        assert!(
-            self.inflight.is_empty(),
-            "estimators must be attached before branches are in flight"
-        );
-        let estimator = estimator.into();
-        self.estimator_labels.push(estimator.name());
-        self.estimators.push(estimator);
-        self.quadrants.push(EstimatorQuadrants::default());
-        self.est_slab = EstimateSlab::new(self.estimators.len(), self.cfg.max_unresolved_branches);
-        self.quadrants.len() - 1
+        self.core.add_estimator(estimator.into())
     }
 
     /// Names of the attached estimators, in index order (computed once at
     /// [`add_estimator`](Simulator::add_estimator) time).
     pub fn estimator_names(&self) -> &[String] {
-        &self.estimator_labels
+        &self.core.estimator_labels
     }
 
     /// Per-estimator quadrants accumulated so far.
-    pub fn estimator_quadrants(&self) -> &[EstimatorQuadrants] {
-        &self.quadrants
+    pub fn estimator_quadrants(&self) -> &[crate::EstimatorQuadrants] {
+        &self.core.quadrants
     }
 
     /// Statistics accumulated so far (finalized counts only after the run
     /// completes).
     pub fn stats(&self) -> &PipelineStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Runs to completion with no observer.
@@ -537,71 +573,22 @@ impl<'p> Simulator<'p> {
     /// `max_cycles`), streaming events to `obs`. Returns the final stats.
     ///
     /// If a cooperative deadline is armed on this thread
-    /// ([`cestim_obs::cancel::arm`]), the loop polls the wall clock every
-    /// `check_every` simulated cycles and abandons the run via
-    /// [`cestim_obs::cancel::fire`] once the deadline passes — so an
-    /// overdue job releases its worker instead of running to completion.
-    /// The poll is alloc-free and costs one thread-local read when no
-    /// token is armed.
+    /// ([`cestim_obs::cancel::arm`]), the run polls it and abandons an
+    /// overdue job via [`cestim_obs::cancel::fire`] (see the shared core's
+    /// run loop).
     pub fn run<O: SimObserver + ?Sized>(&mut self, obs: &mut O) -> PipelineStats {
-        let cancel = cestim_obs::cancel::current();
-        let mut cancel_at = cancel.map(|c| self.now.saturating_add(c.check_every));
-        while !self.done() && self.now < self.cfg.max_cycles {
-            if let (Some(at), Some(token)) = (cancel_at, &cancel) {
-                if self.now >= at {
-                    if token.expired() {
-                        cestim_obs::cancel::fire();
-                    }
-                    cancel_at = Some(self.now.saturating_add(token.check_every));
-                }
-            }
-            self.cycle(obs);
-            // While fetch is stalled (I-cache miss, mispredict penalty)
-            // nothing can happen until the stall ends or a branch resolves:
-            // resolutions before `resolve_soonest` are impossible, commit
-            // drained every resolved head this cycle, and a stalled fetch
-            // returns before it counts gated cycles. Jump straight to the
-            // first cycle with work; every skipped cycle would have been a
-            // no-op, so the cycle count is unchanged.
-            if self.now < self.fetch_stall_until {
-                let target = self
-                    .fetch_stall_until
-                    .min(self.resolve_soonest)
-                    .min(self.cfg.max_cycles);
-                self.now = self.now.max(target);
-            }
+        let (machine, front) = (&mut self.machine, &mut self.front);
+        if self.replay_fetch {
+            self.core.run(&mut Replaying { machine, front }, obs)
+        } else {
+            self.core.run(&mut Speculative { machine, front }, obs)
         }
-        self.finalize();
-        // With phase profiling on and an ambient span context installed,
-        // publish the accumulated per-phase totals as summary child spans
-        // (no-op otherwise).
-        self.profiler.emit_ambient_spans();
-        self.stats
     }
 
     /// `true` once the architectural program has finished and the pipeline
     /// has drained.
     pub fn done(&self) -> bool {
-        self.inflight.is_empty()
-            && (self.machine.halted() || self.program.inst(self.machine.pc()).is_none())
-    }
-
-    fn finalize(&mut self) {
-        self.stats.cycles = self.now;
-        self.stats.committed_insts = self.arch_insts;
-        // `arch + squashed` is invariant under recovery (it moves counts
-        // from one to the other), so the fetched totals need no per-fetch
-        // increments.
-        self.stats.fetched_insts = self.arch_insts + self.stats.squashed_insts;
-        self.stats.fetched_branches = self.arch_branches + self.stats.squashed_branches;
-        self.stats.icache_accesses = self.icache.accesses();
-        self.stats.icache_misses = self.icache.misses();
-        self.stats.dcache_accesses = self.dcache.accesses();
-        self.stats.dcache_misses = self.dcache.misses();
-    }
-
-    fn cycle<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        self.step_cycle(true, obs);
+        self.core.inflight.is_empty() && self.front.peek(&self.machine).is_none()
     }
 
     /// Advances the pipeline by one cycle, fetching only when `allow_fetch`
@@ -612,59 +599,37 @@ impl<'p> Simulator<'p> {
     /// shared fetch bandwidth to one thread per cycle, while every
     /// thread's back end keeps draining.
     pub fn step_cycle<O: SimObserver + ?Sized>(&mut self, allow_fetch: bool, obs: &mut O) {
-        if self.profiler.enabled() {
-            let p = self.profiler.phase("resolve");
-            let t = self.profiler.start();
-            self.process_resolutions(obs);
-            self.profiler.stop(p, t);
-
-            let p = self.profiler.phase("commit");
-            let t = self.profiler.start();
-            self.process_commits(obs);
-            self.profiler.stop(p, t);
-
-            if allow_fetch {
-                let p = self.profiler.phase("fetch");
-                let t = self.profiler.start();
-                self.fetch(obs);
-                self.profiler.stop(p, t);
-            }
+        let (machine, front) = (&mut self.machine, &mut self.front);
+        if self.replay_fetch {
+            self.core
+                .step(&mut Replaying { machine, front }, allow_fetch, obs);
         } else {
-            // A head can only be newly resolved — and therefore newly
-            // committable — in a cycle where a resolution fires, so both
-            // phases sit behind the resolution wake-up check.
-            if self.now >= self.resolve_soonest {
-                self.process_resolutions(obs);
-                self.process_commits(obs);
-            }
-            if allow_fetch {
-                self.fetch(obs);
-            }
+            self.core
+                .step(&mut Speculative { machine, front }, allow_fetch, obs);
         }
-        self.now += 1;
     }
 
     /// Finalizes and returns the statistics without requiring
     /// [`run`](Simulator::run) (for externally driven cycling).
     pub fn finish(&mut self) -> PipelineStats {
-        self.finalize();
-        self.profiler.emit_ambient_spans();
-        self.stats
+        self.core.finish()
     }
 
     /// Number of fetched-but-unresolved branches currently in flight.
     pub fn outstanding_branches(&self) -> usize {
-        self.inflight.iter().filter(|e| !e.resolved).count()
+        self.core.inflight.iter().filter(|e| !e.resolved()).count()
     }
 
     /// Number of in-flight unresolved branches whose estimate from the
     /// estimator at `index` was low confidence.
     pub fn outstanding_low_confidence(&self, index: usize) -> usize {
-        self.inflight
+        self.core
+            .inflight
             .iter()
             .filter(|e| {
-                !e.resolved
+                !e.resolved()
                     && self
+                        .core
                         .est_slab
                         .row(e.est_slot)
                         .get(index)
@@ -676,621 +641,21 @@ impl<'p> Simulator<'p> {
     /// The estimate (from estimator `index`) of the most recently fetched
     /// branch, if any branch is still in flight.
     pub fn last_estimate(&self, index: usize) -> Option<Confidence> {
-        self.inflight
+        self.core
+            .inflight
             .back()
-            .and_then(|e| self.est_slab.row(e.est_slot).get(index))
+            .and_then(|e| self.core.est_slab.row(e.est_slot).get(index))
             .copied()
     }
 
     /// Current simulated cycle of this pipeline.
     pub fn now(&self) -> u64 {
-        self.now
+        self.core.now
     }
 
-    // ---- resolution & recovery ------------------------------------------
-
-    fn process_resolutions<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        // Fast path: nothing can resolve yet. `resolve_soonest` may be
-        // stale-low (pointing at a branch that was squashed), which only
-        // costs one wasted scan — it is never stale-high.
-        if self.now < self.resolve_soonest {
-            return;
-        }
-        // One scan collects every due entry and the earliest not-yet-due
-        // deadline (the window's next wake-up; resolved entries carry a
-        // `u64::MAX` sentinel). Resolutions fire in (deadline, seq) order —
-        // the queue is in fetch (= seq) order, so sorting (deadline, index)
-        // pairs gives exactly that. No rescan is needed even across
-        // recoveries: a recovery only pops entries *younger* than the
-        // mispredicted branch, deadlines never change, and no entry is
-        // pushed while resolving — so each queued firing stays valid unless
-        // its entry was squashed, which the deadline recheck detects.
-        let mut soonest = u64::MAX;
-        self.due_buf.clear();
-        for (i, &at) in self.resolve_track.iter().enumerate() {
-            if at <= self.now {
-                self.due_buf.push((at, i as u32));
-            } else if at != u64::MAX {
-                soonest = soonest.min(at);
-            }
-        }
-        if self.due_buf.len() > 1 {
-            self.due_buf.sort_unstable();
-        }
-        let mut due_buf = std::mem::take(&mut self.due_buf);
-        for &(at, idx) in &due_buf {
-            let idx = idx as usize;
-            if idx < self.resolve_track.len() && self.resolve_track[idx] == at {
-                self.resolve_one(idx, obs);
-            }
-        }
-        due_buf.clear();
-        self.due_buf = due_buf;
-        // Stale-low is fine (squashed entries may make the true next
-        // deadline later); it costs one wasted scan, never a missed one.
-        self.resolve_soonest = soonest;
-    }
-
-    fn resolve_one<O: SimObserver + ?Sized>(&mut self, idx: usize, obs: &mut O) {
-        let (seq, pc, mispredicted) = {
-            let e = &mut self.inflight[idx];
-            e.resolved = true;
-            e.resolve_cycle = Some(self.now);
-            (e.seq, e.pc, e.mispredicted)
-        };
-        self.resolve_track[idx] = u64::MAX;
-        for est in &mut self.estimators {
-            est.on_branch_resolved(mispredicted);
-        }
-        obs.on_branch_resolved(&ResolveEvent {
-            seq,
-            pc,
-            mispredicted,
-            cycle: self.now,
-        });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Resolve {
-                seq,
-                pc,
-                cycle: self.now,
-                mispredicted,
-            });
-        }
-        if mispredicted {
-            if self.replay_fetch {
-                self.replay_recover(idx, obs);
-            } else {
-                self.recover(idx, obs);
-            }
-        }
-    }
-
-    /// Replay-mode recovery: the machine already followed the actual path
-    /// at fetch and the stall was charged there, so a resolving
-    /// misprediction only counts the recovery — nothing is squashed, no
-    /// state is rewound.
-    fn replay_recover<O: SimObserver + ?Sized>(&mut self, idx: usize, obs: &mut O) {
-        self.stats.recoveries += 1;
-        let e = &self.inflight[idx];
-        let (seq, pc) = (e.seq, e.pc);
-        let penalty = self.cfg.mispredict_penalty;
-        obs.on_recovery(&RecoveryEvent {
-            seq,
-            pc,
-            cycle: self.now,
-            squashed: 0,
-            penalty,
-        });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Recovery {
-                seq,
-                pc,
-                cycle: self.now,
-                squashed: 0,
-                penalty,
-            });
-        }
-    }
-
-    /// Rewinds to the checkpoint of the mispredicted branch at `idx`,
-    /// squashing everything younger.
-    fn recover<O: SimObserver + ?Sized>(&mut self, idx: usize, obs: &mut O) {
-        self.stats.recoveries += 1;
-        let squashed = (self.inflight.len() - idx - 1) as u32;
-
-        // Squash younger branches (they were fetched down the wrong path).
-        while self.inflight.len() > idx + 1 {
-            let victim = self.inflight.pop_back().expect("victim exists");
-            self.resolve_track.pop_back();
-            self.record_outcome(&victim, false, obs);
-            self.est_slab.release(victim.est_slot);
-        }
-
-        let e = &self.inflight[idx];
-        let forked = e.forked;
-        // Wrong-path work after this branch, excluding the branch itself
-        // (which commits once re-steered).
-        self.stats.squashed_insts += self.arch_insts - (e.cp_arch_insts + 1);
-        self.stats.squashed_branches += self.arch_branches - (e.cp_arch_branches + 1);
-        self.arch_insts = e.cp_arch_insts + 1;
-        self.arch_branches = e.cp_arch_branches + 1;
-        if let Some(buf) = &mut self.trace_capture {
-            // Drop the captured wrong-path records; the mispredicted branch
-            // itself stays (it commits once re-steered).
-            buf.truncate(self.arch_insts as usize);
-        }
-
-        // Architectural rewind, then re-execute the branch down its correct
-        // direction.
-        self.machine.restore(&e.cp_machine);
-        let actual = e.actual_taken;
-        let cp_ghr = e.ghr_at_predict;
-        let sb_mark = e.cp_sb_mark;
-        while self.sb_undo_base + self.sb_undo.len() as u64 > sb_mark {
-            let (r, old) = self.sb_undo.pop_back().expect("sb undo underflow");
-            self.scoreboard[r as usize] = old;
-        }
-        let step = self.machine.step_forced(self.program, actual);
-        debug_assert!(matches!(
-            step,
-            Step::Branch { taken, followed, .. } if taken == actual && followed == actual
-        ));
-
-        // Repair the speculative history: outcomes up to the branch, then
-        // the branch's actual direction.
-        self.ghr.set(cp_ghr);
-        self.ghr.push(actual);
-
-        // Flush: fetch resumes after the extra recovery penalty — unless
-        // this branch had an eager fork, in which case the alternate path
-        // is already warm and the re-steer is free.
-        let penalty = if forked {
-            self.stats.eager_covered += 1;
-            0
-        } else {
-            self.fetch_stall_until = self
-                .fetch_stall_until
-                .max(self.now + 1 + self.cfg.mispredict_penalty);
-            self.cfg.mispredict_penalty
-        };
-
-        let e = &self.inflight[idx];
-        let (seq, pc) = (e.seq, e.pc);
-        obs.on_recovery(&RecoveryEvent {
-            seq,
-            pc,
-            cycle: self.now,
-            squashed,
-            penalty,
-        });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Recovery {
-                seq,
-                pc,
-                cycle: self.now,
-                squashed,
-                penalty,
-            });
-        }
-    }
-
-    // ---- commit ----------------------------------------------------------
-
-    fn process_commits<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        while self.inflight.front().is_some_and(|e| e.resolved) {
-            let head = self.inflight.pop_front().expect("head exists");
-            self.resolve_track.pop_front();
-            let correct = !head.mispredicted;
-            self.predictor
-                .update(head.pc, head.actual_taken, &head.pred);
-            for est in self.estimators.iter_mut() {
-                est.update(head.pc, head.ghr_at_predict, &head.pred, correct);
-            }
-            self.stats.committed_branches += 1;
-            if head.mispredicted {
-                self.stats.mispredicted_committed += 1;
-            }
-            self.record_outcome(&head, true, obs);
-            self.est_slab.release(head.est_slot);
-            // The oldest checkpoint is gone; undo entries older than it can
-            // never be needed again. Dropped in one bulk drain — commit is
-            // on the per-branch hot path and the entry type is trivial.
-            let n = (head.cp_sb_mark.saturating_sub(self.sb_undo_base) as usize)
-                .min(self.sb_undo.len());
-            if n > 0 {
-                self.sb_undo.drain(..n);
-                self.sb_undo_base += n as u64;
-            }
-            self.machine.release(&head.cp_machine);
-        }
-    }
-
-    fn record_outcome<O: SimObserver + ?Sized>(
-        &mut self,
-        e: &Inflight,
-        committed: bool,
-        obs: &mut O,
-    ) {
-        let correct = !e.mispredicted;
-        if e.mispredicted {
-            self.stats.mispredicted_all += 1;
-        }
-        let estimates = self.est_slab.row(e.est_slot);
-        for (q, &c) in self.quadrants.iter_mut().zip(estimates) {
-            q.all.record(correct, c);
-            if committed {
-                q.committed.record(correct, c);
-            }
-        }
-        // Injected commit-stream fault (test support; see
-        // `inject_commit_fault`): flip the reported direction of every Nth
-        // committed branch without touching architectural state.
-        let mut actual_taken = e.actual_taken;
-        let mut mispredicted = e.mispredicted;
-        if committed && self.fault_commit_every > 0 {
-            self.fault_commit_seen += 1;
-            if self
-                .fault_commit_seen
-                .is_multiple_of(self.fault_commit_every)
-            {
-                actual_taken = !actual_taken;
-                mispredicted = e.pred.taken != actual_taken;
-            }
-        }
-        obs.on_branch_outcome(&OutcomeEvent {
-            seq: e.seq,
-            pc: e.pc,
-            predicted_taken: e.pred.taken,
-            actual_taken,
-            mispredicted,
-            committed,
-            fetch_cycle: e.fetch_cycle,
-            resolve_cycle: e.resolve_cycle,
-            ghr: e.ghr_at_predict,
-            estimates,
-        });
-        if self.tracer.enabled() {
-            // Tracing clones the estimate row into the owned event; the
-            // uninstrumented hot path never takes this branch.
-            let event = if committed {
-                TraceEvent::Commit {
-                    seq: e.seq,
-                    pc: e.pc,
-                    predicted_taken: e.pred.taken,
-                    actual_taken,
-                    mispredicted,
-                    fetch_cycle: e.fetch_cycle,
-                    resolve_cycle: e.resolve_cycle,
-                    ghr: e.ghr_at_predict,
-                    estimates: estimates.to_vec(),
-                }
-            } else {
-                TraceEvent::Squash {
-                    seq: e.seq,
-                    pc: e.pc,
-                    predicted_taken: e.pred.taken,
-                    actual_taken,
-                    mispredicted,
-                    fetch_cycle: e.fetch_cycle,
-                    resolve_cycle: e.resolve_cycle,
-                    ghr: e.ghr_at_predict,
-                    estimates: estimates.to_vec(),
-                }
-            };
-            self.tracer.record(event);
-        }
-    }
-
-    // ---- fetch / decode / execute-at-decode ------------------------------
-
+    #[cfg(test)]
     fn active_forks(&self) -> u32 {
-        self.inflight
-            .iter()
-            .filter(|e| !e.resolved && e.forked)
-            .count() as u32
-    }
-
-    /// When gating is enabled and the threshold is met, returns the number
-    /// of low-confidence unresolved branches in flight.
-    fn gated(&self) -> Option<u32> {
-        let threshold = self.cfg.gate_threshold?;
-        let lc = self
-            .inflight
-            .iter()
-            .filter(|e| !e.resolved && e.est0_low)
-            .count() as u32;
-        (lc >= threshold).then_some(lc)
-    }
-
-    fn fetch<O: SimObserver + ?Sized>(&mut self, obs: &mut O) {
-        if self.now < self.fetch_stall_until {
-            return;
-        }
-        if let Some(low_confidence) = self.gated() {
-            self.stats.gated_cycles += 1;
-            obs.on_fetch_gated(&GateEvent {
-                cycle: self.now,
-                low_confidence,
-            });
-            if self.tracer.enabled() {
-                self.tracer.record(TraceEvent::Gate {
-                    cycle: self.now,
-                    low_confidence,
-                });
-            }
-            return;
-        }
-        let burst_pc = self.machine.pc();
-        let arch_before = self.arch_insts;
-        // Active eager forks consume half the fetch slots for the
-        // alternate paths.
-        let mut width = self.cfg.fetch_width;
-        if self.cfg.eager_max_forks.is_some() && self.active_forks() > 0 {
-            let alt = width / 2;
-            self.stats.eager_alt_slots += alt as u64;
-            width -= alt;
-        }
-        // I-cache accesses for a sequential run on one line are batched
-        // into a single counter update at the end of the run (fetch is the
-        // I-cache's only client, so no access can interleave).
-        let mut run_line = u32::MAX;
-        let mut run_hits = 0u64;
-        // `halted` can only flip inside the burst via a `Halt` step, which
-        // already ends it, so one check up front suffices.
-        if self.machine.halted() {
-            return;
-        }
-        for _ in 0..width {
-            let pc = self.machine.pc();
-            let Some(&meta) = self.meta.get(pc as usize) else {
-                // Wrong-path PC ran off the program; wait for recovery.
-                break;
-            };
-            let line = self.icache.line_of(pc);
-            if line == run_line {
-                // Repeat access to the most recent line: guaranteed hit
-                // (only another access could evict it); account it at the
-                // end of the run.
-                run_hits += 1;
-            } else {
-                if run_hits > 0 {
-                    self.icache.repeat_hits(run_hits);
-                    run_hits = 0;
-                }
-                let access = self.icache.access(pc);
-                run_line = line;
-                if !access.hit {
-                    self.fetch_stall_until = self.now + access.latency;
-                    break;
-                }
-            }
-
-            if meta.class == InstClass::Branch {
-                if self.inflight.len() >= self.cfg.max_unresolved_branches {
-                    break;
-                }
-                let redirect = self.fetch_branch(pc, meta, obs);
-                if redirect {
-                    break;
-                }
-            } else if !self.fetch_straightline(pc, meta) {
-                break;
-            }
-        }
-        if run_hits > 0 {
-            self.icache.repeat_hits(run_hits);
-        }
-        if self.tracer.enabled() {
-            // Every fetched instruction bumps `arch_insts` exactly once, and
-            // no recovery can run mid-burst.
-            let count = (self.arch_insts - arch_before) as u32;
-            if count > 0 {
-                self.tracer.record(TraceEvent::Fetch {
-                    cycle: self.now,
-                    pc: burst_pc,
-                    count,
-                });
-            }
-        }
-    }
-
-    /// Fetches a conditional branch; returns `true` when fetch must redirect
-    /// (predicted taken).
-    fn fetch_branch<O: SimObserver + ?Sized>(
-        &mut self,
-        pc: u32,
-        meta: InstMeta,
-        obs: &mut O,
-    ) -> bool {
-        let ghr_val = self.ghr.value();
-        let pred = self.predictor.predict(pc, ghr_val);
-        // Resolution timing is known at fetch from the scoreboard (branches
-        // write no registers, so executing the branch below cannot change
-        // it). Feed the modeled latency to each estimator before it
-        // estimates — the timing estimator's input signal.
-        let operands_ready = self.operands_ready(meta.s1, meta.s2);
-        let resolve_at = operands_ready + self.cfg.branch_resolve_latency;
-        let resolve_latency = resolve_at - self.now;
-        let est_slot = self.est_slab.alloc();
-        let row = self.est_slab.row_mut(est_slot);
-        for (e, out) in self.estimators.iter_mut().zip(row.iter_mut()) {
-            e.note_resolve_latency(resolve_latency);
-            *out = e.estimate(pc, ghr_val, &pred);
-        }
-        let est0_low = row.first().is_some_and(|c| c.is_low());
-
-        // Eager execution: fork both paths of a low-confidence branch
-        // (decided by estimator 0) while fork capacity remains.
-        let forked = match self.cfg.eager_max_forks {
-            Some(max) => est0_low && self.active_forks() < max,
-            None => false,
-        };
-        if forked {
-            self.stats.eager_forks += 1;
-        }
-
-        // Checkpoint *before* executing the branch: restoring must land on
-        // the branch so the correct direction can be re-executed.
-        let cp_machine = self.machine.checkpoint();
-        let cp_sb_mark = self.sb_undo_base + self.sb_undo.len() as u64;
-        let cp_arch_insts = self.arch_insts;
-        let cp_arch_branches = self.arch_branches;
-
-        // Replay mode follows the actual direction (no forcing); normal
-        // mode follows the prediction, right or wrong.
-        let step = if self.replay_fetch {
-            self.machine.step_decoded(meta.inst, None)
-        } else {
-            self.machine.step_decoded(meta.inst, Some(pred.taken))
-        };
-        let actual_taken = match step {
-            Step::Branch { taken, .. } => taken,
-            other => unreachable!("branch instruction stepped to {other:?}"),
-        };
-        let mispredicted = actual_taken != pred.taken;
-        if let Some(buf) = &mut self.trace_capture {
-            buf.push(TraceRecord::classify(pc, &meta.inst, &step));
-        }
-
-        let seq = self.branch_seq;
-        self.branch_seq += 1;
-        self.arch_insts += 1;
-        self.arch_branches += 1;
-        // In replay mode the history receives the actual outcome — the
-        // same value live recovery would repair it to by resolution time,
-        // and no younger fetch can observe it earlier because a mispredict
-        // stalls fetch past that resolution.
-        self.ghr.push(if self.replay_fetch {
-            actual_taken
-        } else {
-            pred.taken
-        });
-
-        self.resolve_soonest = self.resolve_soonest.min(resolve_at);
-        if self.replay_fetch && mispredicted {
-            // Charge the recovery stall at fetch: resolution fires exactly
-            // at `resolve_at`, so this equals the live `now + 1 + penalty`
-            // computed at resolution time.
-            self.fetch_stall_until = self
-                .fetch_stall_until
-                .max(resolve_at + 1 + self.cfg.mispredict_penalty);
-        }
-
-        let estimates = self.est_slab.row(est_slot);
-        obs.on_branch_predicted(&PredictEvent {
-            seq,
-            pc,
-            predicted_taken: pred.taken,
-            actual_taken,
-            mispredicted,
-            cycle: self.now,
-            ghr: ghr_val,
-            estimates,
-        });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Predict {
-                seq,
-                pc,
-                cycle: self.now,
-                predicted_taken: pred.taken,
-                actual_taken,
-                mispredicted,
-                ghr: ghr_val,
-                estimates: estimates.to_vec(),
-            });
-        }
-
-        self.resolve_track.push_back(resolve_at);
-        self.inflight.push_back(Inflight {
-            seq,
-            pc,
-            pred,
-            actual_taken,
-            mispredicted,
-            ghr_at_predict: ghr_val,
-            est_slot,
-            est0_low,
-            cp_machine,
-            cp_sb_mark,
-            cp_arch_insts,
-            cp_arch_branches,
-            fetch_cycle: self.now,
-
-            resolved: false,
-            resolve_cycle: None,
-            forked,
-        });
-        if self.replay_fetch {
-            // The burst ends on an actual-taken redirect or on the stall a
-            // misprediction just charged.
-            actual_taken || mispredicted
-        } else {
-            pred.taken
-        }
-    }
-
-    /// Fetches a non-branch instruction; returns `false` when fetch must
-    /// stop for this cycle (control redirect or halt).
-    fn fetch_straightline(&mut self, pc: u32, meta: InstMeta) -> bool {
-        let operands_ready = self.operands_ready(meta.s1, meta.s2);
-        let step = self.machine.step_decoded(meta.inst, None);
-        self.arch_insts += 1;
-        if let Some(buf) = &mut self.trace_capture {
-            buf.push(TraceRecord::classify(pc, &meta.inst, &step));
-        }
-
-        let (latency, redirect) = match meta.class {
-            InstClass::Load => {
-                let Step::Load { addr } = step else {
-                    unreachable!("load stepped to {step:?}")
-                };
-                (self.dcache.access(addr).latency, false)
-            }
-            InstClass::Store => {
-                // Stores retire through a store buffer; they cost a D-cache
-                // access but do not stall dependents.
-                let Step::Store { addr } = step else {
-                    unreachable!("store stepped to {step:?}")
-                };
-                let _ = self.dcache.access(addr);
-                (1, false)
-            }
-            InstClass::Fixed => (meta.latency as u64, false),
-            InstClass::Redirect => (1, true),
-            InstClass::Halt => {
-                // Counted as fetched; stop the fetch group.
-                return false;
-            }
-            InstClass::Branch => unreachable!("handled before straightline fetch"),
-        };
-        if meta.dst != NO_REG {
-            let slot = &mut self.scoreboard[meta.dst as usize];
-            self.sb_undo.push_back((meta.dst, *slot));
-            *slot = operands_ready + latency;
-        }
-        !redirect
-    }
-
-    /// Earliest cycle at which the operands in scoreboard slots `s1`/`s2`
-    /// are ready. [`NO_REG`] indexes the sentinel slot (always 0), so no
-    /// branching on operand presence is needed.
-    #[inline]
-    fn operands_ready(&self, s1: u8, s2: u8) -> u64 {
-        self.now
-            .max(self.scoreboard[s1 as usize])
-            .max(self.scoreboard[s2 as usize])
-    }
-}
-
-fn alu_latency(inst: &Inst) -> u64 {
-    let op = match *inst {
-        Inst::Alu { op, .. } | Inst::AluImm { op, .. } => op,
-        _ => return 1,
-    };
-    match op {
-        AluOp::Mul => 3,
-        AluOp::Div | AluOp::Rem => 12,
-        _ => 1,
+        self.front.active_forks(&self.core)
     }
 }
 

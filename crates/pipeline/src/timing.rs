@@ -1,0 +1,817 @@
+//! The pipeline timing core shared by both front ends.
+//!
+//! [`Core`] owns everything between fetch and commit: the predictor, the
+//! confidence estimators with their labels, quadrants and estimate slab,
+//! the speculative global history, the register scoreboard, the I/D
+//! caches, the in-flight branch window with its resolve track, and the
+//! cycle, stall and cycle-skip bookkeeping. It times whatever instruction
+//! stream a [`FetchSource`] supplies:
+//!
+//! * the live front end ([`Simulator`](crate::Simulator)) executes the
+//!   program on the interpreter, following predictions down wrong paths
+//!   and rewinding at recovery (or, in replay fetch mode, following the
+//!   actual path);
+//! * the trace front end ([`TraceSimulator`](crate::TraceSimulator)) walks
+//!   an imported `&[TraceRecord]`.
+//!
+//! Sources describe instructions as [`TraceRecord`]s, so the latency table,
+//! the scoreboard and branch timing exist once. Dispatch to the source is
+//! static: every core entry point is generic over it.
+
+use crate::{Cache, EstimatorQuadrants, PipelineConfig, PipelineStats};
+use crate::{GateEvent, OutcomeEvent, PredictEvent, RecoveryEvent};
+use crate::{ResolveEvent, SimObserver};
+use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
+use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator};
+use cestim_isa::Reg;
+use cestim_obs::{PhaseProfiler, TraceEvent, Tracer};
+use cestim_trace_io::{TraceClass, TraceRecord};
+use std::collections::VecDeque;
+
+/// One fetched, not-yet-committed conditional branch.
+#[derive(Debug)]
+pub(crate) struct Inflight {
+    pub(crate) seq: u64,
+    pub(crate) pc: u32,
+    pub(crate) pred: Prediction,
+    pub(crate) actual_taken: bool,
+    pub(crate) mispredicted: bool,
+    pub(crate) ghr_at_predict: u32,
+    /// Slot in the core's [`EstimateSlab`] holding this branch's
+    /// per-estimator confidence estimates.
+    pub(crate) est_slot: u32,
+    /// Estimator 0's estimate was low confidence (cached here so gating
+    /// never touches the slab).
+    pub(crate) est0_low: bool,
+    pub(crate) fetch_cycle: u64,
+    /// Set once the branch resolves.
+    pub(crate) resolve_cycle: Option<u64>,
+}
+
+impl Inflight {
+    #[inline]
+    pub(crate) fn resolved(&self) -> bool {
+        self.resolve_cycle.is_some()
+    }
+}
+
+/// Preallocated per-branch estimate rows, one per speculation-window entry.
+///
+/// The speculation window bounds the number of in-flight branches, so the
+/// per-estimator confidence estimates of every in-flight branch live in one
+/// flat buffer of `window × n_estimators` entries. In-flight branches hold
+/// consecutive rows (modulo the window) in fetch order, so a new branch
+/// takes the row after the youngest one's and a row is free again as soon
+/// as its branch commits or is squashed. This keeps a per-fetched-branch
+/// `Vec<Confidence>` allocation off the hot path (sweep experiments attach
+/// 30–60 estimators to one pipeline, so an inline array is not an option).
+#[derive(Debug)]
+pub(crate) struct EstimateSlab {
+    width: usize,
+    buf: Vec<Confidence>,
+}
+
+impl EstimateSlab {
+    fn new(width: usize, slots: usize) -> EstimateSlab {
+        EstimateSlab {
+            width,
+            buf: vec![Confidence::High; width * slots],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn row(&self, slot: u32) -> &[Confidence] {
+        let start = slot as usize * self.width;
+        &self.buf[start..start + self.width]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, slot: u32) -> &mut [Confidence] {
+        let start = slot as usize * self.width;
+        &mut self.buf[start..start + self.width]
+    }
+}
+
+/// What fetch knows of the instruction at the fetch PC before consuming
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Peek {
+    pub(crate) pc: u32,
+    /// For a conditional branch, its source registers (`NO_REG` for none):
+    /// they time its resolution before it is taken.
+    pub(crate) branch: Option<(u8, u8)>,
+}
+
+impl Peek {
+    #[inline]
+    pub(crate) fn of(rec: &TraceRecord) -> Peek {
+        let branch = rec.class == TraceClass::CondBranch;
+        Peek {
+            pc: rec.pc,
+            branch: branch.then_some((rec.s1, rec.s2)),
+        }
+    }
+}
+
+/// An instruction stream the core can time.
+///
+/// The default methods are the *replay stall policy*, shared by every
+/// source that follows the actual path: the speculative history receives
+/// each branch's actual outcome at fetch, a misprediction stalls fetch
+/// until `resolve + 1 + mispredict_penalty` (the cycle fetch would resume
+/// at after a live recovery, charged at fetch because resolution fires
+/// exactly at `resolve`), and its resolution counts a recovery with zero
+/// squashed work. The live speculative front end overrides them to follow
+/// predictions and rewind.
+pub(crate) trait FetchSource {
+    /// The instruction at the fetch PC, if one is fetchable: `None` once
+    /// the program halted or left its image (on a wrong path, until
+    /// recovery) or the trace is consumed.
+    fn peek(&self) -> Option<Peek>;
+
+    /// Consumes the peeked instruction. A load's or store's `target` is
+    /// its memory address.
+    fn take(&mut self) -> TraceRecord;
+
+    /// Consumes the peeked conditional branch, predicted `pred` (with
+    /// estimator 0 saying `est0_low`) and resolving at `resolve_at`, and
+    /// steers fetch past it: speculative history and fetch stall. Returns
+    /// its actual direction and whether the fetch group ends there.
+    fn take_branch(
+        &mut self,
+        core: &mut Core,
+        pred: bool,
+        _est0_low: bool,
+        resolve_at: u64,
+    ) -> (bool, bool) {
+        let actual = self.take().taken;
+        core.ghr.push(actual);
+        let mispredicted = pred != actual;
+        if mispredicted {
+            core.fetch_stall_until = core
+                .fetch_stall_until
+                .max(resolve_at + 1 + core.cfg.mispredict_penalty);
+        }
+        // The group ends on an actual-taken redirect or on the stall a
+        // misprediction just charged.
+        (actual, actual || mispredicted)
+    }
+
+    /// Fetch slots this cycle.
+    fn fetch_width(&mut self, core: &mut Core) -> u32 {
+        core.cfg.fetch_width
+    }
+
+    /// The mispredicted branch at in-flight index `idx` just resolved.
+    fn on_mispredict<O: SimObserver + ?Sized>(&mut self, core: &mut Core, idx: usize, obs: &mut O) {
+        // The path was never wrong, so nothing is squashed or rewound.
+        core.stats.recoveries += 1;
+        core.emit_recovery(idx, 0, core.cfg.mispredict_penalty, obs);
+    }
+
+    /// The oldest in-flight branch just committed.
+    fn on_commit(&mut self) {}
+
+    /// Whether to corrupt the reported outcome of the branch committing
+    /// now (a test-support fault hook).
+    fn commit_fault(&mut self) -> bool {
+        false
+    }
+
+    /// Scoreboard slot `reg` was overwritten; `old` is its previous
+    /// ready cycle.
+    fn scoreboard_written(&mut self, _reg: u8, _old: u64) {}
+}
+
+/// The timing state and phases shared by every front end (see the
+/// [module docs](self)).
+pub(crate) struct Core {
+    pub(crate) cfg: PipelineConfig,
+    predictor: AnyPredictor,
+    estimators: Vec<AnyEstimator>,
+    pub(crate) estimator_labels: Vec<String>,
+    pub(crate) quadrants: Vec<EstimatorQuadrants>,
+    pub(crate) est_slab: EstimateSlab,
+    pub(crate) ghr: HistoryRegister,
+    /// Ready cycle per register, plus one always-zero sentinel slot that
+    /// every non-register byte (`NO_REG`) reads, so operand readiness needs
+    /// no branching.
+    pub(crate) scoreboard: [u64; Reg::COUNT + 1],
+    icache: Cache,
+    dcache: Cache,
+    pub(crate) inflight: VecDeque<Inflight>,
+    /// Resolve deadline of each in-flight branch, in lockstep with
+    /// `inflight` (`u64::MAX` once resolved). The per-cycle resolution scan
+    /// walks this one-cache-line ring instead of the full `Inflight`
+    /// payloads.
+    resolve_track: VecDeque<u64>,
+    /// Scratch `(deadline, index)` list of due resolutions, reused across
+    /// scans.
+    due_buf: Vec<(u64, u32)>,
+    pub(crate) now: u64,
+    pub(crate) fetch_stall_until: u64,
+    /// Earliest `resolve_at` among unresolved in-flight branches (stale-low
+    /// is allowed; `u64::MAX` when none). Lets the per-cycle resolution scan
+    /// exit without touching the in-flight queue on most cycles.
+    resolve_soonest: u64,
+    branch_seq: u64,
+    pub(crate) arch_insts: u64,
+    pub(crate) arch_branches: u64,
+    pub(crate) stats: PipelineStats,
+    pub(crate) tracer: Tracer,
+    pub(crate) profiler: PhaseProfiler,
+}
+
+impl Core {
+    /// # Panics
+    ///
+    /// Panics if `cfg.fetch_width == 0`, `cfg.max_unresolved_branches == 0`,
+    /// or `cfg.gate_threshold == Some(0)` (which would gate fetch forever).
+    pub(crate) fn new(cfg: PipelineConfig, predictor: AnyPredictor) -> Core {
+        assert!(cfg.fetch_width > 0, "fetch width must be positive");
+        assert!(
+            cfg.max_unresolved_branches > 0,
+            "speculation window must be positive"
+        );
+        assert!(
+            cfg.gate_threshold != Some(0),
+            "a gate threshold of 0 would stall fetch forever"
+        );
+        let window = cfg.max_unresolved_branches;
+        Core {
+            ghr: HistoryRegister::new(cfg.ghr_width),
+            icache: Cache::new(cfg.icache),
+            dcache: Cache::new(cfg.dcache),
+            cfg,
+            predictor,
+            estimators: Vec::new(),
+            estimator_labels: Vec::new(),
+            quadrants: Vec::new(),
+            est_slab: EstimateSlab::new(0, window),
+            scoreboard: [0; Reg::COUNT + 1],
+            inflight: VecDeque::with_capacity(window),
+            resolve_track: VecDeque::with_capacity(window),
+            due_buf: Vec::with_capacity(window),
+            now: 0,
+            fetch_stall_until: 0,
+            resolve_soonest: u64::MAX,
+            branch_seq: 0,
+            arch_insts: 0,
+            arch_branches: 0,
+            stats: PipelineStats::default(),
+            tracer: Tracer::disabled(),
+            profiler: PhaseProfiler::default(),
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if branches are already in flight.
+    pub(crate) fn add_estimator(&mut self, estimator: AnyEstimator) -> usize {
+        assert!(
+            self.inflight.is_empty(),
+            "estimators must be attached before branches are in flight"
+        );
+        self.estimator_labels.push(estimator.name());
+        self.estimators.push(estimator);
+        self.quadrants.push(EstimatorQuadrants::default());
+        self.est_slab = EstimateSlab::new(self.estimators.len(), self.cfg.max_unresolved_branches);
+        self.quadrants.len() - 1
+    }
+
+    /// `true` once the source is exhausted and the pipeline has drained.
+    pub(crate) fn done(&self, src: &impl FetchSource) -> bool {
+        self.inflight.is_empty() && src.peek().is_none()
+    }
+
+    /// Runs to completion (source exhausted with an empty pipeline, or
+    /// `max_cycles`) and returns the final stats.
+    ///
+    /// If a cooperative deadline is armed on this thread
+    /// ([`cestim_obs::cancel::arm`]), the loop polls the wall clock every
+    /// `check_every` simulated cycles and abandons the run via
+    /// [`cestim_obs::cancel::fire`] once the deadline passes — so an
+    /// overdue job releases its worker instead of running to completion.
+    /// The poll is alloc-free and costs one thread-local read when no
+    /// token is armed.
+    pub(crate) fn run<S, O>(&mut self, src: &mut S, obs: &mut O) -> PipelineStats
+    where
+        S: FetchSource,
+        O: SimObserver + ?Sized,
+    {
+        let cancel = cestim_obs::cancel::current();
+        let mut cancel_at = cancel.map(|c| self.now.saturating_add(c.check_every));
+        while !self.done(src) && self.now < self.cfg.max_cycles {
+            if let (Some(at), Some(token)) = (cancel_at, &cancel) {
+                if self.now >= at {
+                    if token.expired() {
+                        cestim_obs::cancel::fire();
+                    }
+                    cancel_at = Some(self.now.saturating_add(token.check_every));
+                }
+            }
+            self.step(src, true, obs);
+            // While fetch is stalled (I-cache miss, mispredict penalty)
+            // nothing can happen until the stall ends or a branch resolves:
+            // resolutions before `resolve_soonest` are impossible, commit
+            // drained every resolved head this cycle, and a stalled fetch
+            // returns before it counts gated cycles. Jump straight to the
+            // first cycle with work; every skipped cycle would have been a
+            // no-op, so the cycle count is unchanged.
+            if self.now < self.fetch_stall_until {
+                let target = self
+                    .fetch_stall_until
+                    .min(self.resolve_soonest)
+                    .min(self.cfg.max_cycles);
+                self.now = self.now.max(target);
+            }
+        }
+        self.finish()
+    }
+
+    /// Finalizes and returns the statistics; with phase profiling on and an
+    /// ambient span context installed, also publishes the per-phase totals
+    /// as summary child spans.
+    pub(crate) fn finish(&mut self) -> PipelineStats {
+        self.stats.cycles = self.now;
+        self.stats.committed_insts = self.arch_insts;
+        // `arch + squashed` is invariant under recovery (it moves counts
+        // from one to the other), so the fetched totals need no per-fetch
+        // increments.
+        self.stats.fetched_insts = self.arch_insts + self.stats.squashed_insts;
+        self.stats.fetched_branches = self.arch_branches + self.stats.squashed_branches;
+        self.stats.icache_accesses = self.icache.accesses();
+        self.stats.icache_misses = self.icache.misses();
+        self.stats.dcache_accesses = self.dcache.accesses();
+        self.stats.dcache_misses = self.dcache.misses();
+        self.profiler.emit_ambient_spans();
+        self.stats
+    }
+
+    /// Advances the pipeline by one cycle, fetching only when `allow_fetch`
+    /// is true. Resolution, recovery, and commit always proceed.
+    pub(crate) fn step<S, O>(&mut self, src: &mut S, allow_fetch: bool, obs: &mut O)
+    where
+        S: FetchSource,
+        O: SimObserver + ?Sized,
+    {
+        if self.profiler.enabled() {
+            let p = self.profiler.phase("resolve");
+            let t = self.profiler.start();
+            self.process_resolutions(src, obs);
+            self.profiler.stop(p, t);
+
+            let p = self.profiler.phase("commit");
+            let t = self.profiler.start();
+            self.process_commits(src, obs);
+            self.profiler.stop(p, t);
+
+            if allow_fetch {
+                let p = self.profiler.phase("fetch");
+                let t = self.profiler.start();
+                self.fetch(src, obs);
+                self.profiler.stop(p, t);
+            }
+        } else {
+            // A head can only be newly resolved — and therefore newly
+            // committable — in a cycle where a resolution fires, so both
+            // phases sit behind the resolution wake-up check.
+            if self.now >= self.resolve_soonest {
+                self.process_resolutions(src, obs);
+                self.process_commits(src, obs);
+            }
+            if allow_fetch {
+                self.fetch(src, obs);
+            }
+        }
+        self.now += 1;
+    }
+
+    // ---- resolution ------------------------------------------------------
+
+    fn process_resolutions<S, O>(&mut self, src: &mut S, obs: &mut O)
+    where
+        S: FetchSource,
+        O: SimObserver + ?Sized,
+    {
+        // Fast path: nothing can resolve yet. `resolve_soonest` may be
+        // stale-low (pointing at a branch that was squashed), which only
+        // costs one wasted scan — it is never stale-high.
+        if self.now < self.resolve_soonest {
+            return;
+        }
+        // One scan collects every due entry and the earliest not-yet-due
+        // deadline (the window's next wake-up; resolved entries carry a
+        // `u64::MAX` sentinel). Resolutions fire in (deadline, seq) order —
+        // the queue is in fetch (= seq) order, so sorting (deadline, index)
+        // pairs gives exactly that. No rescan is needed even across
+        // recoveries: a recovery only pops entries *younger* than the
+        // mispredicted branch, deadlines never change, and no entry is
+        // pushed while resolving — so each queued firing stays valid unless
+        // its entry was squashed, which the deadline recheck detects.
+        let mut soonest = u64::MAX;
+        self.due_buf.clear();
+        for (i, &at) in self.resolve_track.iter().enumerate() {
+            if at <= self.now {
+                self.due_buf.push((at, i as u32));
+            } else if at != u64::MAX {
+                soonest = soonest.min(at);
+            }
+        }
+        if self.due_buf.len() > 1 {
+            self.due_buf.sort_unstable();
+        }
+        let mut due_buf = std::mem::take(&mut self.due_buf);
+        for &(at, idx) in &due_buf {
+            let idx = idx as usize;
+            if idx < self.resolve_track.len() && self.resolve_track[idx] == at {
+                self.resolve_one(src, idx, obs);
+            }
+        }
+        due_buf.clear();
+        self.due_buf = due_buf;
+        // Stale-low is fine (squashed entries may make the true next
+        // deadline later); it costs one wasted scan, never a missed one.
+        self.resolve_soonest = soonest;
+    }
+
+    fn resolve_one<S, O>(&mut self, src: &mut S, idx: usize, obs: &mut O)
+    where
+        S: FetchSource,
+        O: SimObserver + ?Sized,
+    {
+        let (seq, pc, mispredicted) = {
+            let e = &mut self.inflight[idx];
+            e.resolve_cycle = Some(self.now);
+            (e.seq, e.pc, e.mispredicted)
+        };
+        self.resolve_track[idx] = u64::MAX;
+        for est in &mut self.estimators {
+            est.on_branch_resolved(mispredicted);
+        }
+        obs.on_branch_resolved(&ResolveEvent {
+            seq,
+            pc,
+            mispredicted,
+            cycle: self.now,
+        });
+        if self.tracer.enabled() {
+            self.tracer.record(TraceEvent::Resolve {
+                seq,
+                pc,
+                cycle: self.now,
+                mispredicted,
+            });
+        }
+        if mispredicted {
+            src.on_mispredict(self, idx, obs);
+        }
+    }
+
+    /// Squashes every in-flight branch younger than `idx` (they were
+    /// fetched down a wrong path); returns how many.
+    pub(crate) fn squash_after<O: SimObserver + ?Sized>(&mut self, idx: usize, obs: &mut O) -> u32 {
+        let squashed = (self.inflight.len() - idx - 1) as u32;
+        while self.inflight.len() > idx + 1 {
+            let victim = self.inflight.pop_back().expect("victim exists");
+            self.resolve_track.pop_back();
+            self.record_outcome(&victim, false, false, obs);
+        }
+        squashed
+    }
+
+    /// Reports the recovery of the mispredicted branch at `idx`.
+    pub(crate) fn emit_recovery<O: SimObserver + ?Sized>(
+        &mut self,
+        idx: usize,
+        squashed: u32,
+        penalty: u64,
+        obs: &mut O,
+    ) {
+        let e = &self.inflight[idx];
+        let (seq, pc) = (e.seq, e.pc);
+        obs.on_recovery(&RecoveryEvent {
+            seq,
+            pc,
+            cycle: self.now,
+            squashed,
+            penalty,
+        });
+        if self.tracer.enabled() {
+            self.tracer.record(TraceEvent::Recovery {
+                seq,
+                pc,
+                cycle: self.now,
+                squashed,
+                penalty,
+            });
+        }
+    }
+
+    // ---- commit ----------------------------------------------------------
+
+    fn process_commits<S, O>(&mut self, src: &mut S, obs: &mut O)
+    where
+        S: FetchSource,
+        O: SimObserver + ?Sized,
+    {
+        while self.inflight.front().is_some_and(Inflight::resolved) {
+            let head = self.inflight.pop_front().expect("head exists");
+            self.resolve_track.pop_front();
+            let correct = !head.mispredicted;
+            self.predictor
+                .update(head.pc, head.actual_taken, &head.pred);
+            for est in self.estimators.iter_mut() {
+                est.update(head.pc, head.ghr_at_predict, &head.pred, correct);
+            }
+            self.stats.committed_branches += 1;
+            if head.mispredicted {
+                self.stats.mispredicted_committed += 1;
+            }
+            let fault = src.commit_fault();
+            self.record_outcome(&head, true, fault, obs);
+            src.on_commit();
+        }
+    }
+
+    /// Records a committed or squashed branch in the quadrants and streams
+    /// its outcome; `fault` flips the *reported* direction only.
+    fn record_outcome<O: SimObserver + ?Sized>(
+        &mut self,
+        e: &Inflight,
+        committed: bool,
+        fault: bool,
+        obs: &mut O,
+    ) {
+        let correct = !e.mispredicted;
+        if e.mispredicted {
+            self.stats.mispredicted_all += 1;
+        }
+        let estimates = self.est_slab.row(e.est_slot);
+        for (q, &c) in self.quadrants.iter_mut().zip(estimates) {
+            q.all.record(correct, c);
+            if committed {
+                q.committed.record(correct, c);
+            }
+        }
+        let actual_taken = e.actual_taken != fault;
+        let mispredicted = e.pred.taken != actual_taken;
+        obs.on_branch_outcome(&OutcomeEvent {
+            seq: e.seq,
+            pc: e.pc,
+            predicted_taken: e.pred.taken,
+            actual_taken,
+            mispredicted,
+            committed,
+            fetch_cycle: e.fetch_cycle,
+            resolve_cycle: e.resolve_cycle,
+            ghr: e.ghr_at_predict,
+            estimates,
+        });
+        if self.tracer.enabled() {
+            // Tracing clones the estimate row into the owned event; the
+            // uninstrumented hot path never takes this branch.
+            let event = if committed {
+                TraceEvent::Commit {
+                    seq: e.seq,
+                    pc: e.pc,
+                    predicted_taken: e.pred.taken,
+                    actual_taken,
+                    mispredicted,
+                    fetch_cycle: e.fetch_cycle,
+                    resolve_cycle: e.resolve_cycle,
+                    ghr: e.ghr_at_predict,
+                    estimates: estimates.to_vec(),
+                }
+            } else {
+                TraceEvent::Squash {
+                    seq: e.seq,
+                    pc: e.pc,
+                    predicted_taken: e.pred.taken,
+                    actual_taken,
+                    mispredicted,
+                    fetch_cycle: e.fetch_cycle,
+                    resolve_cycle: e.resolve_cycle,
+                    ghr: e.ghr_at_predict,
+                    estimates: estimates.to_vec(),
+                }
+            };
+            self.tracer.record(event);
+        }
+    }
+
+    // ---- fetch -----------------------------------------------------------
+
+    /// When gating is enabled and the threshold is met, returns the number
+    /// of low-confidence unresolved branches in flight.
+    fn gated(&self) -> Option<u32> {
+        let threshold = self.cfg.gate_threshold?;
+        let lc = self
+            .inflight
+            .iter()
+            .filter(|e| !e.resolved() && e.est0_low)
+            .count() as u32;
+        (lc >= threshold).then_some(lc)
+    }
+
+    fn fetch<S, O>(&mut self, src: &mut S, obs: &mut O)
+    where
+        S: FetchSource,
+        O: SimObserver + ?Sized,
+    {
+        if self.now < self.fetch_stall_until {
+            return;
+        }
+        if let Some(low_confidence) = self.gated() {
+            self.stats.gated_cycles += 1;
+            obs.on_fetch_gated(&GateEvent {
+                cycle: self.now,
+                low_confidence,
+            });
+            if self.tracer.enabled() {
+                self.tracer.record(TraceEvent::Gate {
+                    cycle: self.now,
+                    low_confidence,
+                });
+            }
+            return;
+        }
+        let width = src.fetch_width(self);
+        let burst_pc = if self.tracer.enabled() {
+            src.peek().map_or(0, |p| p.pc)
+        } else {
+            0
+        };
+        let arch_before = self.arch_insts;
+        // I-cache accesses for a sequential run on one line are batched
+        // into a single counter update at the end of the run (fetch is the
+        // I-cache's only client, so no access can interleave).
+        let mut run_line = u32::MAX;
+        let mut run_hits = 0u64;
+        for _ in 0..width {
+            let Some(next) = src.peek() else {
+                break;
+            };
+            let line = self.icache.line_of(next.pc);
+            if line == run_line {
+                // Repeat access to the most recent line: guaranteed hit
+                // (only another access could evict it); account it at the
+                // end of the run.
+                run_hits += 1;
+            } else {
+                if run_hits > 0 {
+                    self.icache.repeat_hits(run_hits);
+                    run_hits = 0;
+                }
+                let access = self.icache.access(next.pc);
+                run_line = line;
+                if !access.hit {
+                    self.fetch_stall_until = self.now + access.latency;
+                    break;
+                }
+            }
+
+            if let Some((s1, s2)) = next.branch {
+                if self.inflight.len() >= self.cfg.max_unresolved_branches {
+                    break;
+                }
+                if self.fetch_branch(src, next.pc, s1, s2, obs) {
+                    break;
+                }
+            } else if !self.fetch_straightline(src) {
+                break;
+            }
+        }
+        if run_hits > 0 {
+            self.icache.repeat_hits(run_hits);
+        }
+        if self.tracer.enabled() {
+            // Every fetched instruction bumps `arch_insts` exactly once, and
+            // no recovery can run mid-burst.
+            let count = (self.arch_insts - arch_before) as u32;
+            if count > 0 {
+                self.tracer.record(TraceEvent::Fetch {
+                    cycle: self.now,
+                    pc: burst_pc,
+                    count,
+                });
+            }
+        }
+    }
+
+    /// Fetches a conditional branch; returns `true` when the fetch group
+    /// ends.
+    fn fetch_branch<S, O>(&mut self, src: &mut S, pc: u32, s1: u8, s2: u8, obs: &mut O) -> bool
+    where
+        S: FetchSource,
+        O: SimObserver + ?Sized,
+    {
+        let ghr_val = self.ghr.value();
+        let pred = self.predictor.predict(pc, ghr_val);
+        // Resolution timing is known at fetch from the scoreboard (branches
+        // write no registers). Feed the modeled latency to each estimator
+        // before it estimates — the timing estimator's input signal.
+        let resolve_at = self.operands_ready(s1, s2) + self.cfg.branch_resolve_latency;
+        let resolve_latency = resolve_at - self.now;
+        // The row after the youngest in-flight branch's (see `EstimateSlab`);
+        // both terms are below the window, so one subtraction wraps it.
+        let est_slot = self.inflight.front().map_or(0, |e| {
+            let next = e.est_slot as usize + self.inflight.len();
+            let window = self.cfg.max_unresolved_branches;
+            (if next >= window { next - window } else { next }) as u32
+        });
+        let row = self.est_slab.row_mut(est_slot);
+        for (e, out) in self.estimators.iter_mut().zip(row.iter_mut()) {
+            e.note_resolve_latency(resolve_latency);
+            *out = e.estimate(pc, ghr_val, &pred);
+        }
+        let est0_low = row.first().is_some_and(|c| c.is_low());
+
+        let (actual_taken, group_ends) = src.take_branch(self, pred.taken, est0_low, resolve_at);
+        let mispredicted = actual_taken != pred.taken;
+        let seq = self.branch_seq;
+        self.branch_seq += 1;
+        self.arch_insts += 1;
+        self.arch_branches += 1;
+        self.resolve_soonest = self.resolve_soonest.min(resolve_at);
+
+        let estimates = self.est_slab.row(est_slot);
+        obs.on_branch_predicted(&PredictEvent {
+            seq,
+            pc,
+            predicted_taken: pred.taken,
+            actual_taken,
+            mispredicted,
+            cycle: self.now,
+            ghr: ghr_val,
+            estimates,
+        });
+        if self.tracer.enabled() {
+            self.tracer.record(TraceEvent::Predict {
+                seq,
+                pc,
+                cycle: self.now,
+                predicted_taken: pred.taken,
+                actual_taken,
+                mispredicted,
+                ghr: ghr_val,
+                estimates: estimates.to_vec(),
+            });
+        }
+
+        self.resolve_track.push_back(resolve_at);
+        self.inflight.push_back(Inflight {
+            seq,
+            pc,
+            pred,
+            actual_taken,
+            mispredicted,
+            ghr_at_predict: ghr_val,
+            est_slot,
+            est0_low,
+            fetch_cycle: self.now,
+            resolve_cycle: None,
+        });
+        group_ends
+    }
+
+    /// Fetches a non-branch instruction; returns `false` when the fetch
+    /// group ends (control redirect or halt).
+    fn fetch_straightline<S: FetchSource>(&mut self, src: &mut S) -> bool {
+        let rec = src.take();
+        let operands_ready = self.operands_ready(rec.s1, rec.s2);
+        self.arch_insts += 1;
+        let latency = match rec.class {
+            TraceClass::Load => self.dcache.access(rec.target).latency,
+            TraceClass::Store => {
+                // Stores retire through a store buffer; they cost a D-cache
+                // access but do not stall dependents.
+                let _ = self.dcache.access(rec.target);
+                1
+            }
+            TraceClass::Alu | TraceClass::Jump | TraceClass::Call | TraceClass::Ret => 1,
+            TraceClass::Mul => 3,
+            TraceClass::Div => 12,
+            // Counted as fetched; ends the group.
+            TraceClass::Halt => return false,
+            TraceClass::CondBranch => unreachable!("handled before straightline fetch"),
+        };
+        if (rec.dst as usize) < Reg::COUNT {
+            let slot = &mut self.scoreboard[rec.dst as usize];
+            let old = std::mem::replace(slot, operands_ready + latency);
+            src.scoreboard_written(rec.dst, old);
+        }
+        !matches!(
+            rec.class,
+            TraceClass::Jump | TraceClass::Call | TraceClass::Ret
+        )
+    }
+
+    /// Earliest cycle at which source registers `s1`/`s2` are ready
+    /// (`NO_REG` reads the always-zero sentinel slot).
+    #[inline]
+    fn operands_ready(&self, s1: u8, s2: u8) -> u64 {
+        let ready = |r: u8| self.scoreboard[(r as usize).min(Reg::COUNT)];
+        self.now.max(ready(s1)).max(ready(s2))
+    }
+}

@@ -1,4 +1,5 @@
-//! Proves the per-branch hot path performs zero heap allocations.
+//! Proves the per-branch hot path performs zero heap allocations, on the
+//! live simulator and on trace replay.
 //!
 //! Strategy: a counting global allocator wraps `System`; two identically
 //! shaped programs differing only in trip count are simulated (construction
@@ -6,21 +7,38 @@
 //! memory pages is the same for both because the speculation window and the
 //! touched address set are scale-independent). If any allocation happened
 //! per fetched/committed branch, the longer run — ~9× the branches — would
-//! allocate more. Equal counts pin the steady-state loop at zero.
+//! allocate more. Equal counts pin the steady-state loop at zero. The same
+//! two programs' exported traces are then replayed through
+//! `TraceSimulator` (exported before the counter is read, so only
+//! construction and replay are counted).
 //!
 //! This binary holds exactly one `#[test]` so no concurrent test thread can
-//! perturb the counter.
+//! perturb the counter, and the counter is per thread: the test harness's
+//! own thread allocates while the test runs, at times that vary from run
+//! to run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by the current thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: allocations during thread teardown are not counted.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -29,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,7 +58,8 @@ static A: Counting = Counting;
 use cestim_bpred::Gshare;
 use cestim_core::Jrs;
 use cestim_isa::{Program, ProgramBuilder, Reg};
-use cestim_pipeline::{PipelineConfig, PipelineStats, Simulator};
+use cestim_pipeline::{PipelineConfig, PipelineStats, Simulator, TraceSimulator};
+use cestim_trace_io::{export_program, TraceRecord};
 
 /// A loop with an unpredictable branch (LCG bit), loads/stores to a fixed
 /// buffer (exercises the memory undo log), and filler ALU work. Same
@@ -75,11 +94,47 @@ fn workload(n: i32) -> Program {
 
 /// Allocation calls spent constructing and running one simulation.
 fn measure(program: &Program) -> (u64, PipelineStats) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut sim = Simulator::new(program, PipelineConfig::paper(), Gshare::new(12));
     sim.add_estimator(Jrs::paper_enhanced());
     let stats = sim.run_to_completion();
-    (ALLOCS.load(Ordering::Relaxed) - before, stats)
+    (allocs() - before, stats)
+}
+
+/// Allocation calls spent constructing and running one trace replay.
+fn measure_trace(records: &[TraceRecord]) -> (u64, PipelineStats) {
+    let before = allocs();
+    let mut sim = TraceSimulator::new(records, PipelineConfig::paper(), Gshare::new(12));
+    sim.add_estimator(Jrs::paper_enhanced());
+    let stats = sim.run_to_completion();
+    (allocs() - before, stats)
+}
+
+/// Asserts the long run committed far more branches, recovered more often,
+/// and allocated exactly as much as the short one.
+fn assert_scale_free(
+    path: &str,
+    (alloc_short, stats_short): (u64, PipelineStats),
+    (alloc_long, stats_long): (u64, PipelineStats),
+) {
+    assert!(
+        stats_long.committed_branches >= stats_short.committed_branches + 8_000,
+        "{path}: long run must commit far more branches: {} vs {}",
+        stats_long.committed_branches,
+        stats_short.committed_branches
+    );
+    assert!(
+        stats_long.recoveries > stats_short.recoveries,
+        "{path}: both runs must exercise misprediction recovery"
+    );
+    assert_eq!(
+        alloc_long,
+        alloc_short,
+        "{path}: allocation count must not scale with branch count \
+         ({} extra branches cost {} extra allocations)",
+        stats_long.committed_branches - stats_short.committed_branches,
+        alloc_long as i64 - alloc_short as i64
+    );
 }
 
 #[test]
@@ -90,25 +145,14 @@ fn committed_branches_allocate_nothing() {
     // stdio) so it cannot masquerade as per-branch traffic.
     let _ = measure(&short);
 
-    let (alloc_short, stats_short) = measure(&short);
-    let (alloc_long, stats_long) = measure(&long);
+    let live_short = measure(&short);
+    let live_long = measure(&long);
+    assert_scale_free("live", live_short, live_long);
 
-    assert!(
-        stats_long.committed_branches >= stats_short.committed_branches + 8_000,
-        "long run must commit far more branches: {} vs {}",
-        stats_long.committed_branches,
-        stats_short.committed_branches
-    );
-    assert!(
-        stats_long.recoveries > stats_short.recoveries,
-        "both runs must exercise misprediction recovery"
-    );
-    assert_eq!(
-        alloc_long,
-        alloc_short,
-        "allocation count must not scale with branch count \
-         ({} extra branches cost {} extra allocations)",
-        stats_long.committed_branches - stats_short.committed_branches,
-        alloc_long as i64 - alloc_short as i64
-    );
+    let trace_short = export_program(&short, 10_000_000).expect("short run halts");
+    let trace_long = export_program(&long, 10_000_000).expect("long run halts");
+    let _ = measure_trace(&trace_short);
+    let replay_short = measure_trace(&trace_short);
+    let replay_long = measure_trace(&trace_long);
+    assert_scale_free("trace replay", replay_short, replay_long);
 }

@@ -20,9 +20,8 @@
 //! quadrants, and every per-estimator SENS/SPEC/PVP/PVN derived from
 //! them.
 
-use crate::{
-    EstimatorResult, EstimatorSpec, PredictorKind, ProfileObserver, RunConfig, RunOutcome,
-};
+use crate::runner::outcome;
+use crate::{EstimatorSpec, PredictorKind, ProfileObserver, RunConfig, RunOutcome};
 use cestim_core::ProfileCollector;
 use cestim_pipeline::{PipelineConfig, Simulator, TraceSimulator};
 use cestim_trace_io::{export_program, ExportError, TraceRecord};
@@ -98,15 +97,7 @@ pub fn run_replay_live(cfg: &RunConfig, specs: &[EstimatorSpec]) -> RunOutcome {
         sim.add_estimator(spec.build_any(profile.as_ref()));
     }
     let stats = sim.run_to_completion();
-    let estimators = specs
-        .iter()
-        .zip(sim.estimator_quadrants())
-        .map(|(spec, &quadrants)| EstimatorResult {
-            name: spec.label(),
-            quadrants,
-        })
-        .collect();
-    RunOutcome { stats, estimators }
+    outcome(stats, specs, sim.estimator_quadrants())
 }
 
 /// Replays imported trace records through the pipeline timing model with
@@ -128,15 +119,7 @@ pub fn run_trace(
         sim.add_estimator(spec.build_any(profile.as_ref()));
     }
     let stats = sim.run_to_completion();
-    let estimators = specs
-        .iter()
-        .zip(sim.estimator_quadrants())
-        .map(|(spec, &quadrants)| EstimatorResult {
-            name: spec.label(),
-            quadrants,
-        })
-        .collect();
-    RunOutcome { stats, estimators }
+    outcome(stats, specs, sim.estimator_quadrants())
 }
 
 /// The estimator set the differential conformance suite pins: one of

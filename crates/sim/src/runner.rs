@@ -62,6 +62,24 @@ pub struct RunOutcome {
     pub estimators: Vec<EstimatorResult>,
 }
 
+/// Builds a run's outcome, pairing each spec's label with the quadrants of
+/// the estimator it built (attached in spec order).
+pub(crate) fn outcome(
+    stats: PipelineStats,
+    specs: &[EstimatorSpec],
+    quadrants: &[EstimatorQuadrants],
+) -> RunOutcome {
+    let estimators = specs
+        .iter()
+        .zip(quadrants)
+        .map(|(spec, &quadrants)| EstimatorResult {
+            name: spec.label(),
+            quadrants,
+        })
+        .collect();
+    RunOutcome { stats, estimators }
+}
+
 /// Runs the profiling pass: the same pipeline and predictor, recording
 /// per-branch prediction accuracy over the committed stream.
 pub fn collect_profile(cfg: &RunConfig) -> ProfileCollector {
@@ -163,16 +181,8 @@ pub fn run_instrumented(
     ];
     sim.export_metrics(&registry, &labels);
 
-    let estimators = specs
-        .iter()
-        .zip(sim.estimator_quadrants())
-        .map(|(spec, &quadrants)| EstimatorResult {
-            name: spec.label(),
-            quadrants,
-        })
-        .collect();
     InstrumentedOutcome {
-        outcome: RunOutcome { stats, estimators },
+        outcome: outcome(stats, specs, sim.estimator_quadrants()),
         tracer: sim.take_tracer(),
         phase_timings: sim.phase_timings(),
         metrics: registry.snapshot(),
@@ -216,15 +226,7 @@ fn run_inner(
         sim.set_profiling(true);
     }
     let stats = sim.run(obs);
-    let estimators = specs
-        .iter()
-        .zip(sim.estimator_quadrants())
-        .map(|(spec, &quadrants)| EstimatorResult {
-            name: spec.label(),
-            quadrants,
-        })
-        .collect();
-    RunOutcome { stats, estimators }
+    outcome(stats, specs, sim.estimator_quadrants())
 }
 
 #[cfg(test)]

@@ -119,35 +119,56 @@ impl TraceRecord {
     ///
     /// `inst` is the instruction at `pc` and `step` what executing it did
     /// (the step supplies the data-dependent payloads: branch direction and
-    /// taken-target, redirect destinations, memory addresses).
+    /// taken-target, redirect destinations, memory addresses). Equal to
+    /// [`decode`](Self::decode) followed by [`with_step`](Self::with_step).
     pub fn classify(pc: u32, inst: &Inst, step: &Step) -> TraceRecord {
+        TraceRecord::decode(pc, inst).with_step(step)
+    }
+
+    /// The part of an instruction's record that decoding alone fixes: its
+    /// class and registers, with no target and not taken.
+    pub fn decode(pc: u32, inst: &Inst) -> TraceRecord {
         let reg = |r: Option<Reg>| r.map_or(NO_REG, |r| r.index() as u8);
         let (s1, s2) = inst.srcs();
-        let (class, target, taken) = match (inst, step) {
-            (Inst::Branch { .. }, Step::Branch { taken, target, .. }) => {
-                (TraceClass::CondBranch, *target, *taken)
-            }
-            (Inst::Jump { .. }, Step::Jump { target }) => (TraceClass::Jump, *target, false),
-            (Inst::Call { .. }, Step::Call { target }) => (TraceClass::Call, *target, false),
-            (Inst::Ret, Step::Ret { target }) => (TraceClass::Ret, *target, false),
-            (Inst::Load { .. }, Step::Load { addr }) => (TraceClass::Load, *addr, false),
-            (Inst::Store { .. }, Step::Store { addr }) => (TraceClass::Store, *addr, false),
-            (Inst::Halt, _) => (TraceClass::Halt, 0, false),
-            (Inst::Alu { op, .. } | Inst::AluImm { op, .. }, _) => (alu_class(*op), 0, false),
-            (Inst::Li { .. } | Inst::Nop, _) => (TraceClass::Alu, 0, false),
-            // Inst/Step disagreement cannot happen on an architectural
-            // stream; classify totally anyway.
-            _ => (TraceClass::Alu, 0, false),
+        let class = match inst {
+            Inst::Branch { .. } => TraceClass::CondBranch,
+            Inst::Jump { .. } => TraceClass::Jump,
+            Inst::Call { .. } => TraceClass::Call,
+            Inst::Ret => TraceClass::Ret,
+            Inst::Load { .. } => TraceClass::Load,
+            Inst::Store { .. } => TraceClass::Store,
+            Inst::Halt => TraceClass::Halt,
+            Inst::Alu { op, .. } | Inst::AluImm { op, .. } => alu_class(*op),
+            Inst::Li { .. } | Inst::Nop => TraceClass::Alu,
         };
         TraceRecord {
             pc,
-            target,
-            taken,
+            target: 0,
+            taken: false,
             class,
             dst: reg(inst.dst()),
             s1: reg(s1),
             s2: reg(s2),
         }
+    }
+
+    /// Completes a [`decode`](Self::decode)d record with what executing the
+    /// instruction did. Steps without a payload (ALU work, halt) leave it
+    /// unchanged.
+    #[inline]
+    pub fn with_step(mut self, step: &Step) -> TraceRecord {
+        match *step {
+            Step::Branch { taken, target, .. } => {
+                self.taken = taken;
+                self.target = target;
+            }
+            Step::Jump { target } | Step::Call { target } | Step::Ret { target } => {
+                self.target = target;
+            }
+            Step::Load { addr } | Step::Store { addr } => self.target = addr,
+            Step::Alu | Step::Halt | Step::Nop | Step::OutOfRange => {}
+        }
+        self
     }
 
     /// Validates the register bytes (each [`NO_REG`] or a real register

@@ -105,12 +105,7 @@ fn capture_hook_matches_interpreter_export() {
 #[test]
 fn trace_replay_is_bit_identical_to_live_replay_for_every_predictor() {
     let records = export_config_trace(&cfg(WorkloadKind::Compress, PredictorKind::Gshare)).unwrap();
-    for p in [
-        PredictorKind::Gshare,
-        PredictorKind::McFarling,
-        PredictorKind::SAg,
-        PredictorKind::Bimodal,
-    ] {
+    for p in PredictorKind::all() {
         let c = cfg(WorkloadKind::Compress, p);
         let specs = conformance_specs();
         let live = run_replay_live(&c, &specs);
