@@ -32,7 +32,7 @@
 //! `--prom-out FILE` writes the `qa.*` metrics as Prometheus text
 //! exposition. See `docs/OBSERVABILITY.md`.
 
-use cestim_obs::span2::{self, SpanCollector, SpanId};
+use cestim_obs::span::{self, SpanCollector, SpanId};
 use cestim_obs::Registry;
 use cestim_qa::{FaultSpec, FuzzConfig, OracleKind};
 use std::path::PathBuf;
@@ -142,7 +142,7 @@ fn main() -> ExitCode {
     let root_span = span_buf.open("fuzz", SpanId::NONE, &[]);
     let ambient = spans
         .enabled()
-        .then(|| span2::set_ambient(&spans, root_span.id(), "main"));
+        .then(|| span::set_ambient(&spans, root_span.id(), "main"));
     let report = match cestim_qa::run_fuzz(&args.cfg, &registry) {
         Ok(report) => report,
         Err(e) => {

@@ -51,7 +51,7 @@
 //! * `--trace-perfetto FILE` — record causal spans across the whole
 //!   invocation (executor batches, per-job spans with cache keys, retry
 //!   attempts with fault provenance, cache probes/stores, journal
-//!   appends, simulator phases) and write a Perfetto-loadable Chrome
+//!   appends, simulation runs) and write a Perfetto-loadable Chrome
 //!   `trace_event` JSON file at exit.
 //! * `--prom-out FILE` — write the executor's metrics as Prometheus text
 //!   exposition at exit.
@@ -83,28 +83,28 @@
 //! * `--trace-out FILE` — record every pipeline event and write a JSONL
 //!   trace replayable by `cestim-trace`'s `replay_jsonl`.
 //! * `--metrics-out FILE` — export the full metrics snapshot (counters,
-//!   rates, per-estimator quadrants, phase timings) as JSON.
-//! * `--obs-summary` — print the per-phase wall-clock table and the run's
-//!   key derived rates.
+//!   rates, per-estimator quadrants) as JSON.
+//! * `--obs-summary` — print the run's wall-clock time and key derived
+//!   rates.
 //!
 //! Every invocation also writes `<out>/telemetry.json` with per-experiment
-//! wall-clock spans, the executor's job/cache counters and metrics, and the
-//! instrumented run's phase timings.
+//! wall-clock seconds, the executor's job/cache counters and metrics, and
+//! the instrumented run's stats.
 
 use cestim_exec::{
     default_workers, install_quiet_panic_hook, CachePolicy, DiskCache, Executor, FaultPlan,
     RetryPolicy, RunJournal,
 };
 use cestim_obs::monitor::RunMonitor;
-use cestim_obs::span2::{self, SpanCollector, SpanId};
-use cestim_obs::{render_timing_table, MetricValue, PhaseProfiler, Registry, Span, Tracer};
+use cestim_obs::span::{self, SpanCollector, SpanId};
+use cestim_obs::{MetricValue, Registry, Tracer};
 use cestim_pipeline::NullObserver;
 use cestim_sim::{run_instrumented, suite, EstimatorSpec, PredictorKind, RunConfig};
 use cestim_workloads::WorkloadKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Args {
     scale: u32,
@@ -394,15 +394,8 @@ fn plural_y(n: usize) -> &'static str {
     }
 }
 
-/// Maps a user-supplied experiment id back to its `'static` suite name
-/// (phase profiling requires `&'static str` labels).
-fn static_id(id: &str) -> Option<&'static str> {
-    suite::all_ids().iter().copied().find(|s| *s == id)
-}
-
 /// One instrumented pass: the selected predictor + its paper estimator
-/// set on the chosen workload, with tracing (if requested), phase
-/// profiling, and metrics.
+/// set on the chosen workload, with tracing (if requested) and metrics.
 fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
     let cfg = RunConfig::paper(args.workload, args.scale, args.predictor);
     let specs = EstimatorSpec::paper_set(args.predictor);
@@ -429,8 +422,6 @@ fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
             args.scale,
             inst.wall_seconds
         );
-        print!("{}", render_timing_table(&inst.phase_timings));
-        println!();
         print!("{}", cestim_bench::stats_summary(&inst.outcome.stats));
         for e in &inst.outcome.estimators {
             let q = e.quadrants.committed;
@@ -449,7 +440,6 @@ fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
         "scale": args.scale,
         "wall_seconds": inst.wall_seconds,
         "trace_events": inst.tracer.len(),
-        "phase_timings": inst.phase_timings,
         "stats": inst.outcome.stats,
     }))
 }
@@ -645,7 +635,7 @@ fn main() -> ExitCode {
     let root_span = root_buf.open("repro", SpanId::NONE, &[]);
     let ambient = spans
         .enabled()
-        .then(|| span2::set_ambient(&spans, root_span.id(), "main"));
+        .then(|| span::set_ambient(&spans, root_span.id(), "main"));
     let mut exec = match build_executor(&args) {
         Ok(exec) => exec.with_spans(&spans),
         Err(e) => {
@@ -679,7 +669,6 @@ fn main() -> ExitCode {
     // The modern-families table is mirrored into telemetry so automation
     // can assert on its rows without parsing the per-experiment artifact.
     let mut modern = serde_json::Value::Null;
-    let mut profiler = PhaseProfiler::new(true);
     for id in &args.ids {
         if args.resume {
             if let Some(j) = &journal {
@@ -691,17 +680,15 @@ fn main() -> ExitCode {
                 }
             }
         }
-        let phase = static_id(id).map(|name| profiler.phase(name));
-        let started = profiler.start();
-        let span = Span::begin(id.clone());
+        let started = Instant::now();
+        let _span = span::AmbientSpan::enter(id, &[]);
         match suite::run_experiment_checked(&exec, id, args.scale) {
             Some(Ok(r)) => {
                 println!("{}\n{}", r.title, r.text);
                 if r.id == "ext-modern" {
                     modern = r.json.clone();
                 }
-                let timing = span.end();
-                let seconds = timing.nanos as f64 / 1e9;
+                let seconds = started.elapsed().as_secs_f64();
                 println!("[{id} done in {seconds:.1}s]\n");
                 experiment_spans.push(serde_json::json!({ "id": id, "seconds": seconds }));
                 match cestim_bench::write_artifacts(&args.out, id, &r.text, &r.json) {
@@ -728,9 +715,6 @@ fn main() -> ExitCode {
                 eprintln!("error: unknown experiment '{id}' (try --list)");
                 failed_ids.push(id.clone());
             }
-        }
-        if let Some(phase) = phase {
-            profiler.stop(phase, started);
         }
     }
 
@@ -823,7 +807,6 @@ fn main() -> ExitCode {
 
     let telemetry = serde_json::json!({
         "experiments": experiment_spans,
-        "experiment_phases": profiler.timings(),
         "executor": report,
         "executor_metrics": exec.registry().snapshot(),
         "instrumented": instrumented,

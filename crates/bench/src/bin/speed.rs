@@ -31,8 +31,8 @@
 //!   (default 10). Cells whose baseline is too noisy (MAD > 20 % of the
 //!   median) are skipped rather than allowed to flake the gate.
 //! * `--trace-out` / `--metrics-out` / `--obs-summary` — run one extra
-//!   *instrumented* pass per workload and export its trace/metrics/phase
-//!   table; the timed reps always run uninstrumented.
+//!   *instrumented* pass per workload and export its trace/metrics/stats
+//!   summary; the timed reps always run uninstrumented.
 //! * `--trace-perfetto FILE` / `--prom-out FILE` — causal span trace
 //!   (Perfetto/Chrome `trace_event` JSON) and Prometheus text exposition
 //!   from the instrumented pass (see `docs/OBSERVABILITY.md`).
@@ -60,8 +60,8 @@
 //! * `--experiments a,b,c` — subset of experiment ids (default: all).
 
 use cestim_exec::{default_workers, CachePolicy, Executor};
-use cestim_obs::span2::{self, SpanCollector, SpanId};
-use cestim_obs::{render_timing_table, Registry, TraceWriter, Tracer};
+use cestim_obs::span::{self, SpanCollector, SpanId};
+use cestim_obs::{Registry, TraceWriter, Tracer};
 use cestim_pipeline::{PipelineConfig, PipelineStats, Simulator, TraceSimulator};
 use cestim_sim::{suite, PredictorKind};
 use cestim_workloads::WorkloadKind;
@@ -499,7 +499,7 @@ fn measure_trace_cell(
 /// One pass of the overhead cell: the compress workload on gshare, with
 /// span tracing either absent (`spans: None` — the production default,
 /// every instrumentation point short-circuits on a disabled check) or
-/// fully on (ambient context + phase profiling + span collection).
+/// fully on (ambient context + one `sim.run` span around the run).
 fn overhead_pass(program: &cestim_isa::Program, spans: Option<&SpanCollector>) -> f64 {
     let t = Instant::now();
     let mut sim = Simulator::new(
@@ -508,10 +508,8 @@ fn overhead_pass(program: &cestim_isa::Program, spans: Option<&SpanCollector>) -
         PredictorKind::Gshare.build_any(),
     );
     sim.add_estimator(cestim_core::Jrs::paper_enhanced());
-    let _ambient = spans.map(|c| span2::set_ambient(c, SpanId::NONE, "main"));
-    if spans.is_some() {
-        sim.set_profiling(true);
-    }
+    let _ambient = spans.map(|c| span::set_ambient(c, SpanId::NONE, "main"));
+    let _span = span::AmbientSpan::enter("sim.run", &[("workload", "compress")]);
     let stats = sim.run_to_completion();
     let dt = t.elapsed().as_secs_f64();
     stats.committed_branches as f64 / dt.max(1e-12)
@@ -593,9 +591,6 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
         if trace_writer.is_some() {
             sim.set_tracer(Tracer::unbounded());
         }
-        if args.obs_summary || spans.enabled() {
-            sim.set_profiling(true);
-        }
         {
             let mut buf = spans.buffer("main");
             let mut root = buf.open("speed.workload", SpanId::NONE, &[]);
@@ -604,8 +599,12 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
             }
             let _ambient = spans
                 .enabled()
-                .then(|| span2::set_ambient(&spans, root.id(), "main"));
-            let _ = sim.run_to_completion();
+                .then(|| span::set_ambient(&spans, root.id(), "main"));
+            let stats = sim.run_to_completion();
+            if args.obs_summary {
+                println!("-- {} --", k.name());
+                print!("{}", cestim_bench::stats_summary(&stats));
+            }
             drop(_ambient);
             buf.close(root);
         }
@@ -623,10 +622,6 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
                     ("scale", scale_label.as_str()),
                 ],
             );
-        }
-        if args.obs_summary {
-            println!("-- {} --", k.name());
-            print!("{}", render_timing_table(&sim.phase_timings()));
         }
     }
     if let Some(path) = &args.trace_perfetto {

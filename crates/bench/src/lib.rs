@@ -99,7 +99,7 @@ pub fn write_bench(dir: &Path, bench: &serde_json::Value) -> std::io::Result<()>
 /// Returns any I/O error from creating or writing the file.
 pub fn write_perfetto(
     path: &Path,
-    spans: &[cestim_obs::span2::SpanRecord],
+    spans: &[cestim_obs::span::SpanRecord],
 ) -> std::io::Result<usize> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
@@ -207,9 +207,9 @@ mod tests {
         let dir = std::env::temp_dir().join("cestim-bench-telemetry-test");
         let _ = std::fs::remove_dir_all(&dir);
 
-        let collector = cestim_obs::span2::SpanCollector::new();
+        let collector = cestim_obs::span::SpanCollector::new();
         let mut buf = collector.buffer("main");
-        let span = buf.open("root", cestim_obs::span2::SpanId::NONE, &[]);
+        let span = buf.open("root", cestim_obs::span::SpanId::NONE, &[]);
         buf.close(span);
         buf.flush();
         let spans = collector.drain();

@@ -5,23 +5,20 @@
 //! branch. Routing those calls through `Box<dyn BranchPredictor>` costs an
 //! indirect call (and defeats inlining) on every event. [`AnyPredictor`]
 //! closes that hole: it enumerates the concrete predictors of the study so
-//! the match arms inline, while the [`AnyPredictor::Dyn`] escape hatch
-//! keeps arbitrary trait objects working for external callers.
+//! the match arms inline.
 //!
 //! `From` conversions make the enum a drop-in replacement at call sites:
 //!
 //! * `Gshare::new(12).into()` — direct,
 //! * `Box::new(Gshare::new(12)).into()` — **unboxes** to the concrete
-//!   variant, so historical `Box::new(...)` call sites silently gain
-//!   static dispatch,
-//! * a `Box<dyn BranchPredictor>` converts into [`AnyPredictor::Dyn`] and
-//!   keeps virtual dispatch (the compatibility shim).
+//!   variant, so historical `Box::new(...)` call sites gain static
+//!   dispatch.
 
 use crate::traits::{BranchPredictor, Prediction};
 use crate::{Bimodal, Gshare, McFarling, Perceptron, SAg, Tage};
 
 /// A statically dispatched branch predictor: one variant per concrete
-/// predictor in the study, plus a boxed escape hatch for everything else.
+/// predictor in the study.
 pub enum AnyPredictor {
     /// Bimodal PC-indexed table.
     Bimodal(Bimodal),
@@ -35,16 +32,6 @@ pub enum AnyPredictor {
     Tage(Tage),
     /// Hashed-perceptron predictor.
     Perceptron(Perceptron),
-    /// Any other implementation, virtually dispatched.
-    Dyn(Box<dyn BranchPredictor>),
-}
-
-impl AnyPredictor {
-    /// `true` when calls are virtually dispatched (the [`AnyPredictor::Dyn`]
-    /// escape hatch).
-    pub fn is_dyn(&self) -> bool {
-        matches!(self, AnyPredictor::Dyn(_))
-    }
 }
 
 impl std::fmt::Debug for AnyPredictor {
@@ -63,7 +50,6 @@ impl BranchPredictor for AnyPredictor {
             AnyPredictor::SAg(p) => p.predict(pc, ghr),
             AnyPredictor::Tage(p) => p.predict(pc, ghr),
             AnyPredictor::Perceptron(p) => p.predict(pc, ghr),
-            AnyPredictor::Dyn(p) => p.predict(pc, ghr),
         }
     }
 
@@ -76,7 +62,6 @@ impl BranchPredictor for AnyPredictor {
             AnyPredictor::SAg(p) => p.update(pc, taken, pred),
             AnyPredictor::Tage(p) => p.update(pc, taken, pred),
             AnyPredictor::Perceptron(p) => p.update(pc, taken, pred),
-            AnyPredictor::Dyn(p) => p.update(pc, taken, pred),
         }
     }
 
@@ -88,7 +73,6 @@ impl BranchPredictor for AnyPredictor {
             AnyPredictor::SAg(p) => p.name(),
             AnyPredictor::Tage(p) => p.name(),
             AnyPredictor::Perceptron(p) => p.name(),
-            AnyPredictor::Dyn(p) => p.name(),
         }
     }
 
@@ -100,7 +84,6 @@ impl BranchPredictor for AnyPredictor {
             AnyPredictor::SAg(p) => p.global_history_width(),
             AnyPredictor::Tage(p) => p.global_history_width(),
             AnyPredictor::Perceptron(p) => p.global_history_width(),
-            AnyPredictor::Dyn(p) => p.global_history_width(),
         }
     }
 }
@@ -125,12 +108,6 @@ macro_rules! impl_from_predictor {
 }
 
 impl_from_predictor!(Bimodal, Gshare, McFarling, SAg, Tage, Perceptron);
-
-impl From<Box<dyn BranchPredictor>> for AnyPredictor {
-    fn from(p: Box<dyn BranchPredictor>) -> AnyPredictor {
-        AnyPredictor::Dyn(p)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -172,15 +149,6 @@ mod tests {
     fn boxed_concrete_unboxes_to_static_variant() {
         let p: AnyPredictor = Box::new(Gshare::new(12)).into();
         assert!(matches!(p, AnyPredictor::Gshare(_)));
-        assert!(!p.is_dyn());
-    }
-
-    #[test]
-    fn boxed_trait_object_uses_dyn_variant() {
-        let b: Box<dyn BranchPredictor> = Box::new(Gshare::new(12));
-        let p: AnyPredictor = b.into();
-        assert!(p.is_dyn());
-        assert_eq!(p.name(), "gshare");
     }
 
     #[test]

@@ -5,14 +5,12 @@
 //! resolution, and trains each at commit. With `Box<dyn>` estimators,
 //! every one of those calls is an indirect call. [`AnyEstimator`]
 //! enumerates the study's concrete estimators so the dispatch compiles to
-//! a jump table with inlinable arms, while [`AnyEstimator::Dyn`] keeps
-//! arbitrary trait objects working as a compatibility shim.
+//! a jump table with inlinable arms.
 //!
 //! `From` conversions mirror `cestim_bpred::AnyPredictor`: concrete values
-//! convert directly, `Box<Concrete>` **unboxes** into the static variant
-//! (so historical `Box::new(...)` call sites transparently gain static
-//! dispatch), and `Box<dyn ConfidenceEstimator>` falls back to
-//! [`AnyEstimator::Dyn`].
+//! convert directly, and `Box<Concrete>` **unboxes** into the static
+//! variant (so historical `Box::new(...)` call sites gain static
+//! dispatch).
 //!
 //! A boosted estimator wraps `Boosted<AnyEstimator>` (boxed to keep the
 //! enum small): the boost logic itself is static, and the inner estimator
@@ -28,7 +26,7 @@ use crate::{
 use cestim_bpred::Prediction;
 
 /// A statically dispatched confidence estimator: one variant per concrete
-/// estimator in the study, plus a boxed escape hatch for everything else.
+/// estimator in the study.
 pub enum AnyEstimator {
     /// JRS miss-distance counters.
     Jrs(Jrs),
@@ -54,16 +52,6 @@ pub enum AnyEstimator {
     AlwaysHigh(AlwaysHigh),
     /// Everything low confidence (baseline).
     AlwaysLow(AlwaysLow),
-    /// Any other implementation, virtually dispatched.
-    Dyn(Box<dyn ConfidenceEstimator>),
-}
-
-impl AnyEstimator {
-    /// `true` when calls are virtually dispatched (the [`AnyEstimator::Dyn`]
-    /// escape hatch).
-    pub fn is_dyn(&self) -> bool {
-        matches!(self, AnyEstimator::Dyn(_))
-    }
 }
 
 impl std::fmt::Debug for AnyEstimator {
@@ -87,7 +75,6 @@ macro_rules! dispatch {
             AnyEstimator::Timing($e) => $body,
             AnyEstimator::AlwaysHigh($e) => $body,
             AnyEstimator::AlwaysLow($e) => $body,
-            AnyEstimator::Dyn($e) => $body,
         }
     };
 }
@@ -159,12 +146,6 @@ impl From<Boosted<AnyEstimator>> for AnyEstimator {
 impl From<Voting<AnyEstimator>> for AnyEstimator {
     fn from(e: Voting<AnyEstimator>) -> AnyEstimator {
         AnyEstimator::Voting(Box::new(e))
-    }
-}
-
-impl From<Box<dyn ConfidenceEstimator>> for AnyEstimator {
-    fn from(e: Box<dyn ConfidenceEstimator>) -> AnyEstimator {
-        AnyEstimator::Dyn(e)
     }
 }
 
@@ -282,15 +263,6 @@ mod tests {
     fn boxed_concrete_unboxes_to_static_variant() {
         let e: AnyEstimator = Box::new(Jrs::paper_enhanced()).into();
         assert!(matches!(e, AnyEstimator::Jrs(_)));
-        assert!(!e.is_dyn());
-    }
-
-    #[test]
-    fn boxed_trait_object_uses_dyn_variant() {
-        let b: Box<dyn ConfidenceEstimator> = Box::new(AlwaysHigh);
-        let e: AnyEstimator = b.into();
-        assert!(e.is_dyn());
-        assert_eq!(e.name(), "always-high");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::journal::RunJournal;
 use crate::key::CacheKey;
 use crate::retry::RetryPolicy;
 use cestim_obs::cancel;
-use cestim_obs::span2::{self, OpenSpan, SpanBuffer, SpanCollector, SpanId};
+use cestim_obs::span::{self, OpenSpan, SpanBuffer, SpanCollector, SpanId};
 use cestim_obs::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize, Value};
 use std::cell::Cell;
@@ -518,8 +518,8 @@ impl Executor {
         let mut mbuf = self.spans.buffer("main");
         // If the caller installed an ambient context over this collector,
         // nest the batch under its current span; else it is a root.
-        let batch_parent = if span2::ambient_is(&self.spans) {
-            span2::ambient_handle().1
+        let batch_parent = if span::ambient_is(&self.spans) {
+            span::ambient_handle().1
         } else {
             SpanId::NONE
         };
@@ -851,8 +851,8 @@ impl Executor {
     /// One `catch_unwind`-guarded attempt, with slow/panic fault
     /// injection. Returns the panic message on failure. While the job
     /// body runs, this thread's ambient span context points at the
-    /// attempt span, so spans recorded inside `execute` (simulator
-    /// phases, wrapper spans) nest under the attempt.
+    /// attempt span, so spans recorded inside `execute` (`sim.job`,
+    /// `sim.run`) nest under the attempt.
     fn attempt_once<J: Job>(
         &self,
         job: &J,
@@ -870,7 +870,7 @@ impl Executor {
             let _ambient = self
                 .spans
                 .enabled()
-                .then(|| span2::set_ambient(&self.spans, span_parent, thread_tag));
+                .then(|| span::set_ambient(&self.spans, span_parent, thread_tag));
             if self.fault.panic_fires(seq, attempt) {
                 panic!("{}", FaultPlan::panic_message(seq));
             }
@@ -1019,9 +1019,9 @@ mod tests {
 
     /// Index span records: id → record, plus name lookup.
     fn span_children(
-        recs: &[cestim_obs::span2::SpanRecord],
-        parent: cestim_obs::span2::SpanId,
-    ) -> Vec<&cestim_obs::span2::SpanRecord> {
+        recs: &[cestim_obs::span::SpanRecord],
+        parent: cestim_obs::span::SpanId,
+    ) -> Vec<&cestim_obs::span::SpanRecord> {
         recs.iter().filter(|r| r.parent == parent).collect()
     }
 

@@ -12,7 +12,7 @@
 
 use cestim_exec::{Executor, FaultPlan, Job, RetryPolicy};
 use cestim_obs::export::render_perfetto;
-use cestim_obs::span2::{SpanCollector, SpanRecord};
+use cestim_obs::span::{SpanCollector, SpanRecord};
 use serde_json::Value;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/chaos_trace.json");

@@ -8,7 +8,7 @@
 //! escaping byte-stable for golden tests.
 
 use crate::metrics::{MetricValue, MetricsSnapshot};
-use crate::span2::SpanRecord;
+use crate::span::SpanRecord;
 use std::fmt::Write as _;
 use std::io;
 
@@ -265,7 +265,7 @@ fn float(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span2::{SpanCollector, SpanId};
+    use crate::span::{SpanCollector, SpanId};
     use crate::Registry;
 
     fn two_spans() -> Vec<SpanRecord> {

@@ -1,8 +1,8 @@
 //! # cestim-obs
 //!
 //! Observability substrate for the cestim workspace: a metrics registry,
-//! a structured event tracer, causal span tracing with standard-format
-//! exporters, and wall-clock profiling spans.
+//! a structured event tracer, and causal span tracing with standard-format
+//! exporters.
 //!
 //! The paper's entire contribution is *measurement* — quadrant counts,
 //! SENS/SPEC/PVP/PVN, misprediction-distance histograms over the
@@ -18,10 +18,10 @@
 //!   near-zero-cost [`Tracer::enabled`] guard, with JSONL export
 //!   ([`TraceWriter`]) and a reader ([`read_trace_jsonl`]) so analyses can
 //!   replay a recorded run post-hoc.
-//! * [`span2`] — causal, hierarchical span tracing: a
-//!   [`SpanCollector`](span2::SpanCollector) gathers parent-linked
-//!   [`SpanRecord`](span2::SpanRecord)s from per-thread buffers, merged
-//!   deterministically; this is the primary timing source, exported via
+//! * [`span`] — causal, hierarchical span tracing: a
+//!   [`SpanCollector`](span::SpanCollector) gathers parent-linked
+//!   [`SpanRecord`](span::SpanRecord)s from per-thread buffers, merged
+//!   deterministically; this is the wall-clock timing source, exported via
 //!   [`export`] as Perfetto `trace_event` JSON
 //!   ([`render_perfetto`](export::render_perfetto)) or served as
 //!   Prometheus text exposition
@@ -33,27 +33,19 @@
 //!   ([`cancel::arm`] / [`cancel::current`]) that the simulator hot loop
 //!   polls every N cycles so overdue jobs release their worker instead
 //!   of running to completion (see docs/RESILIENCE.md).
-//! * [`Span`] / [`ScopedTimer`] / [`PhaseProfiler`] — wall-clock
-//!   profiling around pipeline phases and suite experiments, rendered
-//!   with [`render_timing_table`]; thin wrappers that also feed the
-//!   [`span2`] collector when an ambient context is installed.
 
 #![warn(missing_docs)]
 
 mod metrics;
-mod span;
 mod trace;
 
 pub mod cancel;
 pub mod export;
 pub mod monitor;
-pub mod span2;
+pub mod span;
 
 pub use metrics::{
     Counter, FloatGauge, Gauge, Histogram, HistogramBucket, HistogramSnapshot, MetricSample,
     MetricValue, MetricsSnapshot, Registry, BUCKET_COUNT,
-};
-pub use span::{
-    render_timing_table, PhaseId, PhaseProfiler, PhaseTiming, ScopedTimer, Span, SpanTiming,
 };
 pub use trace::{read_trace_jsonl, TraceEvent, TraceWriter, Tracer};

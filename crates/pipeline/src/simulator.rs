@@ -5,7 +5,7 @@ use crate::{NullObserver, PipelineConfig, PipelineStats, SimObserver};
 use cestim_bpred::AnyPredictor;
 use cestim_core::{AnyEstimator, Confidence};
 use cestim_isa::{Checkpoint, Inst, Machine, Program, Step};
-use cestim_obs::{PhaseTiming, Registry, Tracer};
+use cestim_obs::{Registry, Tracer};
 use cestim_trace_io::TraceRecord;
 use std::collections::VecDeque;
 
@@ -345,10 +345,8 @@ impl<'p> Simulator<'p> {
     /// Creates a simulator over `program` with the given predictor.
     ///
     /// Accepts anything convertible into [`AnyPredictor`]: a concrete
-    /// predictor (`Gshare::new(12)`), a boxed concrete predictor
-    /// (`Box::new(Gshare::new(12))` — unboxed into the statically
-    /// dispatched variant), or a `Box<dyn BranchPredictor>` (kept virtually
-    /// dispatched as a compatibility escape hatch).
+    /// predictor (`Gshare::new(12)`) or a boxed concrete predictor
+    /// (`Box::new(Gshare::new(12))`, unboxed into its variant).
     ///
     /// # Panics
     ///
@@ -455,21 +453,8 @@ impl<'p> Simulator<'p> {
         std::mem::take(&mut self.core.tracer)
     }
 
-    /// Enables (or disables) per-phase wall-clock profiling of
-    /// [`step_cycle`](Simulator::step_cycle)'s resolve/commit/fetch phases.
-    /// Resets any previously accumulated timings.
-    pub fn set_profiling(&mut self, enabled: bool) {
-        self.core.profiler = cestim_obs::PhaseProfiler::new(enabled);
-    }
-
-    /// Accumulated per-phase wall-clock timings (empty unless profiling was
-    /// enabled).
-    pub fn phase_timings(&self) -> Vec<PhaseTiming> {
-        self.core.profiler.timings()
-    }
-
-    /// Exports the run's statistics, per-estimator quadrants, and phase
-    /// timings into `registry` under the given base labels. Call after the
+    /// Exports the run's statistics and per-estimator quadrants into
+    /// `registry` under the given base labels. Call after the
     /// run completes (counters like `pipeline.cycles` are finalized by
     /// [`run`](Simulator::run) / [`finish`](Simulator::finish)).
     pub fn export_metrics(&self, registry: &Registry, labels: &[(&str, &str)]) {
@@ -522,12 +507,6 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        for t in self.core.profiler.timings() {
-            let mut l = labels.to_vec();
-            l.push(("phase", &t.name));
-            registry.counter("pipeline.phase_nanos", &l).set(t.nanos);
-            registry.counter("pipeline.phase_calls", &l).set(t.calls);
-        }
     }
 
     /// Attaches a confidence estimator; returns its index (the order of
@@ -535,9 +514,8 @@ impl<'p> Simulator<'p> {
     /// `estimates` slices in events). Estimator 0 drives pipeline gating
     /// when enabled.
     ///
-    /// Accepts anything convertible into [`AnyEstimator`] — a concrete
-    /// estimator, a boxed concrete estimator (unboxed into the statically
-    /// dispatched variant), or a `Box<dyn ConfidenceEstimator>`.
+    /// Accepts anything convertible into [`AnyEstimator`]: a concrete
+    /// estimator or a boxed concrete estimator (unboxed into its variant).
     ///
     /// # Panics
     ///

@@ -24,7 +24,7 @@ use crate::{ResolveEvent, SimObserver};
 use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
 use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator};
 use cestim_isa::Reg;
-use cestim_obs::{PhaseProfiler, TraceEvent, Tracer};
+use cestim_obs::{TraceEvent, Tracer};
 use cestim_trace_io::{TraceClass, TraceRecord};
 use std::collections::VecDeque;
 
@@ -219,7 +219,6 @@ pub(crate) struct Core {
     pub(crate) arch_branches: u64,
     pub(crate) stats: PipelineStats,
     pub(crate) tracer: Tracer,
-    pub(crate) profiler: PhaseProfiler,
 }
 
 impl Core {
@@ -260,7 +259,6 @@ impl Core {
             arch_branches: 0,
             stats: PipelineStats::default(),
             tracer: Tracer::disabled(),
-            profiler: PhaseProfiler::default(),
         }
     }
 
@@ -329,9 +327,7 @@ impl Core {
         self.finish()
     }
 
-    /// Finalizes and returns the statistics; with phase profiling on and an
-    /// ambient span context installed, also publishes the per-phase totals
-    /// as summary child spans.
+    /// Finalizes and returns the statistics.
     pub(crate) fn finish(&mut self) -> PipelineStats {
         self.stats.cycles = self.now;
         self.stats.committed_insts = self.arch_insts;
@@ -344,7 +340,6 @@ impl Core {
         self.stats.icache_misses = self.icache.misses();
         self.stats.dcache_accesses = self.dcache.accesses();
         self.stats.dcache_misses = self.dcache.misses();
-        self.profiler.emit_ambient_spans();
         self.stats
     }
 
@@ -355,34 +350,15 @@ impl Core {
         S: FetchSource,
         O: SimObserver + ?Sized,
     {
-        if self.profiler.enabled() {
-            let p = self.profiler.phase("resolve");
-            let t = self.profiler.start();
+        // A head can only be newly resolved — and therefore newly
+        // committable — in a cycle where a resolution fires, so both phases
+        // sit behind the resolution wake-up check.
+        if self.now >= self.resolve_soonest {
             self.process_resolutions(src, obs);
-            self.profiler.stop(p, t);
-
-            let p = self.profiler.phase("commit");
-            let t = self.profiler.start();
             self.process_commits(src, obs);
-            self.profiler.stop(p, t);
-
-            if allow_fetch {
-                let p = self.profiler.phase("fetch");
-                let t = self.profiler.start();
-                self.fetch(src, obs);
-                self.profiler.stop(p, t);
-            }
-        } else {
-            // A head can only be newly resolved — and therefore newly
-            // committable — in a cycle where a resolution fires, so both
-            // phases sit behind the resolution wake-up check.
-            if self.now >= self.resolve_soonest {
-                self.process_resolutions(src, obs);
-                self.process_commits(src, obs);
-            }
-            if allow_fetch {
-                self.fetch(src, obs);
-            }
+        }
+        if allow_fetch {
+            self.fetch(src, obs);
         }
         self.now += 1;
     }

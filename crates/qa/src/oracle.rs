@@ -17,7 +17,7 @@
 //!    trace-driven replay reproduces the live replay-mode run.
 
 use crate::gen::{assemble, QaProgram};
-use cestim_bpred::{Bimodal, BranchPredictor, Gshare, McFarling, Perceptron, SAg, Tage};
+use cestim_bpred::{AnyPredictor, Bimodal, Gshare, McFarling, Perceptron, SAg, Tage};
 use cestim_core::{
     AlwaysHigh, AlwaysLow, AnyEstimator, DistanceEstimator, Jrs, Quadrant, SaturatingConfidence,
     TimingEstimator, Voting,
@@ -160,10 +160,10 @@ fn fail(oracle: OracleKind, detail: impl Into<String>) -> OracleFailure {
 ///
 /// Under an ambient span context (e.g. `fuzz --trace-perfetto`), each
 /// check records a `qa.oracle` span labelled with the oracle name and
-/// program size, with the oracle's simulator phases as children.
+/// program size.
 pub fn check(kind: OracleKind, p: &QaProgram, fault: FaultSpec) -> Result<(), OracleFailure> {
     let ops = p.ops.len().to_string();
-    let _span = cestim_obs::span2::AmbientSpan::enter(
+    let _span = cestim_obs::span::AmbientSpan::enter(
         "qa.oracle",
         &[("oracle", kind.name()), ("ops", &ops)],
     );
@@ -235,9 +235,6 @@ fn check_arch(p: &QaProgram, fault: FaultSpec) -> Result<(), OracleFailure> {
     // the most state-heavy predictor path, and the arch contract must hold
     // regardless of how much speculation the predictor provokes.
     let mut sim = Simulator::new(&prog, pipeline_config(), Box::new(Tage::default_config()));
-    if cestim_obs::span2::ambient_active() {
-        sim.set_profiling(true);
-    }
     if fault.is_active() {
         sim.inject_commit_fault(fault.commit_flip_every);
     }
@@ -299,9 +296,6 @@ fn check_replay(p: &QaProgram) -> Result<(), OracleFailure> {
         pipeline_config(),
         Box::new(Perceptron::default_config()),
     );
-    if cestim_obs::span2::ambient_active() {
-        sim.set_profiling(true);
-    }
     sim.add_estimator(Box::new(Jrs::paper_enhanced()));
     sim.set_tracer(Tracer::unbounded());
     let mut live = DistanceAnalysis::new(64);
@@ -347,14 +341,14 @@ pub(crate) const EXEC_PREDICTORS: [&str; 6] = [
     "perceptron",
 ];
 
-fn build_predictor(name: &str) -> Box<dyn BranchPredictor> {
+fn build_predictor(name: &str) -> AnyPredictor {
     match name {
-        "gshare" => Box::new(Gshare::new(12)),
-        "mcfarling" => Box::new(McFarling::new(12)),
-        "sag" => Box::new(SAg::paper_config()),
-        "tage" => Box::new(Tage::default_config()),
-        "perceptron" => Box::new(Perceptron::default_config()),
-        _ => Box::new(Bimodal::new(12)),
+        "gshare" => Gshare::new(12).into(),
+        "mcfarling" => McFarling::new(12).into(),
+        "sag" => SAg::paper_config().into(),
+        "tage" => Tage::default_config().into(),
+        "perceptron" => Perceptron::default_config().into(),
+        _ => Bimodal::new(12).into(),
     }
 }
 
@@ -566,9 +560,6 @@ fn check_quadrant(p: &QaProgram) -> Result<(), OracleFailure> {
     let kind = OracleKind::Quadrant;
     let prog = assemble(p);
     let mut sim = Simulator::new(&prog, pipeline_config(), Box::new(Gshare::new(12)));
-    if cestim_obs::span2::ambient_active() {
-        sim.set_profiling(true);
-    }
     sim.add_estimator(Box::new(Jrs::paper_enhanced()));
     sim.add_estimator(Box::new(SaturatingConfidence::selected()));
     sim.add_estimator(Box::new(DistanceEstimator::new(4)));

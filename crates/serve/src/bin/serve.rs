@@ -17,7 +17,7 @@
 //! On Unix, `SIGTERM` triggers the same graceful drain as a `shutdown`
 //! request: stop accepting, finish queued work, flush exports, exit.
 
-use cestim_obs::span2::SpanCollector;
+use cestim_obs::span::SpanCollector;
 use cestim_obs::Registry;
 use cestim_serve::{ServeConfig, Server};
 use std::net::TcpListener;

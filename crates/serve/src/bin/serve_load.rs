@@ -189,7 +189,7 @@ fn main() {
         match Server::start_with(
             args.serve_cfg.clone(),
             registry.clone(),
-            cestim_obs::span2::SpanCollector::disabled(),
+            cestim_obs::span::SpanCollector::disabled(),
         ) {
             Ok(server) => Some((server, registry)),
             Err(e) => {

@@ -21,7 +21,7 @@ use crate::protocol::{
 use crate::sched::{shard_of, DrrQueue, Ticket};
 use cestim_exec::{DiskCache, FaultPlan, Job, RunJournal};
 use cestim_obs::cancel;
-use cestim_obs::span2::{SpanBuffer, SpanCollector, SpanId};
+use cestim_obs::span::{SpanBuffer, SpanCollector, SpanId};
 use cestim_obs::{Counter, Gauge, Histogram, Registry};
 use cestim_sim::{sim_schema_salt, JobOutput};
 use serde::Value;

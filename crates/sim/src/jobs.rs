@@ -332,7 +332,7 @@ impl Job for ExecJob {
     fn execute(&self) -> JobOutput {
         // Under the executor's ambient span context (tracing on), the
         // job body gets a kind-labelled span nested in its attempt; the
-        // simulator passes below add their own `sim.run`/phase children.
+        // simulator passes below add their own `sim.run` children.
         let kind = match self {
             ExecJob::Run { .. } => "run",
             ExecJob::CrossProfileRun { .. } => "xprofile",
@@ -342,7 +342,7 @@ impl Job for ExecJob {
             ExecJob::Replay { .. } => "replay",
             ExecJob::Smt { .. } => "smt",
         };
-        let _span = cestim_obs::span2::AmbientSpan::enter("sim.job", &[("kind", kind)]);
+        let _span = cestim_obs::span::AmbientSpan::enter("sim.job", &[("kind", kind)]);
         match self {
             ExecJob::Run { cfg, specs } => JobOutput::Run(crate::run(cfg, specs)),
             ExecJob::CrossProfileRun {

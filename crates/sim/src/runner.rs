@@ -2,7 +2,7 @@
 
 use crate::{EstimatorSpec, PredictorKind, ProfileObserver};
 use cestim_core::ProfileCollector;
-use cestim_obs::{span2, MetricsSnapshot, PhaseTiming, Registry, Tracer};
+use cestim_obs::{span, MetricsSnapshot, Registry, Tracer};
 use cestim_pipeline::{
     EstimatorQuadrants, NullObserver, PipelineConfig, PipelineStats, SimObserver, Simulator,
 };
@@ -84,12 +84,9 @@ pub(crate) fn outcome(
 /// per-branch prediction accuracy over the committed stream.
 pub fn collect_profile(cfg: &RunConfig) -> ProfileCollector {
     let scale = cfg.scale.to_string();
-    let _span = span2::AmbientSpan::enter("sim.profile", &span_labels(cfg, &scale));
+    let _span = span::AmbientSpan::enter("sim.profile", &span_labels(cfg, &scale));
     let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
     let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
-    if span2::ambient_active() {
-        sim.set_profiling(true);
-    }
     let mut obs = ProfileObserver::new();
     sim.run(&mut obs);
     obs.into_collector()
@@ -129,16 +126,14 @@ pub fn run_with_profile(
 }
 
 /// Everything produced by one fully instrumented pipeline pass:
-/// the regular [`RunOutcome`] plus the recorded trace, per-phase wall-clock
-/// timings, and a metrics snapshot labelled by workload/predictor/scale.
+/// the regular [`RunOutcome`] plus the recorded trace, the wall-clock time,
+/// and a metrics snapshot labelled by workload/predictor/scale.
 #[derive(Debug)]
 pub struct InstrumentedOutcome {
     /// Stats and per-estimator quadrants, as from [`run`].
     pub outcome: RunOutcome,
     /// The tracer handed in, now holding the recorded events.
     pub tracer: Tracer,
-    /// Wall-clock nanoseconds per pipeline phase (resolve/commit/fetch).
-    pub phase_timings: Vec<PhaseTiming>,
     /// Snapshot of every exported metric.
     pub metrics: MetricsSnapshot,
     /// Wall-clock seconds of the measurement pass.
@@ -146,9 +141,9 @@ pub struct InstrumentedOutcome {
 }
 
 /// Like [`run`], with full observability: events are recorded into
-/// `tracer` (pass [`Tracer::disabled`] to skip tracing), pipeline phases
-/// are wall-clock profiled, and stats/quadrants/timings are exported to a
-/// metrics registry labelled `workload`/`predictor`/`scale`.
+/// `tracer` (pass [`Tracer::disabled`] to skip tracing), and stats and
+/// quadrants are exported to a metrics registry labelled
+/// `workload`/`predictor`/`scale`.
 pub fn run_instrumented(
     cfg: &RunConfig,
     specs: &[EstimatorSpec],
@@ -160,14 +155,13 @@ pub fn run_instrumented(
         .any(EstimatorSpec::needs_profile)
         .then(|| collect_profile(cfg));
     let scale = cfg.scale.to_string();
-    let _span = span2::AmbientSpan::enter("sim.run", &span_labels(cfg, &scale));
+    let _span = span::AmbientSpan::enter("sim.run", &span_labels(cfg, &scale));
     let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
     let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
     for spec in specs {
         sim.add_estimator(spec.build_any(own_profile.as_ref()));
     }
     sim.set_tracer(tracer);
-    sim.set_profiling(true);
     let t0 = std::time::Instant::now();
     let stats = sim.run(obs);
     let wall_seconds = t0.elapsed().as_secs_f64();
@@ -184,7 +178,6 @@ pub fn run_instrumented(
     InstrumentedOutcome {
         outcome: outcome(stats, specs, sim.estimator_quadrants()),
         tracer: sim.take_tracer(),
-        phase_timings: sim.phase_timings(),
         metrics: registry.snapshot(),
         wall_seconds,
     }
@@ -213,17 +206,12 @@ fn run_inner(
             .then(|| collect_profile(cfg)),
     };
     let scale = cfg.scale.to_string();
-    let _span = span2::AmbientSpan::enter("sim.run", &span_labels(cfg, &scale));
+    let _span = span::AmbientSpan::enter("sim.run", &span_labels(cfg, &scale));
     let profile = profile_override.or(own_profile.as_ref());
     let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
     let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
     for spec in specs {
         sim.add_estimator(spec.build_any(profile));
-    }
-    // Under an ambient span context, turn phase profiling on so the
-    // simulator's resolve/commit/fetch phases show up as child spans.
-    if span2::ambient_active() {
-        sim.set_profiling(true);
     }
     let stats = sim.run(obs);
     outcome(stats, specs, sim.estimator_quadrants())
@@ -284,8 +272,6 @@ mod tests {
         );
         assert!(!inst.tracer.is_empty());
         assert_eq!(inst.tracer.dropped(), 0);
-        let phases: Vec<&str> = inst.phase_timings.iter().map(|t| t.name.as_str()).collect();
-        assert_eq!(phases, ["resolve", "commit", "fetch"]);
         assert_eq!(
             inst.metrics.counter_value("pipeline.cycles"),
             Some(plain.stats.cycles)
@@ -307,14 +293,14 @@ mod tests {
     }
 
     #[test]
-    fn ambient_span_context_captures_sim_phases() {
-        use cestim_obs::span2::{SpanCollector, SpanId};
+    fn ambient_span_context_captures_sim_runs() {
+        use cestim_obs::span::{SpanCollector, SpanId};
         let c = cfg(PredictorKind::Gshare);
         let specs = [EstimatorSpec::Static { threshold: 0.9 }];
         let plain = run(&c, &specs);
 
         let collector = SpanCollector::new();
-        let guard = span2::set_ambient(&collector, SpanId::NONE, "main");
+        let guard = span::set_ambient(&collector, SpanId::NONE, "main");
         let traced = run(&c, &specs);
         drop(guard);
         let recs = collector.drain();
@@ -323,7 +309,8 @@ mod tests {
         assert_eq!(traced, plain);
 
         // The static estimator forces a profile pass, so both sim.profile
-        // and sim.run appear, each with phase summary children.
+        // and sim.run appear: sibling roots with no children, since the
+        // timing core records no spans of its own.
         let profile = recs.iter().find(|r| r.name == "sim.profile").unwrap();
         let run_span = recs.iter().find(|r| r.name == "sim.run").unwrap();
         assert!(run_span
@@ -334,18 +321,13 @@ mod tests {
             .labels
             .iter()
             .any(|(k, v)| k == "predictor" && v == "gshare"));
-        for parent in [profile, run_span] {
-            let phases: Vec<&str> = recs
-                .iter()
-                .filter(|r| r.parent == parent.id && r.name.starts_with("phase."))
-                .map(|r| r.name.as_str())
-                .collect();
-            assert_eq!(phases, ["phase.resolve", "phase.commit", "phase.fetch"]);
-            for r in recs.iter().filter(|r| r.parent == parent.id) {
-                assert!(r.start_nanos >= parent.start_nanos);
-                assert!(r.end_nanos <= parent.end_nanos);
-            }
+        assert_eq!(recs.len(), 2);
+        for r in [profile, run_span] {
+            assert_eq!(r.parent, SpanId::NONE, "{}", r.name);
+            assert!(!recs.iter().any(|c| c.parent == r.id), "{}", r.name);
         }
+        // The profile pass finishes before the measured run starts.
+        assert!(profile.end_nanos <= run_span.start_nanos);
 
         // Without an ambient context nothing is recorded.
         let quiet = SpanCollector::new();

@@ -1,13 +1,11 @@
 //! Declarative predictor and estimator specifications.
 
-use cestim_bpred::{
-    AnyPredictor, Bimodal, BranchPredictor, Gshare, McFarling, Perceptron, SAg, Tage,
-};
+use cestim_bpred::{AnyPredictor, Bimodal, Gshare, McFarling, Perceptron, SAg, Tage};
 use cestim_core::tune::{tune, tuning_frontier, TuneTarget};
 use cestim_core::{
-    AlwaysHigh, AlwaysLow, AnyEstimator, Boosted, Cir, ConfidenceEstimator, DistanceEstimator, Jrs,
-    JrsCombining, PatternHistory, ProfileCollector, SaturatingConfidence, SaturatingVariant,
-    TimingEstimator, Voting,
+    AlwaysHigh, AlwaysLow, AnyEstimator, Boosted, Cir, DistanceEstimator, Jrs, JrsCombining,
+    PatternHistory, ProfileCollector, SaturatingConfidence, SaturatingVariant, TimingEstimator,
+    Voting,
 };
 use serde::{Deserialize, Serialize};
 
@@ -77,20 +75,6 @@ impl PredictorKind {
     /// and protocol callers).
     pub fn from_name_strict(name: &str) -> Result<PredictorKind, ParsePredictorError> {
         PredictorKind::from_name(name).ok_or_else(|| ParsePredictorError(name.to_string()))
-    }
-
-    /// Builds the predictor in the paper's configuration as a trait object
-    /// (compatibility shim; prefer [`build_any`](PredictorKind::build_any)
-    /// on simulation hot paths).
-    pub fn build(self) -> Box<dyn BranchPredictor> {
-        match self {
-            PredictorKind::Gshare => Box::new(Gshare::new(12)),
-            PredictorKind::McFarling => Box::new(McFarling::new(12)),
-            PredictorKind::SAg => Box::new(SAg::paper_config()),
-            PredictorKind::Bimodal => Box::new(Bimodal::new(10)),
-            PredictorKind::Tage => Box::new(Tage::default_config()),
-            PredictorKind::Perceptron => Box::new(Perceptron::default_config()),
-        }
     }
 
     /// Builds the predictor in the paper's configuration with enum-based
@@ -424,75 +408,6 @@ impl EstimatorSpec {
         }
     }
 
-    /// Builds the estimator as a trait object (compatibility shim; prefer
-    /// [`build_any`](EstimatorSpec::build_any) on simulation hot paths).
-    /// `profile` must be `Some` for specs where
-    /// [`needs_profile`](EstimatorSpec::needs_profile) is true.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a profile-needing spec is built without a profile.
-    pub fn build(&self, profile: Option<&ProfileCollector>) -> Box<dyn ConfidenceEstimator> {
-        match self {
-            EstimatorSpec::Jrs {
-                index_bits,
-                threshold,
-                enhanced,
-            } => Box::new(Jrs::new(*index_bits, 4, *threshold, *enhanced)),
-            EstimatorSpec::SatCtr { variant } => {
-                Box::new(SaturatingConfidence::new((*variant).into()))
-            }
-            EstimatorSpec::Pattern { width } => Box::new(PatternHistory::new(*width)),
-            EstimatorSpec::Static { threshold } => {
-                let p = profile.expect("static estimator requires a profiling pass");
-                Box::new(p.make_estimator(*threshold))
-            }
-            EstimatorSpec::Distance { threshold } => Box::new(DistanceEstimator::new(*threshold)),
-            EstimatorSpec::Cir {
-                index_bits,
-                width,
-                threshold,
-                enhanced,
-            } => Box::new(Cir::new(*index_bits, *width, *threshold, *enhanced)),
-            EstimatorSpec::JrsMcFarling {
-                index_bits,
-                threshold,
-            } => Box::new(JrsCombining::new(*index_bits, *threshold)),
-            EstimatorSpec::StaticTuned { target } => {
-                let p = profile.expect("tuned static estimator requires a profiling pass");
-                match tune(p, (*target).into()) {
-                    Some((est, _)) => Box::new(est),
-                    None => {
-                        // Unreachable PVN target: fall back to the highest-
-                        // PVN point on the frontier (smallest useful LC set).
-                        let best = tuning_frontier(p)
-                            .into_iter()
-                            .filter(|pt| pt.predicted.c_lc + pt.predicted.i_lc > 0)
-                            .max_by(|a, b| {
-                                a.predicted
-                                    .pvn()
-                                    .partial_cmp(&b.predicted.pvn())
-                                    .expect("pvn is finite")
-                            })
-                            .expect("profile has at least one site");
-                        Box::new(p.make_estimator(best.threshold))
-                    }
-                }
-            }
-            EstimatorSpec::Boosted { inner, k } => Box::new(Boosted::new(inner.build(profile), *k)),
-            EstimatorSpec::Voting { components, quorum } => Box::new(Voting::new(
-                components
-                    .iter()
-                    .map(|c| c.build(profile))
-                    .collect::<Vec<_>>(),
-                *quorum,
-            )),
-            EstimatorSpec::Timing { threshold } => Box::new(TimingEstimator::new(*threshold)),
-            EstimatorSpec::AlwaysHigh => Box::new(AlwaysHigh),
-            EstimatorSpec::AlwaysLow => Box::new(AlwaysLow),
-        }
-    }
-
     /// Human-readable name (matches the built estimator's `name()`).
     pub fn label(&self) -> String {
         self.build_label()
@@ -684,6 +599,8 @@ impl std::str::FromStr for EstimatorSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cestim_bpred::BranchPredictor;
+    use cestim_core::ConfidenceEstimator;
 
     #[test]
     fn predictor_names_round_trip() {
@@ -708,7 +625,6 @@ mod tests {
     #[test]
     fn built_predictors_report_their_names() {
         for p in PredictorKind::all() {
-            assert_eq!(p.build().name(), p.name());
             assert_eq!(p.build_any().name(), p.name());
         }
     }
@@ -759,7 +675,6 @@ mod tests {
             },
         ];
         for s in &specs {
-            assert_eq!(s.label(), s.build(None).name(), "{s:?}");
             assert_eq!(s.label(), s.build_any(None).name(), "{s:?}");
         }
     }
@@ -774,7 +689,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a profiling pass")]
     fn static_without_profile_panics() {
-        let _ = EstimatorSpec::Static { threshold: 0.9 }.build(None);
+        let _ = EstimatorSpec::Static { threshold: 0.9 }.build_any(None);
     }
 
     #[test]

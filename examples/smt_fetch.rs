@@ -34,7 +34,11 @@ fn main() {
     let noisy = WorkloadKind::Go.build(scale);
     let steady = WorkloadKind::Ijpeg.build(scale);
     let mk_thread = |p| {
-        let mut s = Simulator::new(p, PipelineConfig::paper(), PredictorKind::Gshare.build());
+        let mut s = Simulator::new(
+            p,
+            PipelineConfig::paper(),
+            PredictorKind::Gshare.build_any(),
+        );
         s.add_estimator(Box::new(SaturatingConfidence::selected()));
         s
     };

@@ -19,7 +19,7 @@ fn pipeline_preserves_architectural_results_for_all_workloads() {
         let mut sim = Simulator::new(
             &w.program,
             PipelineConfig::paper(),
-            PredictorKind::Gshare.build(),
+            PredictorKind::Gshare.build_any(),
         );
         let stats = sim.run_to_completion();
         assert_eq!(

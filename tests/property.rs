@@ -209,7 +209,7 @@ proptest! {
         let want = reference.reg(Reg::S5);
 
         for predictor in [PredictorKind::Gshare, PredictorKind::McFarling] {
-            let mut sim = Simulator::new(&prog, PipelineConfig::paper(), predictor.build());
+            let mut sim = Simulator::new(&prog, PipelineConfig::paper(), predictor.build_any());
             let stats = sim.run_to_completion();
             prop_assert_eq!(stats.committed_insts, steps + 1, "{}", predictor);
             prop_assert_eq!(
@@ -228,7 +228,7 @@ proptest! {
     fn gating_never_changes_semantics(p in program_strategy(), gate in 1u32..4) {
         let prog = build(&p);
         let base = {
-            let mut sim = Simulator::new(&prog, PipelineConfig::paper(), PredictorKind::Gshare.build());
+            let mut sim = Simulator::new(&prog, PipelineConfig::paper(), PredictorKind::Gshare.build_any());
             sim.add_estimator(Box::new(cestim::SaturatingConfidence::selected()));
             sim.run_to_completion()
         };
@@ -236,7 +236,7 @@ proptest! {
             let mut sim = Simulator::new(
                 &prog,
                 PipelineConfig::paper().with_gating(gate),
-                PredictorKind::Gshare.build(),
+                PredictorKind::Gshare.build_any(),
             );
             sim.add_estimator(Box::new(cestim::SaturatingConfidence::selected()));
             sim.run_to_completion()

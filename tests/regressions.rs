@@ -73,7 +73,7 @@ fn regression_0537a588_pipeline_equals_functional_execution() {
     let want = reference.reg(Reg::S5);
 
     for predictor in [PredictorKind::Gshare, PredictorKind::McFarling] {
-        let mut sim = Simulator::new(&prog, PipelineConfig::paper(), predictor.build());
+        let mut sim = Simulator::new(&prog, PipelineConfig::paper(), predictor.build_any());
         let stats = sim.run_to_completion();
         assert_eq!(stats.committed_insts, steps + 1, "{predictor}");
         assert_eq!(
@@ -97,7 +97,7 @@ fn regression_0537a588_gating_preserves_semantics() {
         let mut sim = Simulator::new(
             &prog,
             PipelineConfig::paper(),
-            PredictorKind::Gshare.build(),
+            PredictorKind::Gshare.build_any(),
         );
         sim.add_estimator(Box::new(SaturatingConfidence::selected()));
         sim.run_to_completion()
@@ -107,7 +107,7 @@ fn regression_0537a588_gating_preserves_semantics() {
             let mut sim = Simulator::new(
                 &prog,
                 PipelineConfig::paper().with_gating(gate),
-                PredictorKind::Gshare.build(),
+                PredictorKind::Gshare.build_any(),
             );
             sim.add_estimator(Box::new(SaturatingConfidence::selected()));
             sim.run_to_completion()
