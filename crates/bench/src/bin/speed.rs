@@ -29,7 +29,10 @@
 //!   recorded in BASELINE at the same scale and exit non-zero when any
 //!   cell's median branches/sec regressed by more than `--tolerance` PCT
 //!   (default 10). Cells whose baseline is too noisy (MAD > 20 % of the
-//!   median) are skipped rather than allowed to flake the gate.
+//!   median) are skipped rather than allowed to flake the gate. A cell
+//!   whose committed branches, committed instructions or cycles differ
+//!   from the baseline cell's fails as `DRIFT`, noisy or not: the counts
+//!   are deterministic for a given scale.
 //! * `--trace-out` / `--metrics-out` / `--obs-summary` — run one extra
 //!   *instrumented* pass per workload and export its trace/metrics/stats
 //!   summary; the timed reps always run uninstrumented.
@@ -687,7 +690,7 @@ fn append_trajectory(path: &Path, run: Value) -> std::io::Result<()> {
 }
 
 /// Compares `current` against the last same-scale run in `baseline_path`.
-/// Returns the number of regressed cells.
+/// Returns the number of failed (regressed or drifted) cells.
 fn check_regression(
     current: &Value,
     baseline_path: &Path,
@@ -706,7 +709,15 @@ fn check_regression(
                 scale.unwrap_or(0)
             ))
         })?;
+    Ok(compare_runs(current, baseline, tolerance_pct))
+}
 
+/// The deterministic per-cell counts the `DRIFT` gate compares.
+const COUNT_KEYS: [&str; 3] = ["committed_branches", "committed_insts", "cycles"];
+
+/// Checks every cell of `current` against the same cell of `baseline`,
+/// printing one verdict line each; returns the number of failed cells.
+fn compare_runs(current: &Value, baseline: &Value, tolerance_pct: f64) -> usize {
     let cell_key = |c: &Value| {
         (
             c["workload"].as_str().unwrap_or("").to_string(),
@@ -719,16 +730,27 @@ fn check_regression(
         .unwrap_or_default();
 
     let mut regressed = 0usize;
+    let mut drifted = 0usize;
     let mut compared = 0usize;
     let mut skipped = 0usize;
     for cell in current["cells"].as_array().into_iter().flatten() {
         let Some(base) = base_cells.get(&cell_key(cell)) else {
             continue;
         };
+        let (wl, pred) = cell_key(cell);
+        let drift: Vec<String> = COUNT_KEYS
+            .iter()
+            .filter(|k| cell[**k] != base[**k])
+            .map(|k| format!("{k} {} -> {}", base[*k], cell[*k]))
+            .collect();
+        if !drift.is_empty() {
+            drifted += 1;
+            println!("check {wl:10} {pred:10} DRIFT     {}", drift.join(", "));
+            continue;
+        }
         let base_med = base["median_bps"].as_f64().unwrap_or(0.0);
         let base_mad = base["mad_bps"].as_f64().unwrap_or(0.0);
         let cur_med = cell["median_bps"].as_f64().unwrap_or(0.0);
-        let (wl, pred) = cell_key(cell);
         if base_med <= 0.0 || base_mad / base_med > NOISE_GUARD {
             println!(
                 "check {wl:10} {pred:10} SKIP (baseline too noisy: MAD {:.0}% of median)",
@@ -760,9 +782,9 @@ fn check_regression(
     }
     println!(
         "check: {compared} compared, {skipped} skipped (noise), {regressed} regressed \
-         (tolerance {tolerance_pct}%)"
+         (tolerance {tolerance_pct}%), {drifted} drifted"
     );
-    Ok(regressed)
+    regressed + drifted
 }
 
 /// Default mode: the workload × predictor speed harness.
@@ -840,10 +862,10 @@ fn run_speed(args: &Args) -> std::io::Result<()> {
     }
 
     if let Some(baseline) = &args.check {
-        let regressed = check_regression(&run, baseline, args.tolerance)?;
-        if regressed > 0 {
+        let failed = check_regression(&run, baseline, args.tolerance)?;
+        if failed > 0 {
             return Err(std::io::Error::other(format!(
-                "{regressed} cell(s) regressed beyond {}% tolerance",
+                "{failed} cell(s) regressed beyond {}% tolerance or drifted",
                 args.tolerance
             )));
         }
@@ -879,5 +901,57 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A compress × gshare cell with the given timing and counts
+    /// (committed branches, committed instructions, cycles).
+    fn cell(median_bps: f64, mad_bps: f64, counts: [u64; 3]) -> Value {
+        json!({
+            "workload": "compress",
+            "predictor": "gshare",
+            "median_bps": median_bps,
+            "mad_bps": mad_bps,
+            "committed_branches": counts[0],
+            "committed_insts": counts[1],
+            "cycles": counts[2],
+        })
+    }
+
+    fn run(cell: Value) -> Value {
+        json!({ "scale": 1, "cells": [cell] })
+    }
+
+    const COUNTS: [u64; 3] = [1_000, 9_000, 12_000];
+
+    #[test]
+    fn unchanged_counts_and_medians_pass() {
+        let base = run(cell(1e6, 1e4, COUNTS));
+        assert_eq!(compare_runs(&run(cell(1e6, 1e4, COUNTS)), &base, 10.0), 0);
+    }
+
+    #[test]
+    fn slower_median_regresses() {
+        let base = run(cell(1e6, 1e4, COUNTS));
+        assert_eq!(compare_runs(&run(cell(5e5, 1e4, COUNTS)), &base, 10.0), 1);
+    }
+
+    #[test]
+    fn count_drift_fails_even_when_the_noise_guard_skips_timing() {
+        let current = run(cell(1e6, 1e4, COUNTS));
+        for i in 0..COUNTS.len() {
+            let mut counts = COUNTS;
+            counts[i] += 1;
+            // Doctored baseline: one count off, and a MAD far beyond the
+            // noise guard so the timing comparison alone would skip it.
+            let noisy = run(cell(1e6, 5e5, counts));
+            assert_eq!(compare_runs(&current, &noisy, 10.0), 1, "{}", COUNT_KEYS[i]);
+        }
+        let noisy = run(cell(1e6, 5e5, COUNTS));
+        assert_eq!(compare_runs(&current, &noisy, 10.0), 0, "noise alone skips");
     }
 }

@@ -1,7 +1,35 @@
 //! Boosting confidence estimates with consecutive events (the paper's §4.2).
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::Prediction;
+
+/// The k-run rule of boosting: low confidence only from the `k`-th
+/// consecutive low-confidence input on.
+///
+/// [`Boosted`] applies it to its inner estimator's estimates; the pipeline
+/// applies the same rule to an estimate it already holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KRun {
+    k: u32,
+    lc_run: u32,
+}
+
+impl KRun {
+    /// Feeds the next inner estimate; returns the boosted one.
+    #[inline]
+    pub fn observe(&mut self, inner: Confidence) -> Confidence {
+        match inner {
+            Confidence::Low => {
+                self.lc_run += 1;
+                Confidence::from_high(self.lc_run < self.k)
+            }
+            Confidence::High => {
+                self.lc_run = 0;
+                Confidence::High
+            }
+        }
+    }
+}
 
 /// Boosts an estimator's PVN by requiring `k` *consecutive* low-confidence
 /// estimates before signalling low confidence.
@@ -18,11 +46,10 @@ use cestim_bpred::Prediction;
 /// execution machine can use by forking at *both* LC branches. The
 /// [`bernoulli_pvn`](Boosted::bernoulli_pvn) helper computes the model value
 /// the measured boost is compared against in the `repro boost` experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Boosted<E> {
     inner: E,
-    k: u32,
-    lc_run: u32,
+    run: KRun,
 }
 
 impl<E: ConfidenceEstimator> Boosted<E> {
@@ -35,14 +62,13 @@ impl<E: ConfidenceEstimator> Boosted<E> {
         assert!(k >= 1, "boost factor must be at least 1");
         Boosted {
             inner,
-            k,
-            lc_run: 0,
+            run: KRun { k, lc_run: 0 },
         }
     }
 
     /// The boost factor `k`.
     pub fn k(&self) -> u32 {
-        self.k
+        self.run.k
     }
 
     /// The wrapped estimator.
@@ -55,6 +81,12 @@ impl<E: ConfidenceEstimator> Boosted<E> {
         self.inner
     }
 
+    /// Splits the wrapper into the inner estimator and its rule (with the
+    /// current run).
+    pub fn into_parts(self) -> (E, KRun) {
+        (self.inner, self.run)
+    }
+
     /// The Bernoulli-model boosted PVN: `1 − (1 − pvn)^k`.
     pub fn bernoulli_pvn(pvn: f64, k: u32) -> f64 {
         1.0 - (1.0 - pvn).powi(k as i32)
@@ -63,16 +95,7 @@ impl<E: ConfidenceEstimator> Boosted<E> {
 
 impl<E: ConfidenceEstimator> ConfidenceEstimator for Boosted<E> {
     fn estimate(&mut self, pc: u32, ghr: u32, pred: &Prediction) -> Confidence {
-        match self.inner.estimate(pc, ghr, pred) {
-            Confidence::Low => {
-                self.lc_run += 1;
-                Confidence::from_high(self.lc_run < self.k)
-            }
-            Confidence::High => {
-                self.lc_run = 0;
-                Confidence::High
-            }
-        }
+        self.run.observe(self.inner.estimate(pc, ghr, pred))
     }
 
     fn update(&mut self, pc: u32, ghr: u32, pred: &Prediction, correct: bool) {
@@ -88,7 +111,11 @@ impl<E: ConfidenceEstimator> ConfidenceEstimator for Boosted<E> {
     }
 
     fn name(&self) -> String {
-        format!("boost{}({})", self.k, self.inner.name())
+        format!("boost{}({})", self.run.k, self.inner.name())
+    }
+
+    fn hooks(&self) -> Hooks {
+        self.inner.hooks()
     }
 }
 

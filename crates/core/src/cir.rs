@@ -1,6 +1,6 @@
 //! Correct/incorrect registers (the other JRS design).
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::Prediction;
 
 /// Jacobsen, Rotenberg & Smith's *correct/incorrect register* (CIR)
@@ -19,7 +19,7 @@ use cestim_bpred::Prediction;
 /// count.
 ///
 /// [`Jrs`]: crate::Jrs
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cir {
     table: Vec<u16>,
     ones: Vec<u8>,
@@ -115,6 +115,10 @@ impl ConfidenceEstimator for Cir {
             self.threshold,
             if self.enhanced { ",enh" } else { "" }
         )
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::UPDATE
     }
 }
 

@@ -17,7 +17,7 @@
 //! goes through one more enum dispatch rather than a virtual call.
 
 use crate::boost::Boosted;
-use crate::estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator};
+use crate::estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator, Hooks};
 use crate::voting::Voting;
 use crate::{
     Cir, DistanceEstimator, Jrs, JrsCombining, PatternHistory, SaturatingConfidence, StaticProfile,
@@ -27,6 +27,10 @@ use cestim_bpred::Prediction;
 
 /// A statically dispatched confidence estimator: one variant per concrete
 /// estimator in the study.
+///
+/// Equality compares the full estimator state (tables, runs, counters), not
+/// the name: two equal estimators give equal estimates under equal calls.
+#[derive(PartialEq)]
 pub enum AnyEstimator {
     /// JRS miss-distance counters.
     Jrs(Jrs),
@@ -102,6 +106,10 @@ impl ConfidenceEstimator for AnyEstimator {
 
     fn name(&self) -> String {
         dispatch!(self, e => e.name())
+    }
+
+    fn hooks(&self) -> Hooks {
+        dispatch!(self, e => e.hooks())
     }
 }
 

@@ -1,6 +1,6 @@
 //! The misprediction-distance estimator (the paper's §4).
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::Prediction;
 
 /// The paper's near-free estimator: a *single* global counter of branches
@@ -22,7 +22,7 @@ use cestim_bpred::Prediction;
 ///
 /// Hardware cost: one counter and one comparator — far cheaper than the JRS
 /// table, with competitive PVN.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceEstimator {
     threshold: u64,
     since_mispredict: u64,
@@ -72,6 +72,10 @@ impl ConfidenceEstimator for DistanceEstimator {
 
     fn name(&self) -> String {
         format!("distance(>{})", self.threshold)
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::RESOLVE
     }
 }
 

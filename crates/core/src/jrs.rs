@@ -1,6 +1,6 @@
 //! The JRS "miss distance counter" estimator (Jacobsen, Rotenberg, Smith).
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::{Prediction, SaturatingCounter};
 
 /// The one-level resetting-counter estimator of Jacobsen, Rotenberg & Smith,
@@ -24,7 +24,7 @@ use cestim_bpred::{Prediction, SaturatingCounter};
 /// The paper's configuration is 4096 × 4-bit MDCs with threshold 15
 /// ([`Jrs::paper_base`] / [`Jrs::paper_enhanced`]); a threshold of 16 is
 /// unreachable and degenerates to "always low confidence".
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Jrs {
     table: Vec<SaturatingCounter>,
     mask: u32,
@@ -138,6 +138,10 @@ impl ConfidenceEstimator for Jrs {
             self.threshold,
             if self.enhanced { ",enh" } else { "" }
         )
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::UPDATE
     }
 }
 

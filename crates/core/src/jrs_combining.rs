@@ -6,7 +6,7 @@
 //! observation that an estimator performs best when its indexing structure
 //! mimics the predictor's.
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::{Prediction, PredictorInfo, SaturatingCounter};
 
 /// JRS-style miss distance counters indexed with the McFarling predictor's
@@ -22,7 +22,7 @@ use cestim_bpred::{Prediction, PredictorInfo, SaturatingCounter};
 ///
 /// For non-McFarling predictors the extra bits are zero and the estimator
 /// degrades gracefully to the enhanced JRS.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JrsCombining {
     table: Vec<SaturatingCounter>,
     mask: u32,
@@ -102,6 +102,10 @@ impl ConfidenceEstimator for JrsCombining {
 
     fn name(&self) -> String {
         format!("jrs-mcf({}x4b,t>={})", self.table.len(), self.threshold)
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::UPDATE
     }
 }
 

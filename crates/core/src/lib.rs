@@ -109,11 +109,11 @@ mod timing;
 pub mod tune;
 mod voting;
 
-pub use boost::Boosted;
+pub use boost::{Boosted, KRun};
 pub use cir::Cir;
 pub use dispatch::AnyEstimator;
 pub use distance::DistanceEstimator;
-pub use estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator};
+pub use estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator, Hooks};
 pub use jrs::Jrs;
 pub use jrs_combining::JrsCombining;
 pub use metrics::{geometric_mean, mean_quadrant, MetricSummary};
@@ -122,4 +122,4 @@ pub use quadrant::Quadrant;
 pub use saturating::{SaturatingConfidence, SaturatingVariant};
 pub use static_profile::{ProfileCollector, StaticProfile};
 pub use timing::TimingEstimator;
-pub use voting::Voting;
+pub use voting::{Quorum, Voting};

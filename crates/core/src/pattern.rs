@@ -1,6 +1,6 @@
 //! The fixed-pattern history estimator (after Lick et al.).
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::Prediction;
 
 /// Lick et al.'s pattern-history estimator, used to gate dual-path
@@ -23,7 +23,7 @@ use cestim_bpred::Prediction;
 /// behaviour; with a global history (gshare, McFarling) no dominant patterns
 /// emerge, SENS collapses, and — because almost everything is marked LC —
 /// SPEC looks deceptively high.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatternHistory {
     width: u32,
     mask: u32,
@@ -80,6 +80,10 @@ impl ConfidenceEstimator for PatternHistory {
 
     fn name(&self) -> String {
         format!("pattern({}b)", self.width)
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
     }
 }
 

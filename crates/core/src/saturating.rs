@@ -1,6 +1,6 @@
 //! Confidence from the branch predictor's own saturating counters.
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::{CounterStrength, Prediction, PredictorInfo};
 
 /// How to combine component-counter strength for combining predictors.
@@ -32,7 +32,7 @@ pub enum SaturatingVariant {
 /// [`SaturatingVariant::BothStrong`] (higher SPEC and PVN — fewer branches
 /// marked HC) and [`SaturatingVariant::EitherStrong`] (higher SENS — more
 /// branches marked HC).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaturatingConfidence {
     variant: SaturatingVariant,
 }
@@ -103,6 +103,10 @@ impl ConfidenceEstimator for SaturatingConfidence {
             SaturatingVariant::BothStrong => "satctr(both-strong)".to_string(),
             SaturatingVariant::EitherStrong => "satctr(either-strong)".to_string(),
         }
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
     }
 }
 

@@ -1,6 +1,6 @@
 //! Static (profile-based) confidence estimation.
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::Prediction;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -84,7 +84,7 @@ impl ProfileCollector {
 /// In hardware this is a compiler-set hint bit in the instruction encoding;
 /// here it is a set of confident PCs. The estimator is completely static
 /// during the measured run: no tables, no updates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticProfile {
     confident: std::collections::HashSet<u32>,
     threshold: f64,
@@ -121,6 +121,10 @@ impl ConfidenceEstimator for StaticProfile {
 
     fn name(&self) -> String {
         format!("static(>{:.0}%)", self.threshold * 100.0)
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::NONE
     }
 }
 

@@ -9,7 +9,7 @@
 //! through [`ConfidenceEstimator::note_resolve_latency`] immediately before
 //! each [`estimate`](ConfidenceEstimator::estimate) call.
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::Prediction;
 
 /// Estimator keyed on modeled resolution latency: high confidence iff the
@@ -18,7 +18,7 @@ use cestim_bpred::Prediction;
 /// Outside a pipeline (no latency feed), every branch looks instant
 /// (latency 0) and the estimator degenerates to always-high — the same
 /// "trust everything" baseline a conventional pipeline uses.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingEstimator {
     threshold: u64,
     latest: u64,
@@ -59,6 +59,10 @@ impl ConfidenceEstimator for TimingEstimator {
 
     fn name(&self) -> String {
         format!("timing(<={})", self.threshold)
+    }
+
+    fn hooks(&self) -> Hooks {
+        Hooks::LATENCY
     }
 }
 

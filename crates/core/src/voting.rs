@@ -8,8 +8,25 @@
 //! an AND (maximizes SPEC/PVN), and a majority quorum trades between them —
 //! the composite design point the extension tables explore.
 
-use crate::{Confidence, ConfidenceEstimator};
+use crate::{Confidence, ConfidenceEstimator, Hooks};
 use cestim_bpred::Prediction;
+
+/// The quorum rule: high confidence iff at least `quorum` votes are high.
+///
+/// [`Voting`] applies it to its components' estimates; the pipeline applies
+/// the same rule to estimates it already holds, so a vote over attached
+/// estimators costs no second run of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Quorum(u32);
+
+impl Quorum {
+    /// Counts the high `votes` against the quorum.
+    #[inline]
+    pub fn tally(self, votes: impl IntoIterator<Item = Confidence>) -> Confidence {
+        let high: u32 = votes.into_iter().map(|c| c.is_high() as u32).sum();
+        Confidence::from_high(high >= self.0)
+    }
+}
 
 /// Votes over component estimators: high confidence iff at least `quorum`
 /// of them estimate high.
@@ -17,10 +34,10 @@ use cestim_bpred::Prediction;
 /// Every component sees the full estimator call sequence (`estimate`,
 /// `update`, `on_branch_resolved`, `note_resolve_latency`), so each trains
 /// exactly as it would standalone; only the reported confidence is combined.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Voting<E> {
     components: Vec<E>,
-    quorum: u32,
+    quorum: Quorum,
 }
 
 impl<E: ConfidenceEstimator> Voting<E> {
@@ -40,7 +57,10 @@ impl<E: ConfidenceEstimator> Voting<E> {
             "voting quorum {quorum} out of range 1..={}",
             components.len()
         );
-        Voting { components, quorum }
+        Voting {
+            components,
+            quorum: Quorum(quorum),
+        }
     }
 
     /// Strict-majority vote over `components`.
@@ -51,22 +71,27 @@ impl<E: ConfidenceEstimator> Voting<E> {
 
     /// The required number of high votes.
     pub fn quorum(&self) -> u32 {
-        self.quorum
+        self.quorum.0
     }
 
     /// The component estimators.
     pub fn components(&self) -> &[E] {
         &self.components
     }
+
+    /// Splits the vote into its components and its rule.
+    pub fn into_parts(self) -> (Vec<E>, Quorum) {
+        (self.components, self.quorum)
+    }
 }
 
 impl<E: ConfidenceEstimator> ConfidenceEstimator for Voting<E> {
     fn estimate(&mut self, pc: u32, ghr: u32, pred: &Prediction) -> Confidence {
-        let mut high = 0u32;
-        for c in &mut self.components {
-            high += c.estimate(pc, ghr, pred).is_high() as u32;
-        }
-        Confidence::from_high(high >= self.quorum)
+        self.quorum.tally(
+            self.components
+                .iter_mut()
+                .map(|c| c.estimate(pc, ghr, pred)),
+        )
     }
 
     fn update(&mut self, pc: u32, ghr: u32, pred: &Prediction, correct: bool) {
@@ -89,7 +114,13 @@ impl<E: ConfidenceEstimator> ConfidenceEstimator for Voting<E> {
 
     fn name(&self) -> String {
         let names: Vec<String> = self.components.iter().map(|c| c.name()).collect();
-        format!("vote{}({})", self.quorum, names.join(","))
+        format!("vote{}({})", self.quorum(), names.join(","))
+    }
+
+    fn hooks(&self) -> Hooks {
+        self.components
+            .iter()
+            .fold(Hooks::NONE, |h, c| h.union(c.hooks()))
     }
 }
 

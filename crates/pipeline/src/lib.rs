@@ -43,6 +43,7 @@ mod cache;
 mod config;
 mod events;
 mod replay;
+mod roster;
 mod simulator;
 mod smt;
 mod stats;

@@ -104,12 +104,12 @@ impl<'t> TraceSimulator<'t> {
 
     /// Names of the attached estimators, in index order.
     pub fn estimator_names(&self) -> &[String] {
-        &self.core.estimator_labels
+        self.core.roster.labels()
     }
 
     /// Per-estimator quadrants accumulated so far.
     pub fn estimator_quadrants(&self) -> &[EstimatorQuadrants] {
-        &self.core.quadrants
+        self.core.roster.quadrants()
     }
 
     /// Statistics accumulated so far (finalized only after the run).

@@ -491,7 +491,7 @@ impl<'p> Simulator<'p> {
             registry.float_gauge(name, labels).set(v);
         }
         let names = self.estimator_names();
-        for (name, q) in names.iter().zip(&self.core.quadrants) {
+        for (name, q) in names.iter().zip(self.core.roster.quadrants()) {
             for (population, quad) in [("all", &q.all), ("committed", &q.committed)] {
                 for (cell, v) in [
                     ("c_hc", quad.c_hc),
@@ -528,12 +528,12 @@ impl<'p> Simulator<'p> {
     /// Names of the attached estimators, in index order (computed once at
     /// [`add_estimator`](Simulator::add_estimator) time).
     pub fn estimator_names(&self) -> &[String] {
-        &self.core.estimator_labels
+        self.core.roster.labels()
     }
 
     /// Per-estimator quadrants accumulated so far.
     pub fn estimator_quadrants(&self) -> &[crate::EstimatorQuadrants] {
-        &self.core.quadrants
+        self.core.roster.quadrants()
     }
 
     /// Statistics accumulated so far (finalized counts only after the run
@@ -608,7 +608,7 @@ impl<'p> Simulator<'p> {
                 !e.resolved()
                     && self
                         .core
-                        .est_slab
+                        .roster
                         .row(e.est_slot)
                         .get(index)
                         .is_some_and(|c| c.is_low())
@@ -622,7 +622,7 @@ impl<'p> Simulator<'p> {
         self.core
             .inflight
             .back()
-            .and_then(|e| self.core.est_slab.row(e.est_slot).get(index))
+            .and_then(|e| self.core.roster.row(e.est_slot).get(index))
             .copied()
     }
 

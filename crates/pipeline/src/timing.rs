@@ -1,11 +1,10 @@
 //! The pipeline timing core shared by both front ends.
 //!
 //! [`Core`] owns everything between fetch and commit: the predictor, the
-//! confidence estimators with their labels, quadrants and estimate slab,
-//! the speculative global history, the register scoreboard, the I/D
-//! caches, the in-flight branch window with its resolve track, and the
-//! cycle, stall and cycle-skip bookkeeping. It times whatever instruction
-//! stream a [`FetchSource`] supplies:
+//! estimator [`Roster`], the speculative global history, the register
+//! scoreboard, the I/D caches, the in-flight branch window with its resolve
+//! track, and the cycle, stall and cycle-skip bookkeeping. It times
+//! whatever instruction stream a [`FetchSource`] supplies:
 //!
 //! * the live front end ([`Simulator`](crate::Simulator)) executes the
 //!   program on the interpreter, following predictions down wrong paths
@@ -18,11 +17,12 @@
 //! the scoreboard and branch timing exist once. Dispatch to the source is
 //! static: every core entry point is generic over it.
 
-use crate::{Cache, EstimatorQuadrants, PipelineConfig, PipelineStats};
+use crate::roster::Roster;
+use crate::{Cache, PipelineConfig, PipelineStats};
 use crate::{GateEvent, OutcomeEvent, PredictEvent, RecoveryEvent};
 use crate::{ResolveEvent, SimObserver};
 use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
-use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator};
+use cestim_core::AnyEstimator;
 use cestim_isa::Reg;
 use cestim_obs::{TraceEvent, Tracer};
 use cestim_trace_io::{TraceClass, TraceRecord};
@@ -37,7 +37,7 @@ pub(crate) struct Inflight {
     pub(crate) actual_taken: bool,
     pub(crate) mispredicted: bool,
     pub(crate) ghr_at_predict: u32,
-    /// Slot in the core's [`EstimateSlab`] holding this branch's
+    /// Row of the core's estimate slab holding this branch's
     /// per-estimator confidence estimates.
     pub(crate) est_slot: u32,
     /// Estimator 0's estimate was low confidence (cached here so gating
@@ -52,43 +52,6 @@ impl Inflight {
     #[inline]
     pub(crate) fn resolved(&self) -> bool {
         self.resolve_cycle.is_some()
-    }
-}
-
-/// Preallocated per-branch estimate rows, one per speculation-window entry.
-///
-/// The speculation window bounds the number of in-flight branches, so the
-/// per-estimator confidence estimates of every in-flight branch live in one
-/// flat buffer of `window × n_estimators` entries. In-flight branches hold
-/// consecutive rows (modulo the window) in fetch order, so a new branch
-/// takes the row after the youngest one's and a row is free again as soon
-/// as its branch commits or is squashed. This keeps a per-fetched-branch
-/// `Vec<Confidence>` allocation off the hot path (sweep experiments attach
-/// 30–60 estimators to one pipeline, so an inline array is not an option).
-#[derive(Debug)]
-pub(crate) struct EstimateSlab {
-    width: usize,
-    buf: Vec<Confidence>,
-}
-
-impl EstimateSlab {
-    fn new(width: usize, slots: usize) -> EstimateSlab {
-        EstimateSlab {
-            width,
-            buf: vec![Confidence::High; width * slots],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn row(&self, slot: u32) -> &[Confidence] {
-        let start = slot as usize * self.width;
-        &self.buf[start..start + self.width]
-    }
-
-    #[inline]
-    fn row_mut(&mut self, slot: u32) -> &mut [Confidence] {
-        let start = slot as usize * self.width;
-        &mut self.buf[start..start + self.width]
     }
 }
 
@@ -188,10 +151,7 @@ pub(crate) trait FetchSource {
 pub(crate) struct Core {
     pub(crate) cfg: PipelineConfig,
     predictor: AnyPredictor,
-    estimators: Vec<AnyEstimator>,
-    pub(crate) estimator_labels: Vec<String>,
-    pub(crate) quadrants: Vec<EstimatorQuadrants>,
-    pub(crate) est_slab: EstimateSlab,
+    pub(crate) roster: Roster,
     pub(crate) ghr: HistoryRegister,
     /// Ready cycle per register, plus one always-zero sentinel slot that
     /// every non-register byte (`NO_REG`) reads, so operand readiness needs
@@ -243,10 +203,7 @@ impl Core {
             dcache: Cache::new(cfg.dcache),
             cfg,
             predictor,
-            estimators: Vec::new(),
-            estimator_labels: Vec::new(),
-            quadrants: Vec::new(),
-            est_slab: EstimateSlab::new(0, window),
+            roster: Roster::new(window),
             scoreboard: [0; Reg::COUNT + 1],
             inflight: VecDeque::with_capacity(window),
             resolve_track: VecDeque::with_capacity(window),
@@ -270,11 +227,7 @@ impl Core {
             self.inflight.is_empty(),
             "estimators must be attached before branches are in flight"
         );
-        self.estimator_labels.push(estimator.name());
-        self.estimators.push(estimator);
-        self.quadrants.push(EstimatorQuadrants::default());
-        self.est_slab = EstimateSlab::new(self.estimators.len(), self.cfg.max_unresolved_branches);
-        self.quadrants.len() - 1
+        self.roster.add(estimator)
     }
 
     /// `true` once the source is exhausted and the pipeline has drained.
@@ -422,9 +375,7 @@ impl Core {
             (e.seq, e.pc, e.mispredicted)
         };
         self.resolve_track[idx] = u64::MAX;
-        for est in &mut self.estimators {
-            est.on_branch_resolved(mispredicted);
-        }
+        self.roster.resolved(mispredicted);
         obs.on_branch_resolved(&ResolveEvent {
             seq,
             pc,
@@ -497,9 +448,8 @@ impl Core {
             let correct = !head.mispredicted;
             self.predictor
                 .update(head.pc, head.actual_taken, &head.pred);
-            for est in self.estimators.iter_mut() {
-                est.update(head.pc, head.ghr_at_predict, &head.pred, correct);
-            }
+            self.roster
+                .train(head.pc, head.ghr_at_predict, &head.pred, correct);
             self.stats.committed_branches += 1;
             if head.mispredicted {
                 self.stats.mispredicted_committed += 1;
@@ -523,13 +473,7 @@ impl Core {
         if e.mispredicted {
             self.stats.mispredicted_all += 1;
         }
-        let estimates = self.est_slab.row(e.est_slot);
-        for (q, &c) in self.quadrants.iter_mut().zip(estimates) {
-            q.all.record(correct, c);
-            if committed {
-                q.committed.record(correct, c);
-            }
-        }
+        let estimates = self.roster.record(e.est_slot, correct, committed);
         let actual_taken = e.actual_taken != fault;
         let mispredicted = e.pred.taken != actual_taken;
         obs.on_branch_outcome(&OutcomeEvent {
@@ -685,23 +629,21 @@ impl Core {
         let ghr_val = self.ghr.value();
         let pred = self.predictor.predict(pc, ghr_val);
         // Resolution timing is known at fetch from the scoreboard (branches
-        // write no registers). Feed the modeled latency to each estimator
-        // before it estimates — the timing estimator's input signal.
+        // write no registers). The roster feeds the modeled latency to the
+        // estimators that take it before they estimate.
         let resolve_at = self.operands_ready(s1, s2) + self.cfg.branch_resolve_latency;
         let resolve_latency = resolve_at - self.now;
-        // The row after the youngest in-flight branch's (see `EstimateSlab`);
-        // both terms are below the window, so one subtraction wraps it.
+        // The row after the youngest in-flight branch's (see the roster's
+        // slab); both terms are below the window, so one subtraction wraps
+        // it.
         let est_slot = self.inflight.front().map_or(0, |e| {
             let next = e.est_slot as usize + self.inflight.len();
             let window = self.cfg.max_unresolved_branches;
             (if next >= window { next - window } else { next }) as u32
         });
-        let row = self.est_slab.row_mut(est_slot);
-        for (e, out) in self.estimators.iter_mut().zip(row.iter_mut()) {
-            e.note_resolve_latency(resolve_latency);
-            *out = e.estimate(pc, ghr_val, &pred);
-        }
-        let est0_low = row.first().is_some_and(|c| c.is_low());
+        let est0_low = self
+            .roster
+            .estimate(est_slot, pc, ghr_val, &pred, resolve_latency);
 
         let (actual_taken, group_ends) = src.take_branch(self, pred.taken, est0_low, resolve_at);
         let mispredicted = actual_taken != pred.taken;
@@ -711,7 +653,7 @@ impl Core {
         self.arch_branches += 1;
         self.resolve_soonest = self.resolve_soonest.min(resolve_at);
 
-        let estimates = self.est_slab.row(est_slot);
+        let estimates = self.roster.row(est_slot);
         obs.on_branch_predicted(&PredictEvent {
             seq,
             pc,

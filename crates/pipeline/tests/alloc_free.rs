@@ -1,5 +1,6 @@
 //! Proves the per-branch hot path performs zero heap allocations, on the
-//! live simulator and on trace replay.
+//! live simulator and on trace replay, with the ext-modern estimator roster
+//! attached (four leaves and a vote over three of them).
 //!
 //! Strategy: a counting global allocator wraps `System`; two identically
 //! shaped programs differing only in trip count are simulated (construction
@@ -56,7 +57,9 @@ unsafe impl GlobalAlloc for Counting {
 static A: Counting = Counting;
 
 use cestim_bpred::Gshare;
-use cestim_core::Jrs;
+use cestim_core::{
+    AnyEstimator, DistanceEstimator, Jrs, SaturatingConfidence, TimingEstimator, Voting,
+};
 use cestim_isa::{Program, ProgramBuilder, Reg};
 use cestim_pipeline::{PipelineConfig, PipelineStats, Simulator, TraceSimulator};
 use cestim_trace_io::{export_program, TraceRecord};
@@ -92,11 +95,28 @@ fn workload(n: i32) -> Program {
     b.build().expect("program builds")
 }
 
+/// The ext-modern roster: satctr, jrs, distance, timing and a 2-of-3 vote
+/// over satctr, distance and timing.
+fn modern_roster() -> Vec<AnyEstimator> {
+    let satctr = || SaturatingConfidence::selected().into();
+    let distance = || DistanceEstimator::new(3).into();
+    let timing = || TimingEstimator::new(4).into();
+    vec![
+        satctr(),
+        Jrs::paper_enhanced().into(),
+        distance(),
+        timing(),
+        Voting::new(vec![satctr(), distance(), timing()], 2).into(),
+    ]
+}
+
 /// Allocation calls spent constructing and running one simulation.
 fn measure(program: &Program) -> (u64, PipelineStats) {
     let before = allocs();
     let mut sim = Simulator::new(program, PipelineConfig::paper(), Gshare::new(12));
-    sim.add_estimator(Jrs::paper_enhanced());
+    for e in modern_roster() {
+        sim.add_estimator(e);
+    }
     let stats = sim.run_to_completion();
     (allocs() - before, stats)
 }
@@ -105,7 +125,9 @@ fn measure(program: &Program) -> (u64, PipelineStats) {
 fn measure_trace(records: &[TraceRecord]) -> (u64, PipelineStats) {
     let before = allocs();
     let mut sim = TraceSimulator::new(records, PipelineConfig::paper(), Gshare::new(12));
-    sim.add_estimator(Jrs::paper_enhanced());
+    for e in modern_roster() {
+        sim.add_estimator(e);
+    }
     let stats = sim.run_to_completion();
     (allocs() - before, stats)
 }

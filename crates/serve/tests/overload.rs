@@ -224,12 +224,20 @@ fn mid_execution_deadline_cancels_cooperatively_and_frees_the_worker() {
             high_pct: 0,
             ..ShedConfig::default()
         },
+        // Every executed job first sleeps past the 50ms budget below, so
+        // the overrun does not depend on how fast the simulator is.
+        fault: FaultPlan {
+            slow_every: 1,
+            slow_ms: 120,
+            ..FaultPlan::none()
+        },
         ..ServeConfig::default()
     })
     .unwrap();
     let client = server.client();
-    // Starts immediately (empty queue), then overruns its 50ms budget
-    // mid-simulation; the cancel token fires inside the hot loop.
+    // Starts immediately (empty queue) and is already past its 50ms budget
+    // when the simulation starts; the first cancel poll inside the hot
+    // loop fires.
     client.send(run_request("doomed", "t", 50, slow_job()));
     match await_terminal(&client, "doomed") {
         Response::Error { code, message, .. } => {
