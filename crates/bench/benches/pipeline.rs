@@ -9,13 +9,13 @@ use std::hint::black_box;
 
 fn run(workload: WorkloadKind, cfg: PipelineConfig, estimators: usize) -> u64 {
     let w = workload.build(1);
-    let mut sim = Simulator::new(&w.program, cfg, Box::new(Gshare::new(12)));
+    let mut sim = Simulator::new(&w.program, cfg, Gshare::new(12));
     for i in 0..estimators {
         match i % 4 {
-            0 => sim.add_estimator(Box::new(Jrs::paper_enhanced())),
-            1 => sim.add_estimator(Box::new(SaturatingConfidence::selected())),
-            2 => sim.add_estimator(Box::new(PatternHistory::new(12))),
-            _ => sim.add_estimator(Box::new(StaticProfile::from_confident_pcs([], 0.9))),
+            0 => sim.add_estimator(Jrs::paper_enhanced()),
+            1 => sim.add_estimator(SaturatingConfidence::selected()),
+            2 => sim.add_estimator(PatternHistory::new(12)),
+            _ => sim.add_estimator(StaticProfile::from_confident_pcs([], 0.9)),
         };
     }
     sim.run_to_completion().fetched_insts
@@ -84,9 +84,8 @@ fn bench_smt_policies(c: &mut Criterion) {
         g.bench_function(policy.name(), |b| {
             b.iter(|| {
                 let mk = |p| {
-                    let mut s =
-                        Simulator::new(p, PipelineConfig::paper(), Box::new(Gshare::new(12)));
-                    s.add_estimator(Box::new(SaturatingConfidence::selected()));
+                    let mut s = Simulator::new(p, PipelineConfig::paper(), Gshare::new(12));
+                    s.add_estimator(SaturatingConfidence::selected());
                     s
                 };
                 let mut smt =

@@ -81,7 +81,8 @@
 //! gshare predictor, the paper estimator set):
 //!
 //! * `--trace-out FILE` — record every pipeline event and write a JSONL
-//!   trace replayable by `cestim-trace`'s `replay_jsonl`.
+//!   trace that `cestim_obs::read_trace_jsonl` parses and
+//!   `cestim_pipeline::replay` feeds back through any observer.
 //! * `--metrics-out FILE` — export the full metrics snapshot (counters,
 //!   rates, per-estimator quadrants) as JSON.
 //! * `--obs-summary` — print the run's wall-clock time and key derived
@@ -98,7 +99,6 @@ use cestim_exec::{
 use cestim_obs::monitor::RunMonitor;
 use cestim_obs::span::{self, SpanCollector, SpanId};
 use cestim_obs::{MetricValue, Registry, Tracer};
-use cestim_pipeline::NullObserver;
 use cestim_sim::{run_instrumented, suite, EstimatorSpec, PredictorKind, RunConfig};
 use cestim_workloads::WorkloadKind;
 use std::path::{Path, PathBuf};
@@ -399,15 +399,15 @@ fn plural_y(n: usize) -> &'static str {
 fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
     let cfg = RunConfig::paper(args.workload, args.scale, args.predictor);
     let specs = EstimatorSpec::paper_set(args.predictor);
-    let tracer = if args.trace_out.is_some() {
+    let mut tracer = if args.trace_out.is_some() {
         Tracer::unbounded()
     } else {
         Tracer::disabled()
     };
-    let inst = run_instrumented(&cfg, &specs, tracer, &mut NullObserver);
+    let inst = run_instrumented(&cfg, &specs, &mut tracer);
 
     if let Some(path) = &args.trace_out {
-        let n = cestim_bench::write_trace(path, &inst.tracer)?;
+        let n = cestim_bench::write_trace(path, &tracer)?;
         println!("[trace: {n} events -> {}]", path.display());
     }
     if let Some(path) = &args.metrics_out {
@@ -439,7 +439,7 @@ fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
         "predictor": args.predictor.name(),
         "scale": args.scale,
         "wall_seconds": inst.wall_seconds,
-        "trace_events": inst.tracer.len(),
+        "trace_events": tracer.len(),
         "stats": inst.outcome.stats,
     }))
 }

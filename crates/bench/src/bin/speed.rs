@@ -591,9 +591,11 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
             PredictorKind::Gshare.build_any(),
         );
         sim.add_estimator(cestim_core::Jrs::paper_enhanced());
-        if trace_writer.is_some() {
-            sim.set_tracer(Tracer::unbounded());
-        }
+        let mut tracer = if trace_writer.is_some() {
+            Tracer::unbounded()
+        } else {
+            Tracer::disabled()
+        };
         {
             let mut buf = spans.buffer("main");
             let mut root = buf.open("speed.workload", SpanId::NONE, &[]);
@@ -603,7 +605,7 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
             let _ambient = spans
                 .enabled()
                 .then(|| span::set_ambient(&spans, root.id(), "main"));
-            let stats = sim.run_to_completion();
+            let stats = sim.run(&mut tracer);
             if args.obs_summary {
                 println!("-- {} --", k.name());
                 print!("{}", cestim_bench::stats_summary(&stats));
@@ -612,7 +614,7 @@ fn run_instrumented(args: &Args) -> std::io::Result<()> {
             buf.close(root);
         }
         if let Some(writer) = &mut trace_writer {
-            for ev in sim.tracer().events() {
+            for ev in tracer.events() {
                 writer.write(ev)?;
             }
         }

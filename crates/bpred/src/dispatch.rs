@@ -7,12 +7,8 @@
 //! closes that hole: it enumerates the concrete predictors of the study so
 //! the match arms inline.
 //!
-//! `From` conversions make the enum a drop-in replacement at call sites:
-//!
-//! * `Gshare::new(12).into()` — direct,
-//! * `Box::new(Gshare::new(12)).into()` — **unboxes** to the concrete
-//!   variant, so historical `Box::new(...)` call sites gain static
-//!   dispatch.
+//! Every concrete predictor converts into its variant with `From`, so call
+//! sites pass values: `Simulator::new(&prog, cfg, Gshare::new(12))`.
 
 use crate::traits::{BranchPredictor, Prediction};
 use crate::{Bimodal, Gshare, McFarling, Perceptron, SAg, Tage};
@@ -96,13 +92,6 @@ macro_rules! impl_from_predictor {
                     AnyPredictor::$ty(p)
                 }
             }
-            // Unboxing conversion: pre-existing `Box::new(...)` call sites
-            // keep compiling and transparently gain static dispatch.
-            impl From<Box<$ty>> for AnyPredictor {
-                fn from(p: Box<$ty>) -> AnyPredictor {
-                    AnyPredictor::$ty(*p)
-                }
-            }
         )*
     };
 }
@@ -143,12 +132,6 @@ mod tests {
             Perceptron::default_config().into(),
             Box::new(Perceptron::default_config()),
         );
-    }
-
-    #[test]
-    fn boxed_concrete_unboxes_to_static_variant() {
-        let p: AnyPredictor = Box::new(Gshare::new(12)).into();
-        assert!(matches!(p, AnyPredictor::Gshare(_)));
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! enumerates the study's concrete estimators so the dispatch compiles to
 //! a jump table with inlinable arms.
 //!
-//! `From` conversions mirror `cestim_bpred::AnyPredictor`: concrete values
-//! convert directly, and `Box<Concrete>` **unboxes** into the static
-//! variant (so historical `Box::new(...)` call sites gain static
-//! dispatch).
+//! As with `cestim_bpred::AnyPredictor`, every concrete estimator converts
+//! into its variant with `From`, so call sites pass values:
+//! `sim.add_estimator(Jrs::paper_enhanced())`.
 //!
 //! A boosted estimator wraps `Boosted<AnyEstimator>` (boxed to keep the
 //! enum small): the boost logic itself is static, and the inner estimator
@@ -119,13 +118,6 @@ macro_rules! impl_from_estimator {
             impl From<$ty> for AnyEstimator {
                 fn from(e: $ty) -> AnyEstimator {
                     AnyEstimator::$variant(e)
-                }
-            }
-            // Unboxing conversion: pre-existing `Box::new(...)` call sites
-            // keep compiling and transparently gain static dispatch.
-            impl From<Box<$ty>> for AnyEstimator {
-                fn from(e: Box<$ty>) -> AnyEstimator {
-                    AnyEstimator::$variant(*e)
                 }
             }
         )*
@@ -265,12 +257,6 @@ mod tests {
         .into();
         assert_eq!(e.name(), "vote1(always-high,always-low)");
         assert!(matches!(e, AnyEstimator::Voting(_)));
-    }
-
-    #[test]
-    fn boxed_concrete_unboxes_to_static_variant() {
-        let e: AnyEstimator = Box::new(Jrs::paper_enhanced()).into();
-        assert!(matches!(e, AnyEstimator::Jrs(_)));
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   serializable [`MetricsSnapshot`]. Handles touch atomics only; the
 //!   registry lock is taken at registration time.
 //! * [`Tracer`] — a bounded ring buffer of owned [`TraceEvent`]s
-//!   (fetch/predict/resolve/commit/squash/recovery/gate) behind a
-//!   near-zero-cost [`Tracer::enabled`] guard, with JSONL export
+//!   (fetch/predict/resolve/commit/squash/recovery/gate), with JSONL export
 //!   ([`TraceWriter`]) and a reader ([`read_trace_jsonl`]) so analyses can
-//!   replay a recorded run post-hoc.
+//!   replay a recorded run post-hoc. `cestim-pipeline` makes it a
+//!   simulator observer and owns the replay back into observer hooks.
 //! * [`span`] — causal, hierarchical span tracing: a
 //!   [`SpanCollector`](span::SpanCollector) gathers parent-linked
 //!   [`SpanRecord`](span::SpanRecord)s from per-thread buffers, merged

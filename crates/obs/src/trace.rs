@@ -117,20 +117,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event's cycle (fetch cycle for `Commit`/`Squash`).
-    pub fn cycle(&self) -> u64 {
-        match self {
-            TraceEvent::Fetch { cycle, .. }
-            | TraceEvent::Predict { cycle, .. }
-            | TraceEvent::Resolve { cycle, .. }
-            | TraceEvent::Recovery { cycle, .. }
-            | TraceEvent::Gate { cycle, .. } => *cycle,
-            TraceEvent::Commit { fetch_cycle, .. } | TraceEvent::Squash { fetch_cycle, .. } => {
-                *fetch_cycle
-            }
-        }
-    }
-
     /// Short kind tag (for summaries).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -148,7 +134,7 @@ impl TraceEvent {
 /// Bounded ring-buffer event recorder.
 ///
 /// A disabled tracer ([`Tracer::disabled`]) is a no-op whose
-/// [`enabled`](Tracer::enabled) guard lets hot paths skip event
+/// [`enabled`](Tracer::enabled) guard lets recorders skip event
 /// construction entirely. When the buffer fills, the oldest events are
 /// overwritten and counted in [`dropped`](Tracer::dropped).
 #[derive(Debug, Default)]

@@ -1,6 +1,21 @@
-//! Observer hooks for pipeline-level measurements.
+//! Observer hooks for pipeline-level measurements, and the mapping
+//! between them and recorded [`TraceEvent`]s in both directions: a
+//! [`Tracer`] is an ordinary observer, and [`replay`] feeds a recorded
+//! stream back through any observer.
 
 use cestim_core::Confidence;
+use cestim_obs::{TraceEvent, Tracer};
+
+/// A fetch burst: the instructions fetched in one cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchEvent {
+    /// Cycle of the burst.
+    pub cycle: u64,
+    /// PC of the first instruction fetched.
+    pub pc: u32,
+    /// Instructions fetched this cycle (always positive).
+    pub count: u32,
+}
 
 /// A branch entering the pipeline (prediction/decode time).
 ///
@@ -104,9 +119,16 @@ pub struct GateEvent {
 /// Passive observer of pipeline events.
 ///
 /// All methods default to no-ops; implement only what an analysis needs.
-/// `cestim-trace` provides collectors (distance histograms, clustering,
-/// full traces) built on this trait.
+/// `cestim-trace` provides streaming analyses (distance histograms,
+/// clustering, boosting) built on this trait; a [`Tracer`] records the
+/// full event stream.
 pub trait SimObserver {
+    /// Fetch brought in at least one instruction this cycle. Called after
+    /// the burst's branches were predicted.
+    fn on_fetch(&mut self, ev: &FetchEvent) {
+        let _ = ev;
+    }
+
     /// A branch was fetched, predicted and confidence-estimated.
     fn on_branch_predicted(&mut self, ev: &PredictEvent<'_>) {
         let _ = ev;
@@ -152,6 +174,11 @@ impl<'a> MultiObserver<'a> {
 }
 
 impl SimObserver for MultiObserver<'_> {
+    fn on_fetch(&mut self, ev: &FetchEvent) {
+        for o in &mut self.observers {
+            o.on_fetch(ev);
+        }
+    }
     fn on_branch_predicted(&mut self, ev: &PredictEvent<'_>) {
         for o in &mut self.observers {
             o.on_branch_predicted(ev);
@@ -179,12 +206,205 @@ impl SimObserver for MultiObserver<'_> {
     }
 }
 
+/// Records every event, in hook order, as an owned [`TraceEvent`]. A
+/// disabled tracer builds nothing.
+impl SimObserver for Tracer {
+    fn on_fetch(&mut self, ev: &FetchEvent) {
+        record(self, || TraceEvent::Fetch {
+            cycle: ev.cycle,
+            pc: ev.pc,
+            count: ev.count,
+        });
+    }
+    fn on_branch_predicted(&mut self, ev: &PredictEvent<'_>) {
+        record(self, || TraceEvent::Predict {
+            seq: ev.seq,
+            pc: ev.pc,
+            cycle: ev.cycle,
+            predicted_taken: ev.predicted_taken,
+            actual_taken: ev.actual_taken,
+            mispredicted: ev.mispredicted,
+            ghr: ev.ghr,
+            estimates: ev.estimates.to_vec(),
+        });
+    }
+    fn on_branch_resolved(&mut self, ev: &ResolveEvent) {
+        record(self, || TraceEvent::Resolve {
+            seq: ev.seq,
+            pc: ev.pc,
+            cycle: ev.cycle,
+            mispredicted: ev.mispredicted,
+        });
+    }
+    fn on_branch_outcome(&mut self, ev: &OutcomeEvent<'_>) {
+        record(self, || {
+            if ev.committed {
+                TraceEvent::Commit {
+                    seq: ev.seq,
+                    pc: ev.pc,
+                    predicted_taken: ev.predicted_taken,
+                    actual_taken: ev.actual_taken,
+                    mispredicted: ev.mispredicted,
+                    fetch_cycle: ev.fetch_cycle,
+                    resolve_cycle: ev.resolve_cycle,
+                    ghr: ev.ghr,
+                    estimates: ev.estimates.to_vec(),
+                }
+            } else {
+                TraceEvent::Squash {
+                    seq: ev.seq,
+                    pc: ev.pc,
+                    predicted_taken: ev.predicted_taken,
+                    actual_taken: ev.actual_taken,
+                    mispredicted: ev.mispredicted,
+                    fetch_cycle: ev.fetch_cycle,
+                    resolve_cycle: ev.resolve_cycle,
+                    ghr: ev.ghr,
+                    estimates: ev.estimates.to_vec(),
+                }
+            }
+        });
+    }
+    fn on_recovery(&mut self, ev: &RecoveryEvent) {
+        record(self, || TraceEvent::Recovery {
+            seq: ev.seq,
+            pc: ev.pc,
+            cycle: ev.cycle,
+            squashed: ev.squashed,
+            penalty: ev.penalty,
+        });
+    }
+    fn on_fetch_gated(&mut self, ev: &GateEvent) {
+        record(self, || TraceEvent::Gate {
+            cycle: ev.cycle,
+            low_confidence: ev.low_confidence,
+        });
+    }
+}
+
+#[inline]
+fn record(tracer: &mut Tracer, event: impl FnOnce() -> TraceEvent) {
+    if tracer.enabled() {
+        tracer.record(event());
+    }
+}
+
+/// Replays one recorded event into an observer: the inverse of the
+/// [`Tracer`] mapping above. `Commit` and `Squash` both map onto
+/// [`SimObserver::on_branch_outcome`] (with `committed` true and false
+/// respectively); every other kind hits its own hook.
+pub fn replay_event<O: SimObserver + ?Sized>(ev: &TraceEvent, obs: &mut O) {
+    match ev {
+        &TraceEvent::Fetch { cycle, pc, count } => obs.on_fetch(&FetchEvent { cycle, pc, count }),
+        TraceEvent::Predict {
+            seq,
+            pc,
+            cycle,
+            predicted_taken,
+            actual_taken,
+            mispredicted,
+            ghr,
+            estimates,
+        } => obs.on_branch_predicted(&PredictEvent {
+            seq: *seq,
+            pc: *pc,
+            predicted_taken: *predicted_taken,
+            actual_taken: *actual_taken,
+            mispredicted: *mispredicted,
+            cycle: *cycle,
+            ghr: *ghr,
+            estimates,
+        }),
+        &TraceEvent::Resolve {
+            seq,
+            pc,
+            cycle,
+            mispredicted,
+        } => obs.on_branch_resolved(&ResolveEvent {
+            seq,
+            pc,
+            mispredicted,
+            cycle,
+        }),
+        TraceEvent::Commit {
+            seq,
+            pc,
+            predicted_taken,
+            actual_taken,
+            mispredicted,
+            fetch_cycle,
+            resolve_cycle,
+            ghr,
+            estimates,
+        }
+        | TraceEvent::Squash {
+            seq,
+            pc,
+            predicted_taken,
+            actual_taken,
+            mispredicted,
+            fetch_cycle,
+            resolve_cycle,
+            ghr,
+            estimates,
+        } => obs.on_branch_outcome(&OutcomeEvent {
+            seq: *seq,
+            pc: *pc,
+            predicted_taken: *predicted_taken,
+            actual_taken: *actual_taken,
+            mispredicted: *mispredicted,
+            committed: matches!(ev, TraceEvent::Commit { .. }),
+            fetch_cycle: *fetch_cycle,
+            resolve_cycle: *resolve_cycle,
+            ghr: *ghr,
+            estimates,
+        }),
+        &TraceEvent::Recovery {
+            seq,
+            pc,
+            cycle,
+            squashed,
+            penalty,
+        } => obs.on_recovery(&RecoveryEvent {
+            seq,
+            pc,
+            cycle,
+            squashed,
+            penalty,
+        }),
+        &TraceEvent::Gate {
+            cycle,
+            low_confidence,
+        } => obs.on_fetch_gated(&GateEvent {
+            cycle,
+            low_confidence,
+        }),
+    }
+}
+
+/// Replays recorded events in order (from a [`Tracer`] or
+/// [`read_trace_jsonl`](cestim_obs::read_trace_jsonl)); returns the number
+/// replayed. A trace replayed into an analysis reproduces the live
+/// analysis bit for bit, and one replayed into a tracer reproduces itself.
+pub fn replay<'e, O: SimObserver + ?Sized>(
+    events: impl IntoIterator<Item = &'e TraceEvent>,
+    obs: &mut O,
+) -> u64 {
+    let mut n = 0;
+    for ev in events {
+        replay_event(ev, obs);
+        n += 1;
+    }
+    n
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[derive(Default)]
     struct Counter {
+        fetched: u32,
         predicted: u32,
         resolved: u32,
         outcomes: u32,
@@ -193,6 +413,9 @@ mod tests {
     }
 
     impl SimObserver for Counter {
+        fn on_fetch(&mut self, _: &FetchEvent) {
+            self.fetched += 1;
+        }
         fn on_branch_predicted(&mut self, _: &PredictEvent<'_>) {
             self.predicted += 1;
         }
@@ -210,7 +433,9 @@ mod tests {
         }
     }
 
+    /// One event of every hook, with a committed and a squashed outcome.
     fn sample_events(obs: &mut dyn SimObserver) {
+        let estimates = [Confidence::High, Confidence::Low];
         obs.on_branch_predicted(&PredictEvent {
             seq: 0,
             pc: 4,
@@ -219,13 +444,37 @@ mod tests {
             mispredicted: true,
             cycle: 10,
             ghr: 0,
-            estimates: &[],
+            estimates: &estimates,
+        });
+        obs.on_fetch(&FetchEvent {
+            cycle: 10,
+            pc: 3,
+            count: 2,
         });
         obs.on_branch_resolved(&ResolveEvent {
             seq: 0,
             pc: 4,
             mispredicted: true,
             cycle: 13,
+        });
+        obs.on_branch_outcome(&OutcomeEvent {
+            seq: 1,
+            pc: 8,
+            predicted_taken: false,
+            actual_taken: false,
+            mispredicted: false,
+            committed: false,
+            fetch_cycle: 11,
+            resolve_cycle: None,
+            ghr: 1,
+            estimates: &estimates,
+        });
+        obs.on_recovery(&RecoveryEvent {
+            seq: 0,
+            pc: 4,
+            cycle: 13,
+            squashed: 1,
+            penalty: 3,
         });
         obs.on_branch_outcome(&OutcomeEvent {
             seq: 0,
@@ -237,19 +486,21 @@ mod tests {
             fetch_cycle: 10,
             resolve_cycle: Some(13),
             ghr: 0,
-            estimates: &[],
-        });
-        obs.on_recovery(&RecoveryEvent {
-            seq: 0,
-            pc: 4,
-            cycle: 13,
-            squashed: 2,
-            penalty: 3,
+            estimates: &estimates,
         });
         obs.on_fetch_gated(&GateEvent {
             cycle: 14,
             low_confidence: 1,
         });
+    }
+
+    fn assert_one_of_each(c: &Counter) {
+        assert_eq!(c.fetched, 1);
+        assert_eq!(c.predicted, 1);
+        assert_eq!(c.resolved, 1);
+        assert_eq!(c.outcomes, 2);
+        assert_eq!(c.recoveries, 1);
+        assert_eq!(c.gated, 1);
     }
 
     #[test]
@@ -265,12 +516,33 @@ mod tests {
             let mut m = MultiObserver::new(vec![&mut a, &mut b]);
             sample_events(&mut m);
         }
-        for c in [&a, &b] {
-            assert_eq!(c.predicted, 1);
-            assert_eq!(c.resolved, 1);
-            assert_eq!(c.outcomes, 1);
-            assert_eq!(c.recoveries, 1);
-            assert_eq!(c.gated, 1);
-        }
+        assert_one_of_each(&a);
+        assert_one_of_each(&b);
+    }
+
+    #[test]
+    fn tracer_records_every_hook_in_order() {
+        let mut t = Tracer::unbounded();
+        sample_events(&mut t);
+        let kinds: Vec<&str> = t.events().map(TraceEvent::kind).collect();
+        assert_eq!(
+            kinds,
+            ["predict", "fetch", "resolve", "squash", "recovery", "commit", "gate"]
+        );
+        let mut off = Tracer::disabled();
+        sample_events(&mut off);
+        assert!(off.is_empty());
+    }
+
+    #[test]
+    fn replay_inverts_the_tracer() {
+        let mut t = Tracer::unbounded();
+        sample_events(&mut t);
+        let mut again = Tracer::unbounded();
+        assert_eq!(replay(t.events(), &mut again), 7);
+        assert!(t.events().eq(again.events()));
+        let mut c = Counter::default();
+        replay(t.events(), &mut c);
+        assert_one_of_each(&c);
     }
 }

@@ -21,7 +21,8 @@
 //! too many low-confidence branches are outstanding — the speculation
 //! control application the paper motivates) and an observer interface
 //! ([`SimObserver`]) that `cestim-trace` uses for distance/clustering
-//! analyses.
+//! analyses. A `cestim-obs` `Tracer` is one more observer; [`replay`]
+//! feeds its recorded events back through any other.
 //!
 //! The timing model exists once, as a private core (predictor, estimators,
 //! scoreboard, caches, in-flight window, resolution, gating, commit
@@ -52,8 +53,8 @@ mod timing;
 pub use cache::{Cache, CacheAccess};
 pub use config::{CacheConfig, PipelineConfig};
 pub use events::{
-    GateEvent, MultiObserver, NullObserver, OutcomeEvent, PredictEvent, RecoveryEvent,
-    ResolveEvent, SimObserver,
+    replay, replay_event, FetchEvent, GateEvent, MultiObserver, NullObserver, OutcomeEvent,
+    PredictEvent, RecoveryEvent, ResolveEvent, SimObserver,
 };
 pub use replay::TraceSimulator;
 pub use simulator::Simulator;

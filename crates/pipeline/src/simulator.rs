@@ -5,7 +5,7 @@ use crate::{NullObserver, PipelineConfig, PipelineStats, SimObserver};
 use cestim_bpred::AnyPredictor;
 use cestim_core::{AnyEstimator, Confidence};
 use cestim_isa::{Checkpoint, Inst, Machine, Program, Step};
-use cestim_obs::{Registry, Tracer};
+use cestim_obs::Registry;
 use cestim_trace_io::TraceRecord;
 use std::collections::VecDeque;
 
@@ -323,8 +323,8 @@ impl FetchSource for Replaying<'_, '_> {
 /// b.halt();
 /// let prog = b.build()?;
 ///
-/// let mut sim = Simulator::new(&prog, PipelineConfig::paper(), Box::new(Gshare::new(12)));
-/// sim.add_estimator(Box::new(Jrs::paper_enhanced()));
+/// let mut sim = Simulator::new(&prog, PipelineConfig::paper(), Gshare::new(12));
+/// sim.add_estimator(Jrs::paper_enhanced());
 /// let stats = sim.run_to_completion();
 /// assert_eq!(stats.committed_branches, 1000);
 /// assert!(stats.fetched_insts >= stats.committed_insts);
@@ -344,9 +344,8 @@ pub struct Simulator<'p> {
 impl<'p> Simulator<'p> {
     /// Creates a simulator over `program` with the given predictor.
     ///
-    /// Accepts anything convertible into [`AnyPredictor`]: a concrete
-    /// predictor (`Gshare::new(12)`) or a boxed concrete predictor
-    /// (`Box::new(Gshare::new(12))`, unboxed into its variant).
+    /// Accepts a concrete predictor (`Gshare::new(12)`) or an
+    /// [`AnyPredictor`].
     ///
     /// # Panics
     ///
@@ -436,23 +435,6 @@ impl<'p> Simulator<'p> {
         self.front.fault_commit_seen = 0;
     }
 
-    /// Installs an event tracer; subsequent pipeline events are recorded
-    /// into it, mirroring the [`SimObserver`] stream. Pass
-    /// [`Tracer::disabled`] to turn tracing back off.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.core.tracer = tracer;
-    }
-
-    /// The installed tracer (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.core.tracer
-    }
-
-    /// Removes and returns the tracer, leaving tracing disabled.
-    pub fn take_tracer(&mut self) -> Tracer {
-        std::mem::take(&mut self.core.tracer)
-    }
-
     /// Exports the run's statistics and per-estimator quadrants into
     /// `registry` under the given base labels. Call after the
     /// run completes (counters like `pipeline.cycles` are finalized by
@@ -514,8 +496,8 @@ impl<'p> Simulator<'p> {
     /// `estimates` slices in events). Estimator 0 drives pipeline gating
     /// when enabled.
     ///
-    /// Accepts anything convertible into [`AnyEstimator`]: a concrete
-    /// estimator or a boxed concrete estimator (unboxed into its variant).
+    /// Accepts a concrete estimator (`Jrs::paper_enhanced()`) or an
+    /// [`AnyEstimator`].
     ///
     /// # Panics
     ///
@@ -680,7 +662,7 @@ mod tests {
     }
 
     fn sim<'p>(p: &'p Program) -> Simulator<'p> {
-        Simulator::new(p, PipelineConfig::paper(), Box::new(Gshare::new(12)))
+        Simulator::new(p, PipelineConfig::paper(), Gshare::new(12))
     }
 
     #[test]
@@ -755,8 +737,8 @@ mod tests {
     fn estimator_quadrants_cover_all_branches() {
         let p = noisy_loop(1000);
         let mut s = sim(&p);
-        s.add_estimator(Box::new(Jrs::paper_enhanced()));
-        s.add_estimator(Box::new(SaturatingConfidence::selected()));
+        s.add_estimator(Jrs::paper_enhanced());
+        s.add_estimator(SaturatingConfidence::selected());
         let stats = s.run_to_completion();
         for q in s.estimator_quadrants() {
             assert_eq!(q.all.total(), stats.fetched_branches);
@@ -768,7 +750,7 @@ mod tests {
     fn always_low_estimator_has_unit_spec() {
         let p = noisy_loop(500);
         let mut s = sim(&p);
-        s.add_estimator(Box::new(AlwaysLow));
+        s.add_estimator(AlwaysLow);
         s.run_to_completion();
         let q = s.estimator_quadrants()[0];
         assert_eq!(q.committed.spec(), 1.0);
@@ -779,7 +761,7 @@ mod tests {
     fn distance_estimator_receives_resolutions() {
         let p = noisy_loop(500);
         let mut s = sim(&p);
-        s.add_estimator(Box::new(DistanceEstimator::new(2)));
+        s.add_estimator(DistanceEstimator::new(2));
         s.run_to_completion();
         let q = s.estimator_quadrants()[0];
         // Both confidence classes must be populated: resolutions reset the
@@ -793,7 +775,7 @@ mod tests {
         let p = noisy_loop(800);
         let run = || {
             let mut s = sim(&p);
-            s.add_estimator(Box::new(Jrs::paper_enhanced()));
+            s.add_estimator(Jrs::paper_enhanced());
             let st = s.run_to_completion();
             (st, s.estimator_quadrants()[0])
         };
@@ -806,7 +788,7 @@ mod tests {
     #[test]
     fn bimodal_predictor_works_too() {
         let p = counted_loop(300);
-        let mut s = Simulator::new(&p, PipelineConfig::paper(), Box::new(Bimodal::new(10)));
+        let mut s = Simulator::new(&p, PipelineConfig::paper(), Bimodal::new(10));
         let stats = s.run_to_completion();
         assert_eq!(stats.committed_branches, 300);
         assert!(stats.accuracy_committed() > 0.97);
@@ -816,15 +798,11 @@ mod tests {
     fn gating_reduces_wrong_path_work() {
         let p = noisy_loop(2000);
         let mut base = sim(&p);
-        base.add_estimator(Box::new(SaturatingConfidence::selected()));
+        base.add_estimator(SaturatingConfidence::selected());
         let b = base.run_to_completion();
 
-        let mut gated = Simulator::new(
-            &p,
-            PipelineConfig::paper().with_gating(1),
-            Box::new(Gshare::new(12)),
-        );
-        gated.add_estimator(Box::new(SaturatingConfidence::selected()));
+        let mut gated = Simulator::new(&p, PipelineConfig::paper().with_gating(1), Gshare::new(12));
+        gated.add_estimator(SaturatingConfidence::selected());
         let g = gated.run_to_completion();
 
         assert_eq!(
@@ -844,8 +822,8 @@ mod tests {
     fn eager_execution_waives_covered_penalties() {
         let p = noisy_loop(3000);
         let mk = |cfg: PipelineConfig| {
-            let mut s = Simulator::new(&p, cfg, Box::new(Gshare::new(12)));
-            s.add_estimator(Box::new(SaturatingConfidence::selected()));
+            let mut s = Simulator::new(&p, cfg, Gshare::new(12));
+            s.add_estimator(SaturatingConfidence::selected());
             s
         };
         let base = mk(PipelineConfig::paper()).run_to_completion();
@@ -877,12 +855,8 @@ mod tests {
     #[test]
     fn eager_fork_capacity_is_respected() {
         let p = noisy_loop(1000);
-        let mut s = Simulator::new(
-            &p,
-            PipelineConfig::paper().with_eager(1),
-            Box::new(Gshare::new(12)),
-        );
-        s.add_estimator(Box::new(SaturatingConfidence::selected()));
+        let mut s = Simulator::new(&p, PipelineConfig::paper().with_eager(1), Gshare::new(12));
+        s.add_estimator(SaturatingConfidence::selected());
         // Run manually and check the invariant each cycle.
         while !s.done() {
             s.step_cycle(true, &mut cestim_pipeline_null());
@@ -976,7 +950,7 @@ mod tests {
         let p = b.build().unwrap();
         let mut cfg = PipelineConfig::paper();
         cfg.max_cycles = 1000;
-        let mut s = Simulator::new(&p, cfg, Box::new(Gshare::new(10)));
+        let mut s = Simulator::new(&p, cfg, Gshare::new(10));
         let stats = s.run_to_completion();
         assert_eq!(stats.cycles, 1000);
     }
@@ -993,7 +967,7 @@ mod tests {
         let p = b.build().unwrap();
         let mut cfg = PipelineConfig::paper();
         cfg.max_cycles = u64::MAX;
-        let mut s = Simulator::new(&p, cfg, Box::new(Gshare::new(10)));
+        let mut s = Simulator::new(&p, cfg, Gshare::new(10));
         // Deadline already expired: the first poll window must fire.
         let _g = cestim_obs::cancel::arm(Instant::now() - Duration::from_millis(1), 1024);
         let t0 = Instant::now();
@@ -1030,10 +1004,6 @@ mod tests {
     #[should_panic(expected = "stall fetch forever")]
     fn zero_gate_threshold_rejected() {
         let p = counted_loop(1);
-        let _ = Simulator::new(
-            &p,
-            PipelineConfig::paper().with_gating(0),
-            Box::new(Gshare::new(10)),
-        );
+        let _ = Simulator::new(&p, PipelineConfig::paper().with_gating(0), Gshare::new(10));
     }
 }

@@ -249,8 +249,8 @@ mod tests {
     }
 
     fn thread<'p>(p: &'p Program) -> Simulator<'p> {
-        let mut s = Simulator::new(p, PipelineConfig::paper(), Box::new(Gshare::new(12)));
-        s.add_estimator(Box::new(SaturatingConfidence::selected()));
+        let mut s = Simulator::new(p, PipelineConfig::paper(), Gshare::new(12));
+        s.add_estimator(SaturatingConfidence::selected());
         s
     }
 
@@ -346,7 +346,7 @@ mod tests {
     #[should_panic(expected = "needs an estimator")]
     fn confidence_policy_requires_estimators() {
         let a = steady(10);
-        let s = Simulator::new(&a, PipelineConfig::paper(), Box::new(Gshare::new(10)));
+        let s = Simulator::new(&a, PipelineConfig::paper(), Gshare::new(10));
         let _ = SmtSimulator::new(vec![s], FetchPolicy::SwitchOnLowConfidence);
     }
 
@@ -378,7 +378,7 @@ mod tests {
         use cestim_core::{AlwaysHigh, AlwaysLow};
         let p = steady(3000);
         let mk = |hi: bool| {
-            let mut s = Simulator::new(&p, PipelineConfig::paper(), Box::new(Gshare::new(12)));
+            let mut s = Simulator::new(&p, PipelineConfig::paper(), Gshare::new(12));
             if hi {
                 s.add_estimator(AlwaysHigh);
             } else {

@@ -19,12 +19,11 @@
 
 use crate::roster::Roster;
 use crate::{Cache, PipelineConfig, PipelineStats};
-use crate::{GateEvent, OutcomeEvent, PredictEvent, RecoveryEvent};
+use crate::{FetchEvent, GateEvent, OutcomeEvent, PredictEvent, RecoveryEvent};
 use crate::{ResolveEvent, SimObserver};
 use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
 use cestim_core::AnyEstimator;
 use cestim_isa::Reg;
-use cestim_obs::{TraceEvent, Tracer};
 use cestim_trace_io::{TraceClass, TraceRecord};
 use std::collections::VecDeque;
 
@@ -178,7 +177,6 @@ pub(crate) struct Core {
     pub(crate) arch_insts: u64,
     pub(crate) arch_branches: u64,
     pub(crate) stats: PipelineStats,
-    pub(crate) tracer: Tracer,
 }
 
 impl Core {
@@ -215,7 +213,6 @@ impl Core {
             arch_insts: 0,
             arch_branches: 0,
             stats: PipelineStats::default(),
-            tracer: Tracer::disabled(),
         }
     }
 
@@ -382,14 +379,6 @@ impl Core {
             mispredicted,
             cycle: self.now,
         });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Resolve {
-                seq,
-                pc,
-                cycle: self.now,
-                mispredicted,
-            });
-        }
         if mispredicted {
             src.on_mispredict(self, idx, obs);
         }
@@ -424,15 +413,6 @@ impl Core {
             squashed,
             penalty,
         });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Recovery {
-                seq,
-                pc,
-                cycle: self.now,
-                squashed,
-                penalty,
-            });
-        }
     }
 
     // ---- commit ----------------------------------------------------------
@@ -488,36 +468,6 @@ impl Core {
             ghr: e.ghr_at_predict,
             estimates,
         });
-        if self.tracer.enabled() {
-            // Tracing clones the estimate row into the owned event; the
-            // uninstrumented hot path never takes this branch.
-            let event = if committed {
-                TraceEvent::Commit {
-                    seq: e.seq,
-                    pc: e.pc,
-                    predicted_taken: e.pred.taken,
-                    actual_taken,
-                    mispredicted,
-                    fetch_cycle: e.fetch_cycle,
-                    resolve_cycle: e.resolve_cycle,
-                    ghr: e.ghr_at_predict,
-                    estimates: estimates.to_vec(),
-                }
-            } else {
-                TraceEvent::Squash {
-                    seq: e.seq,
-                    pc: e.pc,
-                    predicted_taken: e.pred.taken,
-                    actual_taken,
-                    mispredicted,
-                    fetch_cycle: e.fetch_cycle,
-                    resolve_cycle: e.resolve_cycle,
-                    ghr: e.ghr_at_predict,
-                    estimates: estimates.to_vec(),
-                }
-            };
-            self.tracer.record(event);
-        }
     }
 
     // ---- fetch -----------------------------------------------------------
@@ -548,20 +498,10 @@ impl Core {
                 cycle: self.now,
                 low_confidence,
             });
-            if self.tracer.enabled() {
-                self.tracer.record(TraceEvent::Gate {
-                    cycle: self.now,
-                    low_confidence,
-                });
-            }
             return;
         }
         let width = src.fetch_width(self);
-        let burst_pc = if self.tracer.enabled() {
-            src.peek().map_or(0, |p| p.pc)
-        } else {
-            0
-        };
+        let burst_pc = src.peek().map_or(0, |p| p.pc);
         let arch_before = self.arch_insts;
         // I-cache accesses for a sequential run on one line are batched
         // into a single counter update at the end of the run (fetch is the
@@ -605,17 +545,15 @@ impl Core {
         if run_hits > 0 {
             self.icache.repeat_hits(run_hits);
         }
-        if self.tracer.enabled() {
-            // Every fetched instruction bumps `arch_insts` exactly once, and
-            // no recovery can run mid-burst.
-            let count = (self.arch_insts - arch_before) as u32;
-            if count > 0 {
-                self.tracer.record(TraceEvent::Fetch {
-                    cycle: self.now,
-                    pc: burst_pc,
-                    count,
-                });
-            }
+        // Every fetched instruction bumps `arch_insts` exactly once, and no
+        // recovery can run mid-burst.
+        let count = (self.arch_insts - arch_before) as u32;
+        if count > 0 {
+            obs.on_fetch(&FetchEvent {
+                cycle: self.now,
+                pc: burst_pc,
+                count,
+            });
         }
     }
 
@@ -664,18 +602,6 @@ impl Core {
             ghr: ghr_val,
             estimates,
         });
-        if self.tracer.enabled() {
-            self.tracer.record(TraceEvent::Predict {
-                seq,
-                pc,
-                cycle: self.now,
-                predicted_taken: pred.taken,
-                actual_taken,
-                mispredicted,
-                ghr: ghr_val,
-                estimates: estimates.to_vec(),
-            });
-        }
 
         self.resolve_track.push_back(resolve_at);
         self.inflight.push_back(Inflight {

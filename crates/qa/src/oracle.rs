@@ -24,9 +24,11 @@ use cestim_core::{
 };
 use cestim_exec::{Executor, Job};
 use cestim_isa::{Machine, Program, Step};
-use cestim_obs::Tracer;
-use cestim_pipeline::{OutcomeEvent, PipelineConfig, PipelineStats, SimObserver, Simulator};
-use cestim_trace::{replay_jsonl, DistanceAnalysis, DistanceSeries};
+use cestim_obs::{read_trace_jsonl, Tracer};
+use cestim_pipeline::{
+    replay, MultiObserver, OutcomeEvent, PipelineConfig, PipelineStats, SimObserver, Simulator,
+};
+use cestim_trace::{DistanceAnalysis, DistanceSeries};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::fmt;
 
@@ -234,7 +236,7 @@ fn check_arch(p: &QaProgram, fault: FaultSpec) -> Result<(), OracleFailure> {
     // TAGE here rather than gshare: its allocate-on-mispredict recovery is
     // the most state-heavy predictor path, and the arch contract must hold
     // regardless of how much speculation the predictor provokes.
-    let mut sim = Simulator::new(&prog, pipeline_config(), Box::new(Tage::default_config()));
+    let mut sim = Simulator::new(&prog, pipeline_config(), Tage::default_config());
     if fault.is_active() {
         sim.inject_commit_fault(fault.commit_flip_every);
     }
@@ -291,16 +293,11 @@ fn check_arch(p: &QaProgram, fault: FaultSpec) -> Result<(), OracleFailure> {
 fn check_replay(p: &QaProgram) -> Result<(), OracleFailure> {
     let kind = OracleKind::Replay;
     let prog = assemble(p);
-    let mut sim = Simulator::new(
-        &prog,
-        pipeline_config(),
-        Box::new(Perceptron::default_config()),
-    );
-    sim.add_estimator(Box::new(Jrs::paper_enhanced()));
-    sim.set_tracer(Tracer::unbounded());
+    let mut sim = Simulator::new(&prog, pipeline_config(), Perceptron::default_config());
+    sim.add_estimator(Jrs::paper_enhanced());
     let mut live = DistanceAnalysis::new(64);
-    sim.run(&mut live);
-    let tracer = sim.take_tracer();
+    let mut tracer = Tracer::unbounded();
+    sim.run(&mut MultiObserver::new(vec![&mut live, &mut tracer]));
     if tracer.dropped() > 0 {
         return Err(fail(kind, "unbounded tracer dropped events"));
     }
@@ -309,9 +306,10 @@ fn check_replay(p: &QaProgram) -> Result<(), OracleFailure> {
     tracer
         .export_jsonl(&mut jsonl)
         .map_err(|e| fail(kind, format!("trace export failed: {e}")))?;
-    let mut replayed = DistanceAnalysis::new(64);
-    replay_jsonl(jsonl.as_slice(), &mut replayed)
+    let events = read_trace_jsonl(jsonl.as_slice())
         .map_err(|e| fail(kind, format!("JSONL replay failed: {e}")))?;
+    let mut replayed = DistanceAnalysis::new(64);
+    replay(&events, &mut replayed);
 
     for series in [
         DistanceSeries::PreciseAll,
@@ -388,7 +386,7 @@ impl Job for QaJob {
     fn execute(&self) -> QaJobOutput {
         let prog = assemble(&self.program);
         let mut sim = Simulator::new(&prog, pipeline_config(), build_predictor(self.predictor));
-        sim.add_estimator(Box::new(Jrs::paper_enhanced()));
+        sim.add_estimator(Jrs::paper_enhanced());
         let stats = sim.run_to_completion();
         QaJobOutput {
             stats,
@@ -440,7 +438,7 @@ fn check_trace(p: &QaProgram) -> Result<(), OracleFailure> {
     // committed instruction stream".
     let exported = tio::export_program(&prog, MAX_ARCH_STEPS)
         .map_err(|e| fail(kind, format!("interpreter export failed: {e}")))?;
-    let mut sim = Simulator::new(&prog, pipeline_config(), Box::new(Gshare::new(12)));
+    let mut sim = Simulator::new(&prog, pipeline_config(), Gshare::new(12));
     sim.set_trace_capture(true);
     sim.run_to_completion();
     let captured = sim.take_captured_trace();
@@ -487,11 +485,11 @@ fn check_trace(p: &QaProgram) -> Result<(), OracleFailure> {
     // Replay equivalence: a trace-driven replay must reproduce the live
     // replay-mode (stall-on-mispredict) run bit-for-bit — stats and every
     // estimator quadrant.
-    let mut live = Simulator::new(&prog, pipeline_config(), Box::new(Gshare::new(12)));
+    let mut live = Simulator::new(&prog, pipeline_config(), Gshare::new(12));
     live.set_replay_fetch(true);
-    live.add_estimator(Box::new(Jrs::paper_enhanced()));
-    live.add_estimator(Box::new(SaturatingConfidence::selected()));
-    live.add_estimator(Box::new(DistanceEstimator::new(4)));
+    live.add_estimator(Jrs::paper_enhanced());
+    live.add_estimator(SaturatingConfidence::selected());
+    live.add_estimator(DistanceEstimator::new(4));
     let live_stats = live.run(&mut cestim_pipeline::NullObserver);
 
     let mut replay = TraceSimulator::new(&from_bin, pipeline_config(), Gshare::new(12));
@@ -527,7 +525,7 @@ fn check_trace(p: &QaProgram) -> Result<(), OracleFailure> {
             1,
         )
     };
-    let mut live = Simulator::new(&prog, pipeline_config(), Box::new(Tage::default_config()));
+    let mut live = Simulator::new(&prog, pipeline_config(), Tage::default_config());
     live.set_replay_fetch(true);
     live.add_estimator(TimingEstimator::new(4));
     live.add_estimator(modern_vote());
@@ -559,10 +557,10 @@ fn check_trace(p: &QaProgram) -> Result<(), OracleFailure> {
 fn check_quadrant(p: &QaProgram) -> Result<(), OracleFailure> {
     let kind = OracleKind::Quadrant;
     let prog = assemble(p);
-    let mut sim = Simulator::new(&prog, pipeline_config(), Box::new(Gshare::new(12)));
-    sim.add_estimator(Box::new(Jrs::paper_enhanced()));
-    sim.add_estimator(Box::new(SaturatingConfidence::selected()));
-    sim.add_estimator(Box::new(DistanceEstimator::new(4)));
+    let mut sim = Simulator::new(&prog, pipeline_config(), Gshare::new(12));
+    sim.add_estimator(Jrs::paper_enhanced());
+    sim.add_estimator(SaturatingConfidence::selected());
+    sim.add_estimator(DistanceEstimator::new(4));
     sim.add_estimator(TimingEstimator::new(4));
     sim.add_estimator(Voting::new(
         vec![

@@ -391,7 +391,7 @@ impl Job for ExecJob {
                         PipelineConfig::paper(),
                         crate::PredictorKind::Gshare.build_any(),
                     );
-                    s.add_estimator(Box::new(SaturatingConfidence::selected()));
+                    s.add_estimator(SaturatingConfidence::selected());
                     s
                 }
                 let wa = a.build(*scale);

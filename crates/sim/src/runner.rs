@@ -2,7 +2,7 @@
 
 use crate::{EstimatorSpec, PredictorKind, ProfileObserver};
 use cestim_core::ProfileCollector;
-use cestim_obs::{span, MetricsSnapshot, Registry, Tracer};
+use cestim_obs::{span, MetricsSnapshot, Registry};
 use cestim_pipeline::{
     EstimatorQuadrants, NullObserver, PipelineConfig, PipelineStats, SimObserver, Simulator,
 };
@@ -126,28 +126,25 @@ pub fn run_with_profile(
 }
 
 /// Everything produced by one fully instrumented pipeline pass:
-/// the regular [`RunOutcome`] plus the recorded trace, the wall-clock time,
-/// and a metrics snapshot labelled by workload/predictor/scale.
+/// the regular [`RunOutcome`] plus the wall-clock time and a metrics
+/// snapshot labelled by workload/predictor/scale.
 #[derive(Debug)]
 pub struct InstrumentedOutcome {
     /// Stats and per-estimator quadrants, as from [`run`].
     pub outcome: RunOutcome,
-    /// The tracer handed in, now holding the recorded events.
-    pub tracer: Tracer,
     /// Snapshot of every exported metric.
     pub metrics: MetricsSnapshot,
     /// Wall-clock seconds of the measurement pass.
     pub wall_seconds: f64,
 }
 
-/// Like [`run`], with full observability: events are recorded into
-/// `tracer` (pass [`Tracer::disabled`] to skip tracing), and stats and
-/// quadrants are exported to a metrics registry labelled
-/// `workload`/`predictor`/`scale`.
+/// Like [`run_with_observer`], with full observability: the pass is timed,
+/// and stats and quadrants are exported to a metrics registry labelled
+/// `workload`/`predictor`/`scale`. To record the event trace, pass a
+/// `cestim_obs::Tracer` as (or teed through a `MultiObserver` into) `obs`.
 pub fn run_instrumented(
     cfg: &RunConfig,
     specs: &[EstimatorSpec],
-    tracer: Tracer,
     obs: &mut dyn SimObserver,
 ) -> InstrumentedOutcome {
     let own_profile = specs
@@ -161,7 +158,6 @@ pub fn run_instrumented(
     for spec in specs {
         sim.add_estimator(spec.build_any(own_profile.as_ref()));
     }
-    sim.set_tracer(tracer);
     let t0 = std::time::Instant::now();
     let stats = sim.run(obs);
     let wall_seconds = t0.elapsed().as_secs_f64();
@@ -177,7 +173,6 @@ pub fn run_instrumented(
 
     InstrumentedOutcome {
         outcome: outcome(stats, specs, sim.estimator_quadrants()),
-        tracer: sim.take_tracer(),
         metrics: registry.snapshot(),
         wall_seconds,
     }
@@ -263,15 +258,16 @@ mod tests {
         let c = cfg(PredictorKind::Gshare);
         let specs = [EstimatorSpec::jrs_paper()];
         let plain = run(&c, &specs);
-        let inst = run_instrumented(&c, &specs, Tracer::unbounded(), &mut NullObserver);
+        let mut tracer = cestim_obs::Tracer::unbounded();
+        let inst = run_instrumented(&c, &specs, &mut tracer);
         // Instrumentation must not perturb the simulation itself.
         assert_eq!(inst.outcome.stats, plain.stats);
         assert_eq!(
             inst.outcome.estimators[0].quadrants,
             plain.estimators[0].quadrants
         );
-        assert!(!inst.tracer.is_empty());
-        assert_eq!(inst.tracer.dropped(), 0);
+        assert!(!tracer.is_empty());
+        assert_eq!(tracer.dropped(), 0);
         assert_eq!(
             inst.metrics.counter_value("pipeline.cycles"),
             Some(plain.stats.cycles)

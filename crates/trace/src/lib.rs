@@ -1,13 +1,15 @@
 //! # cestim-trace
 //!
-//! Speculative branch traces and the temporal analyses of Klauser et al.'s
-//! §4: misprediction-distance histograms (Figures 6–9) and
-//! confidence-mis-estimation clustering.
+//! The temporal analyses of Klauser et al.'s §4: misprediction-distance
+//! histograms (Figures 6–9) and confidence-mis-estimation clustering.
 //!
 //! Everything here is built on `cestim-pipeline`'s
-//! [`SimObserver`](cestim_pipeline::SimObserver) hooks, so
-//! the analyses run *streaming* during simulation — no gigabyte traces are
-//! retained unless you explicitly use [`TraceCollector`].
+//! [`SimObserver`](cestim_pipeline::SimObserver) hooks, so the analyses run
+//! *streaming* during simulation and retain no trace. To analyse a run
+//! post hoc instead, record it with a `cestim-obs` `Tracer` (itself an
+//! observer) and feed the events back with
+//! [`cestim_pipeline::replay`]: the replayed analysis equals the live one
+//! bit for bit.
 //!
 //! * [`DistanceAnalysis`] — misprediction rate as a function of the distance
 //!   (in branches) to the previous misprediction, in four flavours:
@@ -24,22 +26,13 @@
 //! * [`BoostAnalysis`] — §4.2's boosting, measured the way the paper means
 //!   it: `P[≥1 misprediction | k consecutive low-confidence estimates]`, a
 //!   pipeline-state property validated against the Bernoulli model.
-//! * [`TraceCollector`] / [`BranchRecord`] — retain or serialize the full
-//!   per-branch speculative trace (JSON-lines via serde).
-//! * [`replay`] / [`replay_jsonl`] — feed a recorded `cestim-obs` trace
-//!   back through any observer, reproducing the live analyses post-hoc
-//!   bit-for-bit from a trace file.
 
 #![warn(missing_docs)]
 
 mod boost;
 mod cluster;
 mod distance;
-mod record;
-mod replay;
 
 pub use boost::BoostAnalysis;
 pub use cluster::{ClusterAnalysis, ClusterSummary};
 pub use distance::{DistanceAnalysis, DistanceHistogram, DistanceSeries};
-pub use record::{read_jsonl, write_jsonl, BranchRecord, TraceCollector};
-pub use replay::{load_trace, replay, replay_event, replay_jsonl};

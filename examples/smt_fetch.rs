@@ -39,7 +39,7 @@ fn main() {
             PipelineConfig::paper(),
             PredictorKind::Gshare.build_any(),
         );
-        s.add_estimator(Box::new(SaturatingConfidence::selected()));
+        s.add_estimator(SaturatingConfidence::selected());
         s
     };
 

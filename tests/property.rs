@@ -229,7 +229,7 @@ proptest! {
         let prog = build(&p);
         let base = {
             let mut sim = Simulator::new(&prog, PipelineConfig::paper(), PredictorKind::Gshare.build_any());
-            sim.add_estimator(Box::new(cestim::SaturatingConfidence::selected()));
+            sim.add_estimator(cestim::SaturatingConfidence::selected());
             sim.run_to_completion()
         };
         let gated = {
@@ -238,7 +238,7 @@ proptest! {
                 PipelineConfig::paper().with_gating(gate),
                 PredictorKind::Gshare.build_any(),
             );
-            sim.add_estimator(Box::new(cestim::SaturatingConfidence::selected()));
+            sim.add_estimator(cestim::SaturatingConfidence::selected());
             sim.run_to_completion()
         };
         prop_assert_eq!(base.committed_insts, gated.committed_insts);

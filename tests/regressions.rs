@@ -99,7 +99,7 @@ fn regression_0537a588_gating_preserves_semantics() {
             PipelineConfig::paper(),
             PredictorKind::Gshare.build_any(),
         );
-        sim.add_estimator(Box::new(SaturatingConfidence::selected()));
+        sim.add_estimator(SaturatingConfidence::selected());
         sim.run_to_completion()
     };
     for gate in 1u32..4 {
@@ -109,7 +109,7 @@ fn regression_0537a588_gating_preserves_semantics() {
                 PipelineConfig::paper().with_gating(gate),
                 PredictorKind::Gshare.build_any(),
             );
-            sim.add_estimator(Box::new(SaturatingConfidence::selected()));
+            sim.add_estimator(SaturatingConfidence::selected());
             sim.run_to_completion()
         };
         assert_eq!(base.committed_insts, gated.committed_insts, "gate={gate}");
