@@ -1,13 +1,14 @@
 //! # cestim-bench
 //!
-//! Benchmark and reproduction harness for the cestim workspace.
+//! Reproduction harness for the cestim workspace.
 //!
 //! * `repro` binary — regenerates **every table and figure** of Klauser et
 //!   al. (ISCA 1998): `cargo run --release -p cestim-bench --bin repro --
 //!   all` writes text and JSON per experiment under `results/`.
-//! * `speed` binary — quick pipeline-throughput smoke check per workload.
-//! * Criterion benches (`predictors`, `estimators`, `pipeline`, `tables`) —
-//!   component throughput and per-experiment timing/ablation benches.
+//! * `fuzz` binary — seeded differential fuzzer over the simulator stack.
+//!
+//! Throughput is measured by the standalone `perfbench/` package, the
+//! repository's one benchmark (see docs/PERFORMANCE.md).
 //!
 //! This crate intentionally contains no library logic beyond shared helper
 //! functions for its binaries; all measurement code lives in `cestim-sim`.
@@ -78,17 +79,6 @@ pub fn write_telemetry(dir: &Path, telemetry: &serde_json::Value) -> std::io::Re
         dir.join("telemetry.json"),
         serde_json::to_string_pretty(telemetry)?,
     )
-}
-
-/// Writes `bench.json` (the machine-readable perf baseline produced by
-/// `speed --bench`) under `dir`.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing the file.
-pub fn write_bench(dir: &Path, bench: &serde_json::Value) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(dir.join("bench.json"), serde_json::to_string_pretty(bench)?)
 }
 
 /// Writes drained span records as a Perfetto-loadable Chrome
@@ -193,12 +183,6 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(dir.join("telemetry.json")).unwrap())
                 .unwrap();
         assert!(t["experiments"].as_array().is_some());
-
-        write_bench(&dir, &serde_json::json!({ "speedup": 2.0 })).unwrap();
-        let b: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(dir.join("bench.json")).unwrap())
-                .unwrap();
-        assert!(b.get("speedup").is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -224,6 +208,17 @@ mod tests {
         write_prometheus(&dir.join("metrics.prom"), &reg.snapshot()).unwrap();
         let text = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
         assert!(text.contains("# TYPE exec_jobs_submitted counter"));
+
+        // An instrumented simulator pass exports the pipeline families.
+        let cfg = cestim_sim::RunConfig::paper(
+            cestim_workloads::WorkloadKind::Compress,
+            1,
+            cestim_sim::PredictorKind::Gshare,
+        );
+        let inst = cestim_sim::run_instrumented(&cfg, &[], &mut cestim_pipeline::NullObserver);
+        write_prometheus(&dir.join("pipeline.prom"), &inst.metrics).unwrap();
+        let text = std::fs::read_to_string(dir.join("pipeline.prom")).unwrap();
+        assert!(text.contains("# TYPE pipeline_cycles counter"), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

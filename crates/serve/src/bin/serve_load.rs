@@ -3,17 +3,16 @@
 //! Replays a seeded mix of duplicate/unique/priority-skewed requests
 //! against a server — either a running one over TCP (`--addr`) or a
 //! private in-process one (`--spawn`) — and reports throughput,
-//! cache hit-rate, latency quantiles, and per-client fairness. With
-//! `--bench-out` the run is appended to a `BENCH_serve.json` trajectory;
-//! with `--verify` every unique job is re-executed directly and its
-//! payload compared byte-for-byte (canonical JSON) against the server's.
+//! cache hit-rate, latency quantiles, and per-client fairness, one
+//! `[serve-load] pass=…` line per pass. With `--verify` every unique job
+//! is re-executed directly and its payload compared byte-for-byte
+//! (canonical JSON) against the server's.
 //!
 //! ```text
 //! serve-load [--addr HOST:PORT | --spawn] [--seed N] [--requests N]
 //!            [--clients N] [--dup PCT] [--scale N] [--window N]
 //!            [--vip-priority N] [--deadline-ms N] [--hedge-ms N]
 //!            [--passes N] [--overload] [--verify] [--shutdown]
-//!            [--bench-out FILE] [--note TEXT]
 //!            [--cache-dir DIR] [--groups N] [--queue-depth N]
 //!            [--gc-every N] [--prom-out FILE]
 //! ```
@@ -25,12 +24,11 @@
 //! it with a small `--groups`/`--queue-depth` server so the watermarks
 //! are reachable.
 //!
-//! Exits non-zero on transport errors, execution errors, or any
+//! Exits 1 on transport errors, execution errors, an incomplete pass, or any
 //! verification mismatch.
 
 use cestim_serve::load::{
-    append_trajectory, bench_entry, build_mix, run_pass, verify_against_direct, LoadConfig,
-    PassReport, ServeConn, TcpConn,
+    build_mix, run_pass, verify_against_direct, LoadConfig, PassReport, ServeConn, TcpConn,
 };
 use cestim_serve::{Request, Response, ServeConfig, Server};
 use std::collections::HashMap;
@@ -42,7 +40,6 @@ fn usage() -> ! {
          \x20                 [--clients N] [--dup PCT] [--scale N] [--window N]\n\
          \x20                 [--vip-priority N] [--deadline-ms N] [--hedge-ms N]\n\
          \x20                 [--passes N] [--overload] [--verify] [--shutdown]\n\
-         \x20                 [--bench-out FILE] [--note TEXT]\n\
          \x20                 [--cache-dir DIR] [--groups N] [--queue-depth N]\n\
          \x20                 [--gc-every N] [--prom-out FILE]\n\
          \n\
@@ -60,8 +57,6 @@ struct Args {
     overload: bool,
     verify: bool,
     shutdown: bool,
-    bench_out: Option<String>,
-    note: String,
     serve_cfg: ServeConfig,
     prom_out: Option<String>,
 }
@@ -82,8 +77,6 @@ fn parse_args() -> Args {
         overload: false,
         verify: false,
         shutdown: false,
-        bench_out: None,
-        note: String::new(),
         serve_cfg: ServeConfig::default(),
         prom_out: None,
     };
@@ -111,8 +104,6 @@ fn parse_args() -> Args {
             "--overload" => args.overload = true,
             "--verify" => args.verify = true,
             "--shutdown" => args.shutdown = true,
-            "--bench-out" => args.bench_out = Some(value("--bench-out")),
-            "--note" => args.note = value("--note"),
             "--cache-dir" => args.serve_cfg.cache_dir = Some(value("--cache-dir").into()),
             "--groups" => args.serve_cfg.groups = parse_num(&value("--groups")),
             "--queue-depth" => args.serve_cfg.queue_depth = parse_num(&value("--queue-depth")),
@@ -214,7 +205,6 @@ fn main() {
     };
 
     let mut payloads = HashMap::new();
-    let mut passes = Vec::with_capacity(args.passes);
     let mut failed = false;
     for p in 0..args.passes.max(1) {
         match run_pass(
@@ -229,7 +219,6 @@ fn main() {
                 if report.errors > 0 || report.completed < report.requests {
                     failed = true;
                 }
-                passes.push(report);
             }
             Err(e) => {
                 eprintln!("serve-load: pass {} failed: {e}", pass_name(p));
@@ -264,7 +253,6 @@ fn main() {
                 if report.errors > 0 || report.completed < report.requests {
                     failed = true;
                 }
-                passes.push(report);
             }
             Err(e) => {
                 eprintln!("serve-load: degraded pass failed: {e}");
@@ -273,7 +261,7 @@ fn main() {
         }
     }
 
-    let verify = if args.verify {
+    if args.verify {
         let report = verify_against_direct(&payloads);
         println!(
             "[serve-load] verify checked={} mismatches={}",
@@ -281,20 +269,6 @@ fn main() {
         );
         if report.mismatches > 0 {
             failed = true;
-        }
-        Some(report)
-    } else {
-        None
-    };
-
-    if let Some(path) = &args.bench_out {
-        let entry = bench_entry(&args.load, &passes, verify, &args.note);
-        match append_trajectory(std::path::Path::new(path), entry) {
-            Ok(()) => println!("[serve-load] appended run to {path}"),
-            Err(e) => {
-                eprintln!("serve-load: writing {path} failed: {e}");
-                failed = true;
-            }
         }
     }
 

@@ -28,7 +28,7 @@
 //!   ([`ChaosProxy`]) for network-chaos testing: seeded drops,
 //!   truncation, delays, garbage, and mid-stream resets.
 //! * [`load`] — the deterministic seeded load harness behind the
-//!   `serve-load` binary and `BENCH_serve.json`.
+//!   `serve-load` binary and the `serve` workload of `perfbench/`.
 
 #![warn(missing_docs)]
 

@@ -10,8 +10,8 @@
 //!
 //! [`PassReport`] captures throughput, hit-rate, latency quantiles
 //! (via [`cestim_obs::HistogramSnapshot::quantile`]), and per-client
-//! completion statistics; [`bench_entry`] + [`append_trajectory`] write
-//! the `BENCH_serve.json` trajectory consumed by docs/PERFORMANCE.md.
+//! completion statistics; [`verify_against_direct`] re-executes every
+//! unique job and compares its payload with the served one.
 
 use crate::protocol::{
     parse_response, render_request, Request, Response, REASON_BREAKER_OPEN, REASON_DEADLINE,
@@ -26,11 +26,7 @@ use serde::Value;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::path::Path;
 use std::time::{Duration, Instant};
-
-/// Schema tag of `BENCH_serve.json` trajectory files.
-pub const SERVE_BENCH_SCHEMA: &str = "cestim-serve-load/1";
 
 /// Parameters of one synthetic load mix.
 #[derive(Debug, Clone)]
@@ -229,24 +225,6 @@ impl ServeConn for TcpConn {
     }
 }
 
-/// Per-client slice of a [`PassReport`].
-#[derive(Debug, Clone)]
-pub struct ClientReport {
-    /// Client name.
-    pub client: String,
-    /// Priority the client ran at.
-    pub priority: u32,
-    /// Requests sent.
-    pub sent: usize,
-    /// Terminal results received.
-    pub completed: usize,
-    /// Mean admission→result latency, nanoseconds.
-    pub mean_latency_nanos: u64,
-    /// Mean position of this client's results in the pass's completion
-    /// order (lower = served earlier).
-    pub mean_completion_index: f64,
-}
-
 /// Measured outcome of one load pass.
 #[derive(Debug, Clone)]
 pub struct PassReport {
@@ -256,8 +234,6 @@ pub struct PassReport {
     pub requests: usize,
     /// Terminal `result` responses received.
     pub completed: usize,
-    /// Results served from the warm cache.
-    pub cache_hits: usize,
     /// Backpressure rejections observed (all retried).
     pub rejected: usize,
     /// Rejections carrying the load-shedding reason (subset of
@@ -272,11 +248,10 @@ pub struct PassReport {
     pub hedged: usize,
     /// Terminal `error` responses received.
     pub errors: usize,
-    /// Wall time of the pass, nanoseconds.
-    pub wall_nanos: u64,
     /// Completed requests per wall-clock second.
     pub throughput_rps: f64,
-    /// `cache_hits / completed` (0 when nothing completed).
+    /// Share of completed results served from the warm cache (0 when
+    /// nothing completed).
     pub hit_rate: f64,
     /// Median latency (upper-bound log2-bucket estimate), nanoseconds.
     pub p50_nanos: u64,
@@ -284,45 +259,10 @@ pub struct PassReport {
     pub p95_nanos: u64,
     /// 99th-percentile latency, nanoseconds.
     pub p99_nanos: u64,
-    /// Per-client breakdown.
-    pub clients: Vec<ClientReport>,
     /// Max/min ratio of per-client mean completion index — the
     /// priority-skew fairness figure (≥ 1.0; higher means the
     /// high-priority client finished earlier relative to the rest).
     pub completion_spread: f64,
-}
-
-impl PassReport {
-    /// Renders the report as a JSON object for `BENCH_serve.json`.
-    pub fn to_json(&self) -> Value {
-        serde_json::json!({
-            "pass": self.pass,
-            "requests": self.requests,
-            "completed": self.completed,
-            "cache_hits": self.cache_hits,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "deadline_rejected": self.deadline_rejected,
-            "breaker_rejected": self.breaker_rejected,
-            "hedged": self.hedged,
-            "errors": self.errors,
-            "wall_nanos": self.wall_nanos,
-            "throughput_rps": self.throughput_rps,
-            "hit_rate": self.hit_rate,
-            "p50_nanos": self.p50_nanos,
-            "p95_nanos": self.p95_nanos,
-            "p99_nanos": self.p99_nanos,
-            "completion_spread": self.completion_spread,
-            "clients": self.clients.iter().map(|c| serde_json::json!({
-                "client": c.client,
-                "priority": c.priority,
-                "sent": c.sent,
-                "completed": c.completed,
-                "mean_latency_nanos": c.mean_latency_nanos,
-                "mean_completion_index": c.mean_completion_index,
-            })).collect::<Vec<Value>>(),
-        })
-    }
 }
 
 struct Pending {
@@ -353,9 +293,7 @@ pub fn run_pass(
     let registry = Registry::new();
     let latency = registry.histogram("load.latency.nanos", &[]);
     let clients = cfg.clients.max(1);
-    let mut sent_per_client = vec![0usize; clients];
     let mut completed_per_client = vec![0usize; clients];
-    let mut latency_sums = vec![0u128; clients];
     let mut completion_index_sums = vec![0f64; clients];
     let mut pending: HashMap<String, Pending> = HashMap::new();
     let mut send_list: Vec<usize> = (0..mix.len()).collect();
@@ -387,7 +325,6 @@ pub fn run_pass(
                     hedged: false,
                 },
             );
-            sent_per_client[item.client_idx] += 1;
             conn.send_request(&Request::Run {
                 id,
                 client: client_name(item.client_idx),
@@ -436,7 +373,6 @@ pub fn run_pass(
                 };
                 let nanos = u64::try_from(p.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 latency.record(nanos);
-                latency_sums[p.client_idx] += u128::from(nanos);
                 completion_index_sums[p.client_idx] += completed as f64;
                 completed_per_client[p.client_idx] += 1;
                 completed += 1;
@@ -463,7 +399,6 @@ pub fn run_pass(
                     REASON_BREAKER_OPEN => breaker_rejected += 1,
                     _ => {}
                 }
-                sent_per_client[p.client_idx] -= 1;
                 if retries < MAX_RETRIES {
                     retries += 1;
                     send_list.push(p.index);
@@ -488,30 +423,12 @@ pub fn run_pass(
 
     let wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let snap = latency.snapshot();
-    let mut client_reports = Vec::with_capacity(clients);
-    for idx in 0..clients {
-        let done = completed_per_client[idx];
-        client_reports.push(ClientReport {
-            client: client_name(idx),
-            priority: if idx == 0 { cfg.vip_priority } else { 1 },
-            sent: sent_per_client[idx],
-            completed: done,
-            mean_latency_nanos: if done == 0 {
-                0
-            } else {
-                (latency_sums[idx] / done as u128) as u64
-            },
-            mean_completion_index: if done == 0 {
-                0.0
-            } else {
-                completion_index_sums[idx] / done as f64
-            },
-        });
-    }
-    let means: Vec<f64> = client_reports
+    // Mean position of each client's results in the completion order.
+    let means: Vec<f64> = completed_per_client
         .iter()
-        .filter(|c| c.completed > 0)
-        .map(|c| c.mean_completion_index.max(0.5))
+        .zip(&completion_index_sums)
+        .filter(|(done, _)| **done > 0)
+        .map(|(done, sum)| (sum / *done as f64).max(0.5))
         .collect();
     let completion_spread = match (
         means.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -524,14 +441,12 @@ pub fn run_pass(
         pass: pass.to_string(),
         requests: mix.len(),
         completed,
-        cache_hits,
         rejected,
         shed,
         deadline_rejected,
         breaker_rejected,
         hedged,
         errors,
-        wall_nanos,
         throughput_rps: if wall_nanos == 0 {
             0.0
         } else {
@@ -545,7 +460,6 @@ pub fn run_pass(
         p50_nanos: snap.quantile(0.50),
         p95_nanos: snap.quantile(0.95),
         p99_nanos: snap.quantile(0.99),
-        clients: client_reports,
         completion_spread,
     })
 }
@@ -578,74 +492,6 @@ pub fn verify_against_direct(payloads: &HashMap<String, (ExecJob, Value)>) -> Ve
     }
 }
 
-/// Builds one `BENCH_serve.json` trajectory entry from a run's passes.
-pub fn bench_entry(
-    cfg: &LoadConfig,
-    passes: &[PassReport],
-    verify: Option<VerifyReport>,
-    note: &str,
-) -> Value {
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    serde_json::json!({
-        "unix_secs": unix_secs,
-        "note": note,
-        "config": {
-            "seed": cfg.seed,
-            "requests": cfg.requests,
-            "clients": cfg.clients,
-            "dup_percent": cfg.dup_percent,
-            "scale": cfg.scale,
-            "window": cfg.window,
-            "vip_priority": cfg.vip_priority,
-            "deadline_ms": cfg.deadline_ms,
-            "hedge_after_ms": cfg.hedge_after_ms,
-        },
-        "passes": passes.iter().map(PassReport::to_json).collect::<Vec<Value>>(),
-        "verify": match verify {
-            Some(v) => serde_json::json!({"checked": v.checked, "mismatches": v.mismatches}),
-            None => Value::Null,
-        },
-    })
-}
-
-/// Appends `entry` to the `{"schema", "runs"}` trajectory at `path`,
-/// creating the file on first use.
-///
-/// # Errors
-///
-/// Returns any I/O error reading or writing the file.
-pub fn append_trajectory(path: &Path, entry: Value) -> io::Result<()> {
-    let doc: Value = match std::fs::read_to_string(path) {
-        Ok(text) => serde_json::from_str(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => serde_json::json!({
-            "schema": SERVE_BENCH_SCHEMA,
-            "runs": Vec::<Value>::new(),
-        }),
-        Err(e) => return Err(e),
-    };
-    let Value::Object(mut obj) = doc else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trajectory root must be an object",
-        ));
-    };
-    match obj.get_mut("runs") {
-        Some(Value::Array(runs)) => runs.push(entry),
-        _ => {
-            obj.insert("runs".to_string(), Value::Array(vec![entry]));
-        }
-    }
-    let doc = Value::Object(obj);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, serde_json::to_string_pretty(&doc)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,19 +516,5 @@ mod tests {
             .filter(|i| !seen.insert(i.job.cache_key().id()))
             .count();
         assert!(dups > 0, "default mix should contain duplicates");
-    }
-
-    #[test]
-    fn trajectory_appends() {
-        let path = std::env::temp_dir()
-            .join(format!("cestim-serve-traj-{}", std::process::id()))
-            .join("BENCH_serve.json");
-        let _ = std::fs::remove_file(&path);
-        append_trajectory(&path, serde_json::json!({"n": 1})).unwrap();
-        append_trajectory(&path, serde_json::json!({"n": 2})).unwrap();
-        let doc: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc["schema"].as_str().unwrap(), SERVE_BENCH_SCHEMA);
-        assert_eq!(doc["runs"].as_array().unwrap().len(), 2);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }
