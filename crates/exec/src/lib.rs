@@ -56,7 +56,7 @@ pub use fault::{FaultPlan, FaultPlanError, INJECTED_PANIC_PREFIX};
 pub use journal::{JournalEntry, RunJournal, JOURNAL_FILE, JOURNAL_PREV_FILE};
 pub use key::{canonical_string, content_hash, fnv1a, schema_salt, CacheKey};
 pub use pool::{
-    default_workers, install_quiet_panic_hook, BatchFailure, ExecReport, Executor, Job, JobError,
-    JobErrorKind,
+    default_workers, install_quiet_panic_hook, payload_message, BatchFailure, ExecReport, Executor,
+    Job, JobError, JobErrorKind,
 };
 pub use retry::RetryPolicy;

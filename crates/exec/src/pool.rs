@@ -200,7 +200,9 @@ fn truncate_message(msg: &str) -> String {
     format!("{}…", &msg[..cut])
 }
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts a readable message from a caught panic payload: the payload
+/// itself when it is a string, otherwise "non-string panic payload".
+pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

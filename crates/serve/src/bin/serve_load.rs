@@ -11,7 +11,7 @@
 //! ```text
 //! serve-load [--addr HOST:PORT | --spawn] [--seed N] [--requests N]
 //!            [--clients N] [--dup PCT] [--scale N] [--window N]
-//!            [--vip-priority N] [--deadline-ms N] [--hedge-ms N]
+//!            [--vip-priority N] [--deadline-ms N]
 //!            [--passes N] [--overload] [--verify] [--shutdown]
 //!            [--cache-dir DIR] [--groups N] [--queue-depth N]
 //!            [--gc-every N] [--prom-out FILE]
@@ -38,7 +38,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve-load [--addr HOST:PORT | --spawn] [--seed N] [--requests N]\n\
          \x20                 [--clients N] [--dup PCT] [--scale N] [--window N]\n\
-         \x20                 [--vip-priority N] [--deadline-ms N] [--hedge-ms N]\n\
+         \x20                 [--vip-priority N] [--deadline-ms N]\n\
          \x20                 [--passes N] [--overload] [--verify] [--shutdown]\n\
          \x20                 [--cache-dir DIR] [--groups N] [--queue-depth N]\n\
          \x20                 [--gc-every N] [--prom-out FILE]\n\
@@ -99,7 +99,6 @@ fn parse_args() -> Args {
             "--window" => args.load.window = parse_num(&value("--window")),
             "--vip-priority" => args.load.vip_priority = parse_num(&value("--vip-priority")),
             "--deadline-ms" => args.load.deadline_ms = parse_num(&value("--deadline-ms")),
-            "--hedge-ms" => args.load.hedge_after_ms = parse_num(&value("--hedge-ms")),
             "--passes" => args.passes = parse_num(&value("--passes")),
             "--overload" => args.overload = true,
             "--verify" => args.verify = true,
@@ -135,7 +134,7 @@ fn print_pass(report: &PassReport) {
     println!(
         "[serve-load] pass={} completed={}/{} hit_rate={:.3} rps={:.1} \
          p50={}us p95={}us p99={}us rejected={} shed={} deadline_rej={} \
-         breaker_rej={} hedged={} errors={} spread={:.2}",
+         breaker_rej={} errors={} spread={:.2}",
         report.pass,
         report.completed,
         report.requests,
@@ -148,7 +147,6 @@ fn print_pass(report: &PassReport) {
         report.shed,
         report.deadline_rejected,
         report.breaker_rejected,
-        report.hedged,
         report.errors,
         report.completion_spread,
     );

@@ -49,10 +49,6 @@ pub struct LoadConfig {
     pub vip_priority: u32,
     /// Per-request deadline forwarded to the server (0 = none).
     pub deadline_ms: u64,
-    /// Hedge an in-flight request after this many milliseconds
-    /// (0 = hedging disabled). Hedges re-send the same request id, so
-    /// whichever copy finishes first wins and the loser is ignored.
-    pub hedge_after_ms: u64,
 }
 
 impl Default for LoadConfig {
@@ -66,7 +62,6 @@ impl Default for LoadConfig {
             window: 16,
             vip_priority: 10,
             deadline_ms: 0,
-            hedge_after_ms: 0,
         }
     }
 }
@@ -244,8 +239,6 @@ pub struct PassReport {
     /// Rejections carrying the circuit-breaker reason (subset of
     /// `rejected`).
     pub breaker_rejected: usize,
-    /// Hedge copies sent for slow in-flight requests.
-    pub hedged: usize,
     /// Terminal `error` responses received.
     pub errors: usize,
     /// Completed requests per wall-clock second.
@@ -269,7 +262,6 @@ struct Pending {
     client_idx: usize,
     index: usize,
     started: Instant,
-    hedged: bool,
 }
 
 /// Replays `mix` over `conn` as pass `pass`, collecting the first
@@ -304,7 +296,6 @@ pub fn run_pass(
     let mut shed = 0usize;
     let mut deadline_rejected = 0usize;
     let mut breaker_rejected = 0usize;
-    let mut hedged = 0usize;
     let mut errors = 0usize;
     let mut retries = 0usize;
     let window = cfg.window.max(1);
@@ -322,7 +313,6 @@ pub fn run_pass(
                     client_idx: item.client_idx,
                     index: item.index,
                     started: Instant::now(),
-                    hedged: false,
                 },
             );
             conn.send_request(&Request::Run {
@@ -335,30 +325,6 @@ pub fn run_pass(
         }
         if pending.is_empty() {
             break;
-        }
-        // Hedge stragglers: re-send the same id so whichever copy lands
-        // first wins; the duplicate result is dropped by `pending.remove`.
-        if cfg.hedge_after_ms > 0 {
-            let cutoff = Duration::from_millis(cfg.hedge_after_ms);
-            let stale: Vec<(String, usize)> = pending
-                .iter()
-                .filter(|(_, p)| !p.hedged && p.started.elapsed() >= cutoff)
-                .map(|(id, p)| (id.clone(), p.index))
-                .collect();
-            for (id, index) in stale {
-                let item = &mix[index];
-                if let Some(p) = pending.get_mut(&id) {
-                    p.hedged = true;
-                }
-                hedged += 1;
-                conn.send_request(&Request::Run {
-                    id,
-                    client: client_name(item.client_idx),
-                    priority: item.priority,
-                    deadline_ms: cfg.deadline_ms,
-                    job: item.job.clone(),
-                })?;
-            }
         }
         match conn.recv_response(RECV_TIMEOUT)? {
             Response::Accepted { .. } | Response::Started { .. } => {}
@@ -445,7 +411,6 @@ pub fn run_pass(
         shed,
         deadline_rejected,
         breaker_rejected,
-        hedged,
         errors,
         throughput_rps: if wall_nanos == 0 {
             0.0

@@ -19,7 +19,7 @@ use crate::protocol::{
     REASON_BREAKER_OPEN, REASON_DEADLINE, REASON_QUEUE_FULL, REASON_SHEDDING, REASON_SHUTTING_DOWN,
 };
 use crate::sched::{shard_of, DrrQueue, Ticket};
-use cestim_exec::{DiskCache, FaultPlan, Job, RunJournal};
+use cestim_exec::{payload_message, DiskCache, FaultPlan, Job, RunJournal};
 use cestim_obs::cancel;
 use cestim_obs::span::{SpanBuffer, SpanCollector, SpanId};
 use cestim_obs::{Counter, Gauge, Histogram, Registry};
@@ -479,7 +479,7 @@ impl Inner {
                         Ok(serde::to_value(&output))
                     }
                     Err(payload) => {
-                        let message = panic_message(payload.as_ref());
+                        let message = payload_message(payload.as_ref());
                         cancelled = cancel::is_cancel_panic(&message);
                         Err(message)
                     }
@@ -567,17 +567,6 @@ fn recover_id(bytes: &[u8]) -> Option<String> {
     let text = std::str::from_utf8(bytes).ok()?;
     let value: Value = serde_json::from_str(text.trim()).ok()?;
     Some(value.get("id")?.as_str()?.to_string())
-}
-
-/// Extracts a readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
-    }
 }
 
 fn worker_loop(inner: Arc<Inner>, shard_idx: usize) {

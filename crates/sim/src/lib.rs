@@ -10,11 +10,16 @@
 //!   set" used by Table 2.
 //! * [`RunConfig`] / [`run`] — one pipeline pass over one workload with any
 //!   number of estimators attached; profiling passes for the static
-//!   estimator are inserted automatically.
-//! * [`suite`] — `table1` … `table4`, `fig1` … `fig9`, `cluster`, `boost`:
-//!   each returns an [`ExperimentResult`](suite::ExperimentResult) with
-//!   formatted text (the paper's rows/series) and a JSON value for
-//!   machine consumption.
+//!   estimator are inserted automatically. One private driver assembles
+//!   this pass and its variants ([`run_with_profile`],
+//!   [`run_with_observer`], [`run_replay_live`], [`run_trace`],
+//!   [`collect_profile`]).
+//! * [`suite`] — `table1` … `table4`, `fig1` … `fig9`, `cluster`, `boost`
+//!   and the `ext-*` extensions, each run on a given
+//!   [`Executor`](cestim_exec::Executor) and dispatched by id from one
+//!   ordered table: each returns an
+//!   [`ExperimentResult`](suite::ExperimentResult) with formatted text
+//!   (the paper's rows/series) and a JSON value for machine consumption.
 //! * [`apps`] — speculation-control application models built on the
 //!   estimators: pipeline-gating sweeps, and the SMT/eager-execution
 //!   figure-of-merit calculations of the paper's §2.2.
@@ -45,10 +50,9 @@ pub mod suite;
 
 pub use cestim_trace_io::TraceRecord;
 pub use jobs::{sim_schema_salt, DistanceBundle, ExecJob, JobOutput, SIM_JOB_SCHEMA};
-pub use profile::ProfileObserver;
 pub use replay::{
-    capture_live_trace, collect_profile_trace, conformance_specs, export_config_trace,
-    run_replay_live, run_trace, EXPORT_MAX_STEPS,
+    capture_live_trace, conformance_specs, export_config_trace, run_replay_live, run_trace,
+    EXPORT_MAX_STEPS,
 };
 pub use report::{pct, Table};
 pub use runner::{

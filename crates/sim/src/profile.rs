@@ -8,29 +8,19 @@ use cestim_pipeline::{OutcomeEvent, SimObserver};
 ///
 /// The static estimator cannot be derived from a plain program profile: the
 /// quantity it thresholds is the *predictor's* per-branch accuracy, which
-/// only exists while simulating that predictor. The runner therefore plays
-/// the workload once with this observer attached, then builds
+/// only exists while simulating that predictor. The run driver therefore
+/// plays the same fetch front once with this observer attached, then builds
 /// [`StaticProfile`](cestim_core::StaticProfile) estimators from the
 /// collected counts for the measured pass (same input for training and
 /// evaluation — the paper's stated best-case methodology).
 #[derive(Debug, Clone, Default)]
-pub struct ProfileObserver {
+pub(crate) struct ProfileObserver {
     collector: ProfileCollector,
 }
 
 impl ProfileObserver {
-    /// Creates an empty profiling observer.
-    pub fn new() -> ProfileObserver {
-        ProfileObserver::default()
-    }
-
-    /// The collected per-branch counts.
-    pub fn collector(&self) -> &ProfileCollector {
-        &self.collector
-    }
-
     /// Consumes the observer, returning the collector.
-    pub fn into_collector(self) -> ProfileCollector {
+    pub(crate) fn into_collector(self) -> ProfileCollector {
         self.collector
     }
 }
@@ -64,7 +54,7 @@ mod tests {
 
     #[test]
     fn records_committed_outcomes_only() {
-        let mut o = ProfileObserver::new();
+        let mut o = ProfileObserver::default();
         o.on_branch_outcome(&ev(0x10, false, true));
         o.on_branch_outcome(&ev(0x10, true, true));
         o.on_branch_outcome(&ev(0x10, true, false)); // squashed: ignored

@@ -9,8 +9,8 @@
 //!   independent exporter the qa `trace` oracle diffs against the first);
 //! * [`run_replay_live`] — a live pipeline pass in replay (stall) fetch
 //!   mode, the reference semantics imported traces are replayed under;
-//! * [`run_trace`] — a [`TraceSimulator`] pass over imported records,
-//!   producing a regular [`RunOutcome`];
+//! * [`run_trace`] — a [`TraceSimulator`](cestim_pipeline::TraceSimulator)
+//!   pass over imported records, producing a regular [`RunOutcome`];
 //! * [`conformance_specs`] — the estimator set the differential
 //!   conformance suite pins across predictors and run paths.
 //!
@@ -20,10 +20,9 @@
 //! quadrants, and every per-estimator SENS/SPEC/PVP/PVN derived from
 //! them.
 
-use crate::runner::outcome;
-use crate::{EstimatorSpec, PredictorKind, ProfileObserver, RunConfig, RunOutcome};
-use cestim_core::ProfileCollector;
-use cestim_pipeline::{PipelineConfig, Simulator, TraceSimulator};
+use crate::runner::{drive, Front};
+use crate::{EstimatorSpec, PredictorKind, RunConfig, RunOutcome};
+use cestim_pipeline::{NullObserver, PipelineConfig, Simulator};
 use cestim_trace_io::{export_program, ExportError, TraceRecord};
 
 /// Step budget for workload trace exports: generous enough for every
@@ -55,28 +54,6 @@ pub fn capture_live_trace(cfg: &RunConfig) -> Vec<TraceRecord> {
     sim.take_captured_trace()
 }
 
-/// Profiling pass in replay fetch mode (live simulator).
-fn collect_profile_replay(cfg: &RunConfig) -> ProfileCollector {
-    let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
-    let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
-    sim.set_replay_fetch(true);
-    let mut obs = ProfileObserver::new();
-    sim.run(&mut obs);
-    obs.into_collector()
-}
-
-/// Profiling pass over an imported trace ([`TraceSimulator`]).
-pub fn collect_profile_trace(
-    records: &[TraceRecord],
-    predictor: PredictorKind,
-    pipeline: &PipelineConfig,
-) -> ProfileCollector {
-    let mut sim = TraceSimulator::new(records, pipeline.clone(), predictor.build_any());
-    let mut obs = ProfileObserver::new();
-    sim.run(&mut obs);
-    obs.into_collector()
-}
-
 /// Runs one configuration live in replay (stall-on-mispredict) fetch
 /// mode: fetch follows the actual path, mispredictions stall instead of
 /// squashing. This is the reference semantics for imported-trace replay —
@@ -86,18 +63,13 @@ pub fn collect_profile_trace(
 /// Profile-needing estimators self-profile with a replay-mode pass, so
 /// the profile matches what a trace-driven run would collect.
 pub fn run_replay_live(cfg: &RunConfig, specs: &[EstimatorSpec]) -> RunOutcome {
-    let profile = specs
-        .iter()
-        .any(EstimatorSpec::needs_profile)
-        .then(|| collect_profile_replay(cfg));
-    let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
-    let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
-    sim.set_replay_fetch(true);
-    for spec in specs {
-        sim.add_estimator(spec.build_any(profile.as_ref()));
-    }
-    let stats = sim.run_to_completion();
-    outcome(stats, specs, sim.estimator_quadrants())
+    drive(
+        Front::Replay(cfg),
+        "sim.run",
+        specs,
+        None,
+        &mut NullObserver,
+    )
 }
 
 /// Replays imported trace records through the pipeline timing model with
@@ -110,16 +82,8 @@ pub fn run_trace(
     pipeline: &PipelineConfig,
     specs: &[EstimatorSpec],
 ) -> RunOutcome {
-    let profile = specs
-        .iter()
-        .any(EstimatorSpec::needs_profile)
-        .then(|| collect_profile_trace(records, predictor, pipeline));
-    let mut sim = TraceSimulator::new(records, pipeline.clone(), predictor.build_any());
-    for spec in specs {
-        sim.add_estimator(spec.build_any(profile.as_ref()));
-    }
-    let stats = sim.run_to_completion();
-    outcome(stats, specs, sim.estimator_quadrants())
+    let front = Front::Trace(records, predictor, pipeline);
+    drive(front, "sim.run", specs, None, &mut NullObserver)
 }
 
 /// The estimator set the differential conformance suite pins: one of

@@ -1,11 +1,14 @@
 //! Single-configuration experiment runner.
 
-use crate::{EstimatorSpec, PredictorKind, ProfileObserver};
+use crate::profile::ProfileObserver;
+use crate::{EstimatorSpec, PredictorKind};
 use cestim_core::ProfileCollector;
 use cestim_obs::{span, MetricsSnapshot, Registry};
 use cestim_pipeline::{
     EstimatorQuadrants, NullObserver, PipelineConfig, PipelineStats, SimObserver, Simulator,
+    TraceSimulator,
 };
+use cestim_trace_io::TraceRecord;
 use cestim_workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 
@@ -64,7 +67,7 @@ pub struct RunOutcome {
 
 /// Builds a run's outcome, pairing each spec's label with the quadrants of
 /// the estimator it built (attached in spec order).
-pub(crate) fn outcome(
+fn outcome(
     stats: PipelineStats,
     specs: &[EstimatorSpec],
     quadrants: &[EstimatorQuadrants],
@@ -80,16 +83,75 @@ pub(crate) fn outcome(
     RunOutcome { stats, estimators }
 }
 
+/// Where a pass fetches its instruction stream from.
+#[derive(Clone, Copy)]
+pub(crate) enum Front<'a> {
+    /// The configuration's workload, fetched speculatively down wrong
+    /// paths and squashed on recovery.
+    Live(&'a RunConfig),
+    /// The configuration's workload in replay (stall-on-mispredict) fetch
+    /// mode; see [`run_replay_live`](crate::run_replay_live).
+    Replay(&'a RunConfig),
+    /// Imported trace records, replayed with this predictor and pipeline.
+    Trace(&'a [TraceRecord], PredictorKind, &'a PipelineConfig),
+}
+
+/// The run driver: assembles every pass except [`run_instrumented`]'s and
+/// `capture_live_trace`'s. If a spec needs a profile and `profile` is
+/// `None`, a profiling pass over the same front runs first. The specs' estimators are then attached in order, and the
+/// pass streams its events to `obs`. A [`Front::Live`] pass records the
+/// ambient span `span`; the replay fronts record none.
+pub(crate) fn drive<O: SimObserver + ?Sized>(
+    front: Front<'_>,
+    span: &'static str,
+    specs: &[EstimatorSpec],
+    profile: Option<&ProfileCollector>,
+    obs: &mut O,
+) -> RunOutcome {
+    let own_profile;
+    let profile = match profile {
+        None if specs.iter().any(EstimatorSpec::needs_profile) => {
+            own_profile = profile_pass(front);
+            Some(&own_profile)
+        }
+        given => given,
+    };
+    let estimators = specs.iter().map(|spec| spec.build_any(profile));
+    let (stats, quadrants) = match front {
+        Front::Live(cfg) | Front::Replay(cfg) => {
+            let replay = matches!(front, Front::Replay(_));
+            let scale = cfg.scale.to_string();
+            let _span =
+                (!replay).then(|| span::AmbientSpan::enter(span, &span_labels(cfg, &scale)));
+            let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
+            let mut sim =
+                Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
+            sim.set_replay_fetch(replay);
+            estimators.for_each(|e| _ = sim.add_estimator(e));
+            (sim.run(obs), sim.estimator_quadrants().to_vec())
+        }
+        Front::Trace(records, predictor, pipeline) => {
+            let mut sim = TraceSimulator::new(records, pipeline.clone(), predictor.build_any());
+            estimators.for_each(|e| _ = sim.add_estimator(e));
+            (sim.run(obs), sim.estimator_quadrants().to_vec())
+        }
+    };
+    outcome(stats, specs, &quadrants)
+}
+
+/// The profiling pass over `front`: the same pipeline and predictor, no
+/// estimators, recording per-branch prediction accuracy over the
+/// committed stream.
+fn profile_pass(front: Front<'_>) -> ProfileCollector {
+    let mut obs = ProfileObserver::default();
+    drive(front, "sim.profile", &[], None, &mut obs);
+    obs.into_collector()
+}
+
 /// Runs the profiling pass: the same pipeline and predictor, recording
 /// per-branch prediction accuracy over the committed stream.
 pub fn collect_profile(cfg: &RunConfig) -> ProfileCollector {
-    let scale = cfg.scale.to_string();
-    let _span = span::AmbientSpan::enter("sim.profile", &span_labels(cfg, &scale));
-    let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
-    let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
-    let mut obs = ProfileObserver::new();
-    sim.run(&mut obs);
-    obs.into_collector()
+    profile_pass(Front::Live(cfg))
 }
 
 /// Span labels identifying one run configuration.
@@ -106,7 +168,7 @@ fn span_labels<'a>(cfg: &'a RunConfig, scale: &'a str) -> [(&'a str, &'a str); 3
 /// If any estimator needs a profile (the static technique), a profiling
 /// pass with the same configuration is run first.
 pub fn run(cfg: &RunConfig, specs: &[EstimatorSpec]) -> RunOutcome {
-    run_with_observer(cfg, specs, &mut NullObserver)
+    drive(Front::Live(cfg), "sim.run", specs, None, &mut NullObserver)
 }
 
 /// Like [`run`], with an explicitly supplied profile for profile-based
@@ -117,12 +179,22 @@ pub fn run_with_profile(
     specs: &[EstimatorSpec],
     profile: &ProfileCollector,
 ) -> RunOutcome {
-    run_inner(
-        cfg,
+    drive(
+        Front::Live(cfg),
+        "sim.run",
         specs,
         Some(profile),
-        &mut cestim_pipeline::NullObserver,
+        &mut NullObserver,
     )
+}
+
+/// Like [`run`], additionally streaming pipeline events to `obs`.
+pub fn run_with_observer(
+    cfg: &RunConfig,
+    specs: &[EstimatorSpec],
+    obs: &mut dyn SimObserver,
+) -> RunOutcome {
+    drive(Front::Live(cfg), "sim.run", specs, None, obs)
 }
 
 /// Everything produced by one fully instrumented pipeline pass:
@@ -142,6 +214,11 @@ pub struct InstrumentedOutcome {
 /// and stats and quadrants are exported to a metrics registry labelled
 /// `workload`/`predictor`/`scale`. To record the event trace, pass a
 /// `cestim_obs::Tracer` as (or teed through a `MultiObserver` into) `obs`.
+///
+/// Builds its own simulator rather than going through the shared driver:
+/// the exported metrics label estimators by the simulator's estimator
+/// names, which differ from [`EstimatorSpec::label`] for the tuned static
+/// estimator.
 pub fn run_instrumented(
     cfg: &RunConfig,
     specs: &[EstimatorSpec],
@@ -152,7 +229,8 @@ pub fn run_instrumented(
         .any(EstimatorSpec::needs_profile)
         .then(|| collect_profile(cfg));
     let scale = cfg.scale.to_string();
-    let _span = span::AmbientSpan::enter("sim.run", &span_labels(cfg, &scale));
+    let labels = span_labels(cfg, &scale);
+    let _span = span::AmbientSpan::enter("sim.run", &labels);
     let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
     let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
     for spec in specs {
@@ -163,12 +241,6 @@ pub fn run_instrumented(
     let wall_seconds = t0.elapsed().as_secs_f64();
 
     let registry = Registry::new();
-    let scale = cfg.scale.to_string();
-    let labels = [
-        ("workload", cfg.workload.name()),
-        ("predictor", cfg.predictor.name()),
-        ("scale", scale.as_str()),
-    ];
     sim.export_metrics(&registry, &labels);
 
     InstrumentedOutcome {
@@ -176,40 +248,6 @@ pub fn run_instrumented(
         metrics: registry.snapshot(),
         wall_seconds,
     }
-}
-
-/// Like [`run`], additionally streaming pipeline events to `obs`.
-pub fn run_with_observer(
-    cfg: &RunConfig,
-    specs: &[EstimatorSpec],
-    obs: &mut dyn SimObserver,
-) -> RunOutcome {
-    run_inner(cfg, specs, None, obs)
-}
-
-fn run_inner(
-    cfg: &RunConfig,
-    specs: &[EstimatorSpec],
-    profile_override: Option<&ProfileCollector>,
-    obs: &mut dyn SimObserver,
-) -> RunOutcome {
-    let own_profile = match profile_override {
-        Some(_) => None,
-        None => specs
-            .iter()
-            .any(EstimatorSpec::needs_profile)
-            .then(|| collect_profile(cfg)),
-    };
-    let scale = cfg.scale.to_string();
-    let _span = span::AmbientSpan::enter("sim.run", &span_labels(cfg, &scale));
-    let profile = profile_override.or(own_profile.as_ref());
-    let w = cfg.workload.build_salted(cfg.scale, cfg.input_salt);
-    let mut sim = Simulator::new(&w.program, cfg.pipeline.clone(), cfg.predictor.build_any());
-    for spec in specs {
-        sim.add_estimator(spec.build_any(profile));
-    }
-    let stats = sim.run(obs);
-    outcome(stats, specs, sim.estimator_quadrants())
 }
 
 #[cfg(test)]

@@ -408,12 +408,11 @@ impl EstimatorSpec {
         }
     }
 
-    /// Human-readable name (matches the built estimator's `name()`).
+    /// Human-readable name. It matches the built estimator's `name()` for
+    /// every spec except [`StaticTuned`](EstimatorSpec::StaticTuned), whose
+    /// label names its target while the built estimator reports the plain
+    /// `static(>N%)` threshold the tuning picked.
     pub fn label(&self) -> String {
-        self.build_label()
-    }
-
-    fn build_label(&self) -> String {
         match self {
             EstimatorSpec::Jrs {
                 index_bits,
@@ -455,10 +454,9 @@ impl EstimatorSpec {
                 TuneTargetSpec::MinSpec(v) => format!("static-tuned(spec>={:.0}%)", v * 100.0),
                 TuneTargetSpec::MinPvn(v) => format!("static-tuned(pvn>={:.0}%)", v * 100.0),
             },
-            EstimatorSpec::Boosted { inner, k } => format!("boost{}({})", k, inner.build_label()),
+            EstimatorSpec::Boosted { inner, k } => format!("boost{}({})", k, inner.label()),
             EstimatorSpec::Voting { components, quorum } => {
-                let names: Vec<String> =
-                    components.iter().map(EstimatorSpec::build_label).collect();
+                let names: Vec<String> = components.iter().map(EstimatorSpec::label).collect();
                 format!("vote{}({})", quorum, names.join(","))
             }
             EstimatorSpec::Timing { threshold } => format!("timing(<={threshold})"),
@@ -627,6 +625,24 @@ mod tests {
         for p in PredictorKind::all() {
             assert_eq!(p.build_any().name(), p.name());
         }
+    }
+
+    #[test]
+    fn spec_labels_match_built_estimator_names() {
+        let compress = cestim_workloads::WorkloadKind::Compress;
+        let cfg = crate::RunConfig::paper(compress, 1, PredictorKind::Gshare);
+        let profile = crate::collect_profile(&cfg);
+        for spec in crate::conformance_specs() {
+            assert_eq!(spec.label(), spec.build_any(Some(&profile)).name());
+        }
+        // The documented exception: a tuned static estimator is built as a
+        // plain thresholded static estimator.
+        let tuned: EstimatorSpec = "tuned-spec:0.9".parse().unwrap();
+        let built = tuned.build_any(Some(&profile)).name();
+        assert!(
+            built.starts_with("static(>") && tuned.label() != built,
+            "{built}"
+        );
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Each function returns an [`ExperimentResult`] holding the experiment id
 //! (the paper's table/figure number), a formatted text rendition of the
 //! same rows/series the paper reports, and a JSON value for machine
-//! consumption. [`run_experiment`] dispatches by id; [`all_ids`] lists the
-//! full suite. The `repro` binary in `cestim-bench` is a thin CLI over this
-//! module.
+//! consumption. Every experiment submits its simulation units to the
+//! [`Executor`] it is given (pass [`Executor::sequential`] for a plain
+//! in-process run). One ordered table names the suite: [`all_ids`] lists
+//! it and [`run_experiment_with`] dispatches by id. The `repro` binary in
+//! `cestim-bench` is a thin CLI over this module.
 //!
 //! Absolute numbers will not match the paper (the workloads are synthetic
 //! analogs and the pipeline is a reimplementation); the *shapes* — metric
@@ -15,10 +17,11 @@
 
 use crate::jobs::{DistanceBundle, ExecJob};
 use crate::spec::{SatVariantSpec, TuneTargetSpec};
+use crate::PredictorKind::{Gshare, McFarling};
 use crate::{pct, EstimatorSpec, PredictorKind, RunConfig, Table};
 use cestim_core::diagnostic::ParametricCurve;
 use cestim_core::{mean_quadrant, MetricSummary, Quadrant};
-use cestim_exec::{BatchFailure, Executor, JobError};
+use cestim_exec::{payload_message, BatchFailure, Executor, JobError};
 use cestim_pipeline::PipelineStats;
 use cestim_trace::{BoostAnalysis, ClusterAnalysis, DistanceHistogram, DistanceSeries};
 use cestim_workloads::WorkloadKind;
@@ -37,83 +40,79 @@ pub struct ExperimentResult {
     pub json: Value,
 }
 
-/// All experiment ids: the paper's tables/figures in order, followed by
-/// the extension experiments (`ext-*`) implementing the paper's §5 future
-/// work and adjacent design-space completions.
-pub fn all_ids() -> &'static [&'static str] {
-    &[
-        "fig1",
-        "table1",
-        "table2",
-        "table2-detail",
-        "fig3",
-        "fig4",
-        "fig5",
-        "table3",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "table4",
-        "cluster",
-        "boost",
-        "ext-jrsmcf",
-        "ext-cir",
-        "ext-tune",
-        "ext-smt",
-        "ext-eager",
-        "ext-xinput",
-        "ext-modern",
-        "ext-predictability",
-    ]
+/// One experiment: runs at a workload scale, submitting every simulation
+/// unit to the executor.
+type Experiment = fn(&Executor, u32) -> ExperimentResult;
+
+/// The full suite, in `repro all` order: the paper's tables/figures,
+/// followed by the extension experiments (`ext-*`) implementing the
+/// paper's §5 future work and adjacent design-space completions.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", |_, _| fig1()),
+    ("table1", |x, s| table1_on(x, s, ALL)),
+    ("table2", |x, s| table2_on(x, s, ALL)),
+    ("table2-detail", |x, s| table2_detail_on(x, s, ALL)),
+    ("fig3", |x, s| fig3_on(x, s, ALL)),
+    ("fig4", |x, s| fig45_on(x, s, ALL, Gshare, "fig4")),
+    ("fig5", |x, s| fig45_on(x, s, ALL, McFarling, "fig5")),
+    ("table3", |x, s| table3_on(x, s, ALL)),
+    ("fig6", |x, s| {
+        distance_fig_on(x, s, ALL, Gshare, false, "fig6")
+    }),
+    ("fig7", |x, s| {
+        distance_fig_on(x, s, ALL, McFarling, false, "fig7")
+    }),
+    ("fig8", |x, s| {
+        distance_fig_on(x, s, ALL, Gshare, true, "fig8")
+    }),
+    ("fig9", |x, s| {
+        distance_fig_on(x, s, ALL, McFarling, true, "fig9")
+    }),
+    ("table4", |x, s| table4_on(x, s, ALL)),
+    ("cluster", |x, s| cluster_on(x, s, ALL)),
+    ("boost", |x, s| boost_on(x, s, ALL)),
+    ("ext-jrsmcf", |x, s| ext_jrsmcf_on(x, s, ALL)),
+    ("ext-cir", |x, s| ext_cir_on(x, s, ALL)),
+    ("ext-tune", |x, s| ext_tune_on(x, s, ALL)),
+    ("ext-smt", |x, s| ext_smt_on(x, s, SMT_PAIRS)),
+    ("ext-eager", |x, s| ext_eager_on(x, s, ALL)),
+    ("ext-xinput", |x, s| ext_xinput_on(x, s, ALL)),
+    ("ext-modern", |x, s| ext_modern_on(x, s, ALL)),
+    ("ext-predictability", |x, s| {
+        ext_predictability_on(x, s, ALL)
+    }),
+];
+
+/// The suite's workload set: every analog.
+const ALL: &[WorkloadKind] = &WorkloadKind::all();
+
+/// The suite's SMT thread pairs.
+const SMT_PAIRS: &[(WorkloadKind, WorkloadKind)] = &[
+    (WorkloadKind::Go, WorkloadKind::Ijpeg),
+    (WorkloadKind::Gcc, WorkloadKind::Vortex),
+    (WorkloadKind::Go, WorkloadKind::Gcc),
+];
+
+/// All experiment ids, in suite order.
+pub fn all_ids() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|&(id, _)| id).collect()
 }
 
-/// Runs one experiment by id at the given workload scale, sequentially
-/// and uncached. Returns `None` for unknown ids.
-pub fn run_experiment(id: &str, scale: u32) -> Option<ExperimentResult> {
-    run_experiment_with(&Executor::sequential(), id, scale)
+fn lookup(id: &str) -> Option<Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|&&(known, _)| known == id)
+        .map(|&(_, run)| run)
 }
 
-/// Like [`run_experiment`], submitting every simulation unit to `exec` —
-/// the entry point for parallel and cache-backed regeneration. Output is
-/// identical to [`run_experiment`] regardless of worker count or cache
-/// state (jobs merge in submission order and cache bit-exact payloads).
+/// Runs one experiment by id at the given workload scale, submitting
+/// every simulation unit to `exec`. Returns `None` for unknown ids.
+///
+/// Output is identical regardless of worker count or cache state (jobs
+/// merge in submission order and cache bit-exact payloads); pass
+/// [`Executor::sequential`] for a plain in-process run.
 pub fn run_experiment_with(exec: &Executor, id: &str, scale: u32) -> Option<ExperimentResult> {
-    let all = WorkloadKind::all();
-    Some(match id {
-        "fig1" => fig1(),
-        "table1" => table1_on(exec, scale, &all),
-        "table2" => table2_on(exec, scale, &all),
-        "table2-detail" => table2_detail_on(exec, scale, &all),
-        "fig3" => fig3_on(exec, scale, &all),
-        "fig4" => fig45_on(exec, scale, &all, PredictorKind::Gshare, "fig4"),
-        "fig5" => fig45_on(exec, scale, &all, PredictorKind::McFarling, "fig5"),
-        "table3" => table3_on(exec, scale, &all),
-        "fig6" => distance_fig_on(exec, scale, &all, PredictorKind::Gshare, false, "fig6"),
-        "fig7" => distance_fig_on(exec, scale, &all, PredictorKind::McFarling, false, "fig7"),
-        "fig8" => distance_fig_on(exec, scale, &all, PredictorKind::Gshare, true, "fig8"),
-        "fig9" => distance_fig_on(exec, scale, &all, PredictorKind::McFarling, true, "fig9"),
-        "table4" => table4_on(exec, scale, &all),
-        "cluster" => cluster_on(exec, scale, &all),
-        "boost" => boost_on(exec, scale, &all),
-        "ext-jrsmcf" => ext_jrsmcf_on(exec, scale, &all),
-        "ext-cir" => ext_cir_on(exec, scale, &all),
-        "ext-tune" => ext_tune_on(exec, scale, &all),
-        "ext-eager" => ext_eager_on(exec, scale, &all),
-        "ext-xinput" => ext_xinput_on(exec, scale, &all),
-        "ext-modern" => ext_modern_on(exec, scale, &all),
-        "ext-predictability" => ext_predictability_on(exec, scale, &all),
-        "ext-smt" => ext_smt_on(
-            exec,
-            scale,
-            &[
-                (WorkloadKind::Go, WorkloadKind::Ijpeg),
-                (WorkloadKind::Gcc, WorkloadKind::Vortex),
-                (WorkloadKind::Go, WorkloadKind::Gcc),
-            ],
-        ),
-        _ => return None,
-    })
+    lookup(id).map(|run| run(exec, scale))
 }
 
 /// Structured failure manifest for one experiment: which jobs failed (with
@@ -152,13 +151,10 @@ pub fn run_experiment_checked(
     id: &str,
     scale: u32,
 ) -> Option<Result<ExperimentResult, ExperimentFailure>> {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_experiment_with(exec, id, scale)
-    }));
-    match outcome {
-        Ok(None) => None,
-        Ok(Some(result)) => Some(Ok(result)),
-        Err(payload) => Some(Err(match payload.downcast::<BatchFailure>() {
+    let run = lookup(id)?;
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(exec, scale)));
+    Some(
+        outcome.map_err(|payload| match payload.downcast::<BatchFailure>() {
             Ok(batch) => ExperimentFailure {
                 id: id.to_string(),
                 message: format!("{}/{} jobs failed", batch.errors.len(), batch.total),
@@ -166,17 +162,11 @@ pub fn run_experiment_checked(
             },
             Err(other) => ExperimentFailure {
                 id: id.to_string(),
-                message: if let Some(s) = other.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = other.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                },
+                message: payload_message(other.as_ref()),
                 errors: Vec::new(),
             },
-        })),
-    }
+        }),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -188,9 +178,6 @@ struct Matrix {
     names: Vec<String>,
     /// `[estimator][workload]` committed quadrants.
     committed: Vec<Vec<Quadrant>>,
-    /// Pipeline stats per workload.
-    #[allow(dead_code)] // kept for ad-hoc inspection and future experiments
-    stats: Vec<PipelineStats>,
 }
 
 fn run_matrix(
@@ -208,19 +195,30 @@ fn run_matrix(
         })
         .collect();
     let mut committed = vec![Vec::new(); specs.len()];
-    let mut stats = Vec::new();
     for out in exec.run_all(&jobs) {
-        let out = out.into_run();
-        for (i, e) in out.estimators.iter().enumerate() {
+        for (i, e) in out.into_run().estimators.iter().enumerate() {
             committed[i].push(e.quadrants.committed);
         }
-        stats.push(out.stats);
     }
     Matrix {
         names: specs.iter().map(EstimatorSpec::label).collect(),
         committed,
-        stats,
     }
+}
+
+/// One row per estimator of `m` with its committed metrics averaged over
+/// the workloads: the text table titled `title` and its JSON rows.
+fn mean_rows(title: impl Into<String>, m: &Matrix) -> (Table, Vec<Value>) {
+    let mut t = Table::new(title, vec!["estimator", "sens", "spec", "pvp", "pvn"]);
+    let mut jrows = Vec::new();
+    for (name, quads) in m.names.iter().zip(&m.committed) {
+        let s = mean_quadrant(quads);
+        let mut cells = vec![name.clone()];
+        cells.extend(metric_cells(&s));
+        t.row(cells);
+        jrows.push(json!({ "estimator": name, "metrics": summary_json(&s) }));
+    }
+    (t, jrows)
 }
 
 fn summary_json(m: &MetricSummary) -> Value {
@@ -278,12 +276,7 @@ pub fn fig1() -> ExperimentResult {
 // Table 1 — program characteristics
 // ---------------------------------------------------------------------------
 
-/// Table 1 over an explicit workload list (tests use subsets).
-pub fn table1_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table1_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 1 with simulation units submitted to `exec`.
+/// Table 1: program characteristics of each workload.
 pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let mut t = Table::new(
         "Table 1: program characteristics",
@@ -365,30 +358,14 @@ pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // Table 2 — four estimators × three predictors
 // ---------------------------------------------------------------------------
 
-/// Table 2 over an explicit workload list.
-pub fn table2_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table2_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 2 with simulation units submitted to `exec`.
+/// Table 2: the paper's four estimators on each of its three predictors.
 pub fn table2_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let mut text = String::new();
     let mut jpred = Vec::new();
     for p in PredictorKind::paper_three() {
         let specs = EstimatorSpec::paper_set(p);
         let m = run_matrix(exec, p, &specs, workloads, scale);
-        let mut t = Table::new(
-            format!("Table 2 ({p} predictor)"),
-            vec!["estimator", "sens", "spec", "pvp", "pvn"],
-        );
-        let mut jrows = Vec::new();
-        for (name, quads) in m.names.iter().zip(&m.committed) {
-            let s = mean_quadrant(quads);
-            let mut cells = vec![name.clone()];
-            cells.extend(metric_cells(&s));
-            t.row(cells);
-            jrows.push(json!({ "estimator": name, "metrics": summary_json(&s) }));
-        }
+        let (t, jrows) = mean_rows(format!("Table 2 ({p} predictor)"), &m);
         text.push_str(&t.to_string());
         text.push('\n');
         jpred.push(json!({ "predictor": p.name(), "rows": jrows }));
@@ -405,12 +382,7 @@ pub fn table2_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // Figure 3 — enhanced vs base JRS
 // ---------------------------------------------------------------------------
 
-/// Figure 3 over an explicit workload list.
-pub fn fig3_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    fig3_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Figure 3 with simulation units submitted to `exec`.
+/// Figure 3: enhanced vs base JRS indexing across thresholds.
 pub fn fig3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let thresholds: Vec<u8> = (1..=16).collect();
     let mut specs = Vec::new();
@@ -455,17 +427,8 @@ pub fn fig3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exper
 // Figures 4 & 5 — JRS design space
 // ---------------------------------------------------------------------------
 
-/// Figures 4/5 over an explicit workload list.
-pub fn fig45_with(
-    scale: u32,
-    workloads: &[WorkloadKind],
-    predictor: PredictorKind,
-    id: &str,
-) -> ExperimentResult {
-    fig45_on(&Executor::sequential(), scale, workloads, predictor, id)
-}
-
-/// Figures 4/5 with simulation units submitted to `exec`.
+/// Figures 4/5: the JRS design space (table size × threshold) on
+/// `predictor`; `id` names the figure.
 pub fn fig45_on(
     exec: &Executor,
     scale: u32,
@@ -515,12 +478,7 @@ pub fn fig45_on(
 // Table 3 — BothStrong vs EitherStrong
 // ---------------------------------------------------------------------------
 
-/// Table 3 over an explicit workload list.
-pub fn table3_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table3_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 3 with simulation units submitted to `exec`.
+/// Table 3: the BothStrong and EitherStrong saturating-counter variants.
 pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let specs = [
         EstimatorSpec::SatCtr {
@@ -606,31 +564,9 @@ fn merged_distance(
     merged.expect("at least one workload")
 }
 
-fn histogram_rows(h: &DistanceHistogram) -> (Vec<(u64, f64, u64)>, f64) {
-    (h.series(), h.average_rate())
-}
-
-/// Figures 6–9 over an explicit workload list: misprediction rate vs
-/// distance, `perceived` selecting resolution-time (Figs 8–9) rather than
-/// omniscient (Figs 6–7) reset points.
-pub fn distance_fig_with(
-    scale: u32,
-    workloads: &[WorkloadKind],
-    predictor: PredictorKind,
-    perceived: bool,
-    id: &str,
-) -> ExperimentResult {
-    distance_fig_on(
-        &Executor::sequential(),
-        scale,
-        workloads,
-        predictor,
-        perceived,
-        id,
-    )
-}
-
-/// Figures 6–9 with simulation units submitted to `exec`.
+/// Figures 6–9: misprediction rate vs distance on `predictor`,
+/// `perceived` selecting resolution-time (Figs 8–9) rather than omniscient
+/// (Figs 6–7) reset points; `id` names the figure.
 pub fn distance_fig_on(
     exec: &Executor,
     scale: u32,
@@ -662,8 +598,8 @@ pub fn distance_fig_on(
             "committed: n",
         ],
     );
-    let (rows_a, avg_a) = histogram_rows(all_series);
-    let (rows_c, avg_c) = histogram_rows(committed_series);
+    let (rows_a, avg_a) = (all_series.series(), all_series.average_rate());
+    let (rows_c, avg_c) = (committed_series.series(), committed_series.average_rate());
     let show: Vec<u64> = (1..=16).chain([20, 24, 32, 48, 64]).collect();
     for d in show {
         t.row(vec![
@@ -701,12 +637,7 @@ pub fn distance_fig_on(
 // Table 4 — the distance estimator
 // ---------------------------------------------------------------------------
 
-/// Table 4 over an explicit workload list.
-pub fn table4_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table4_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 4 with simulation units submitted to `exec`.
+/// Table 4: the distance estimator vs the table-based estimators.
 pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let mut t = Table::new(
         "Table 4: misprediction distance as a confidence estimator",
@@ -767,12 +698,7 @@ pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // §4.1 clustering of mis-estimations
 // ---------------------------------------------------------------------------
 
-/// Mis-estimation clustering (§4.1) over an explicit workload list.
-pub fn cluster_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    cluster_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Clustering with simulation units submitted to `exec`.
+/// Mis-estimation clustering (§4.1).
 pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let configs: Vec<(PredictorKind, EstimatorSpec, &str)> = vec![
         (
@@ -846,11 +772,6 @@ pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
 /// vs the Bernoulli model `1 − (1 − PVN)^k`, plus the per-branch behaviour
 /// of the [`Boosted`](cestim_core::Boosted) estimator transform (whose
 /// coverage shrinks as k rises).
-pub fn boost_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    boost_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Boosting with simulation units submitted to `exec`.
 pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let base = EstimatorSpec::SatCtr {
         variant: SatVariantSpec::Selected,
@@ -935,11 +856,6 @@ pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Expe
 
 /// Extension: the McFarling-structured JRS (§5 future work) vs the plain
 /// enhanced JRS, on the McFarling predictor, across thresholds.
-pub fn ext_jrsmcf_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_jrsmcf_on(&Executor::sequential(), scale, workloads)
-}
-
-/// JRS/McFarling extension with simulation units submitted to `exec`.
 pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let thresholds: [u8; 4] = [4, 8, 12, 15];
     let mut specs = Vec::new();
@@ -955,18 +871,10 @@ pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
         });
     }
     let m = run_matrix(exec, PredictorKind::McFarling, &specs, workloads, scale);
-    let mut t = Table::new(
+    let (t, jrows) = mean_rows(
         "Extension: structure-aware JRS on McFarling (paper §5 future work)",
-        vec!["estimator", "sens", "spec", "pvp", "pvn"],
+        &m,
     );
-    let mut jrows = Vec::new();
-    for (name, quads) in m.names.iter().zip(&m.committed) {
-        let s = mean_quadrant(quads);
-        let mut cells = vec![name.clone()];
-        cells.extend(metric_cells(&s));
-        t.row(cells);
-        jrows.push(json!({ "estimator": name, "metrics": summary_json(&s) }));
-    }
     ExperimentResult {
         id: "ext-jrsmcf".into(),
         title: "Extension: JRS specialized for the McFarling predictor".into(),
@@ -977,11 +885,6 @@ pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
 
 /// Extension: correct/incorrect registers (Jacobsen et al.'s other
 /// one-level design) vs the resetting-counter JRS, on gshare.
-pub fn ext_cir_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_cir_on(&Executor::sequential(), scale, workloads)
-}
-
-/// CIR extension with simulation units submitted to `exec`.
 pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let specs = vec![
         EstimatorSpec::jrs_paper(),
@@ -1005,18 +908,10 @@ pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
         },
     ];
     let m = run_matrix(exec, PredictorKind::Gshare, &specs, workloads, scale);
-    let mut t = Table::new(
+    let (t, jrows) = mean_rows(
         "Extension: resetting counters (JRS) vs correct/incorrect registers (CIR), gshare",
-        vec!["estimator", "sens", "spec", "pvp", "pvn"],
+        &m,
     );
-    let mut jrows = Vec::new();
-    for (name, quads) in m.names.iter().zip(&m.committed) {
-        let s = mean_quadrant(quads);
-        let mut cells = vec![name.clone()];
-        cells.extend(metric_cells(&s));
-        t.row(cells);
-        jrows.push(json!({ "estimator": name, "metrics": summary_json(&s) }));
-    }
     ExperimentResult {
         id: "ext-cir".into(),
         title: "Extension: CIR vs JRS one-level estimators".into(),
@@ -1028,11 +923,6 @@ pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
 /// Extension: tuned static estimation (§5 future work) — pick thresholds
 /// meeting SPEC/PVN targets on the profile and verify the measured run
 /// lands on target.
-pub fn ext_tune_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_tune_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Tuning extension with simulation units submitted to `exec`.
 pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let targets = [
         ("spec>=85%", TuneTargetSpec::MinSpec(0.85)),
@@ -1099,11 +989,6 @@ pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> E
 /// Extension: confidence-driven SMT fetch arbitration, measured on the real
 /// two-thread [`SmtSimulator`](cestim_pipeline::SmtSimulator) — the paper's
 /// §1 motivating application, quantified.
-pub fn ext_smt_with(scale: u32, pairs: &[(WorkloadKind, WorkloadKind)]) -> ExperimentResult {
-    ext_smt_on(&Executor::sequential(), scale, pairs)
-}
-
-/// SMT extension with simulation units submitted to `exec`.
 pub fn ext_smt_on(
     exec: &Executor,
     scale: u32,
@@ -1168,11 +1053,6 @@ pub fn ext_smt_on(
 /// Extension: eager (dual-path) execution in the pipeline — fork both paths
 /// of a low-confidence branch; covered mispredictions skip the recovery
 /// penalty at the price of halved fetch bandwidth while forked.
-pub fn ext_eager_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_eager_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Eager-execution extension with simulation units submitted to `exec`.
 pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     use cestim_pipeline::PipelineConfig;
     let triggers = [
@@ -1256,11 +1136,6 @@ pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> 
 /// the profile on an alternative input (salt 1) and measures on the
 /// default input, quantifying the degradation — and compares against the
 /// self-profiled upper bound and the input-independent JRS.
-pub fn ext_xinput_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_xinput_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Cross-input extension with simulation units submitted to `exec`.
 pub fn ext_xinput_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let static_spec = EstimatorSpec::Static { threshold: 0.9 };
     let mut t = Table::new(
@@ -1355,11 +1230,6 @@ fn modern_estimators() -> Vec<EstimatorSpec> {
 /// Extension: modern predictor families (TAGE, hashed perceptron) under
 /// the paper's diagnostic metrics, with composite (voting) and timing
 /// confidence estimators alongside the paper's designs.
-pub fn ext_modern_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_modern_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Modern-family extension with simulation units submitted to `exec`.
 pub fn ext_modern_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
     let predictors = [
         PredictorKind::Gshare,
@@ -1399,11 +1269,6 @@ pub fn ext_modern_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
 /// family runs over every workload; each workload gets its best
 /// predictor and a predictability class, and the trace-replay path is
 /// cross-checked against the live pipeline for the modern families.
-pub fn ext_predictability_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    ext_predictability_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Predictability extension with simulation units submitted to `exec`.
 pub fn ext_predictability_on(
     exec: &Executor,
     scale: u32,
@@ -1513,11 +1378,6 @@ pub fn ext_predictability_on(
 
 /// Per-application detail behind Table 2 (the paper reports means and
 /// points at its tech report for the full data; this regenerates it).
-pub fn table2_detail_with(scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
-    table2_detail_on(&Executor::sequential(), scale, workloads)
-}
-
-/// Table 2 detail with simulation units submitted to `exec`.
 pub fn table2_detail_on(
     exec: &Executor,
     scale: u32,
@@ -1562,6 +1422,10 @@ mod tests {
 
     const SMALL: &[WorkloadKind] = &[WorkloadKind::Compress];
 
+    fn seq() -> Executor {
+        Executor::sequential()
+    }
+
     #[test]
     fn fig1_is_analytic_and_complete() {
         let r = fig1();
@@ -1572,14 +1436,18 @@ mod tests {
 
     #[test]
     fn all_ids_dispatch() {
-        for &id in all_ids() {
+        let exec = Executor::sequential();
+        let ids = all_ids();
+        for &id in &ids {
             // Only check the dispatcher wiring for cheap ids; heavier ones
             // are covered by integration tests and the repro binary.
             if id == "fig1" {
-                assert!(run_experiment(id, 1).is_some());
+                assert_eq!(run_experiment_with(&exec, id, 1).unwrap().id, id);
             }
         }
-        assert!(run_experiment("nope", 1).is_none());
+        assert!(run_experiment_with(&exec, "nope", 1).is_none());
+        let unique: std::collections::BTreeSet<_> = ids.iter().collect();
+        assert_eq!(unique.len(), ids.len(), "duplicate experiment id");
     }
 
     #[test]
@@ -1613,7 +1481,7 @@ mod tests {
 
     #[test]
     fn table2_small_has_expected_shape() {
-        let r = table2_with(1, SMALL);
+        let r = table2_on(&seq(), 1, SMALL);
         let preds = r.json["predictors"].as_array().unwrap();
         assert_eq!(preds.len(), 3);
         for p in preds {
@@ -1624,7 +1492,7 @@ mod tests {
 
     #[test]
     fn fig3_enhanced_beats_base_on_pvp_at_matched_sens() {
-        let r = fig3_with(1, SMALL);
+        let r = fig3_on(&seq(), 1, SMALL);
         let v = r.json["variants"].as_array().unwrap();
         assert_eq!(v[0]["variant"], "base");
         assert_eq!(v[1]["variant"], "enhanced");
@@ -1637,12 +1505,12 @@ mod tests {
     #[test]
     fn remaining_experiments_have_expected_shapes() {
         // table1: one row per workload plus the mean row.
-        let r = table1_with(1, SMALL);
+        let r = table1_on(&seq(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 1);
         assert!(r.text.contains("mean"));
 
         // table2-detail: 4 estimator rows per workload per predictor.
-        let r = table2_detail_with(1, SMALL);
+        let r = table2_detail_on(&seq(), 1, SMALL);
         for p in r.json["predictors"].as_array().unwrap() {
             assert_eq!(p["rows"].as_array().unwrap().len(), 4);
         }
@@ -1651,7 +1519,7 @@ mod tests {
         // rises at fixed size (more selective HC set... PVP *rises*; check
         // monotone trend of SENS via spec json instead: PVN at t=16 equals
         // the misprediction rate is covered by fig3; here just shape).
-        let r = fig45_with(1, SMALL, PredictorKind::Gshare, "fig4");
+        let r = fig45_on(&seq(), 1, SMALL, Gshare, "fig4");
         let sizes = r.json["sizes"].as_array().unwrap();
         assert_eq!(sizes.len(), 4);
         for sz in sizes {
@@ -1664,35 +1532,39 @@ mod tests {
         assert!(pvp_large >= pvp_small - 0.01, "{pvp_large} vs {pvp_small}");
 
         // table4: 10 rows per predictor + the SAg pattern row.
-        let r = table4_with(1, SMALL);
+        let r = table4_on(&seq(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 21);
 
         // table3: per-workload rows + mean.
-        let r = table3_with(1, SMALL);
+        let r = table3_on(&seq(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 1);
         assert!(r.json["mean"]["both_strong"]["spec"].as_f64().unwrap() > 0.0);
     }
 
     #[test]
     fn extension_experiments_run_on_small_inputs() {
-        let r = ext_cir_with(1, SMALL);
+        let r = ext_cir_on(&seq(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 4);
-        let r = ext_jrsmcf_with(1, SMALL);
+        let r = ext_jrsmcf_on(&seq(), 1, SMALL);
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 8);
-        let r = ext_tune_with(1, SMALL);
+        let r = ext_tune_on(&seq(), 1, SMALL);
         // Every SPEC target must be met (always reachable).
         for row in r.json["rows"].as_array().unwrap() {
             if row["target"].as_str().unwrap().starts_with("spec") {
                 assert_eq!(row["met"], true, "{row}");
             }
         }
-        let r = ext_smt_with(1, &[(WorkloadKind::Compress, WorkloadKind::Compress)]);
+        let r = ext_smt_on(
+            &seq(),
+            1,
+            &[(WorkloadKind::Compress, WorkloadKind::Compress)],
+        );
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 4);
     }
 
     #[test]
     fn ext_modern_covers_every_family_pair() {
-        let r = ext_modern_with(1, SMALL);
+        let r = ext_modern_on(&seq(), 1, SMALL);
         let rows = r.json["rows"].as_array().unwrap();
         // 3 predictors x 5 estimators.
         assert_eq!(rows.len(), 15);
@@ -1719,7 +1591,7 @@ mod tests {
 
     #[test]
     fn ext_predictability_classifies_and_cross_checks_replay() {
-        let r = ext_predictability_with(1, SMALL);
+        let r = ext_predictability_on(&seq(), 1, SMALL);
         let rows = r.json["rows"].as_array().unwrap();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
@@ -1737,13 +1609,7 @@ mod tests {
 
     #[test]
     fn distance_fig_small_runs() {
-        let r = distance_fig_with(
-            1,
-            &[WorkloadKind::Gcc],
-            PredictorKind::Gshare,
-            false,
-            "fig6",
-        );
+        let r = distance_fig_on(&seq(), 1, &[WorkloadKind::Gcc], Gshare, false, "fig6");
         let avg = r.json["all"]["average"].as_f64().unwrap();
         assert!(avg > 0.0 && avg < 0.5);
         // Clustering: distance-1 rate above the average rate.

@@ -24,7 +24,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn table2_parallel_matches_serial_bit_for_bit() {
     // A multi-workload experiment run serially and with four workers: the
     // rendered text and the JSON must agree byte-for-byte.
-    let serial = suite::table2_with(1, WORKLOADS);
+    let serial = suite::table2_on(&Executor::sequential(), 1, WORKLOADS);
     let parallel = suite::table2_on(&Executor::new(4), 1, WORKLOADS);
     assert_eq!(serial.text, parallel.text);
     assert_eq!(
@@ -38,7 +38,7 @@ fn table2_parallel_matches_serial_bit_for_bit() {
 fn boost_parallel_matches_serial() {
     // Boost merges per-workload window counts; merged order must not
     // depend on execution order.
-    let serial = suite::boost_with(1, WORKLOADS);
+    let serial = suite::boost_on(&Executor::sequential(), 1, WORKLOADS);
     let parallel = suite::boost_on(&Executor::new(4), 1, WORKLOADS);
     assert_eq!(serial.text, parallel.text);
     assert_eq!(serial.json.to_string(), parallel.json.to_string());

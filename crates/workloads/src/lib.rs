@@ -90,7 +90,7 @@ pub enum WorkloadKind {
 
 impl WorkloadKind {
     /// All workloads in the paper's table order.
-    pub fn all() -> [WorkloadKind; 8] {
+    pub const fn all() -> [WorkloadKind; 8] {
         [
             WorkloadKind::Compress,
             WorkloadKind::Gcc,

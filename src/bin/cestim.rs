@@ -100,37 +100,33 @@ fn load_program(
 
 fn cmd_run(argv: impl Iterator<Item = String>) -> ExitCode {
     let args = parse_run_args(argv);
-    let (name, program) = load_program(args.workload, &args.asm, args.scale);
-
-    // Assembly programs run the pipeline directly (no profiling pass), so
-    // profile-needing estimators are only supported for named workloads.
-    if args.asm.is_some() && args.estimators.iter().any(EstimatorSpec::needs_profile) {
-        fail("profile-based estimators (static/tuned) need --workload, not --asm");
-    }
-
     let mut pipeline = PipelineConfig::paper();
     if let Some(g) = args.gate {
         pipeline.gate_threshold = Some(g);
     }
 
-    let out = if let Some(w) = args.workload {
-        let cfg = RunConfig {
-            workload: w,
-            scale: args.scale,
-            input_salt: 0,
-            predictor: args.predictor,
-            pipeline,
-        };
-        cestim::run(&cfg, &args.estimators)
-    } else {
-        let mut sim = Simulator::new(&program, pipeline, args.predictor.build_any());
-        for spec in &args.estimators {
-            sim.add_estimator(spec.build_any(None));
+    let (name, out) = match (args.workload, &args.asm) {
+        (Some(w), None) => {
+            let cfg = RunConfig {
+                pipeline,
+                ..RunConfig::paper(w, args.scale, args.predictor)
+            };
+            (w.name().to_string(), cestim::run(&cfg, &args.estimators))
         }
-        let stats = sim.run_to_completion();
-        cestim::RunOutcome {
-            stats,
-            estimators: args
+        // `--asm` alone; `load_program` rejects every other combination.
+        _ => {
+            let (name, program) = load_program(args.workload, &args.asm, args.scale);
+            // Assembly programs run the pipeline directly (no profiling
+            // pass), so profile-needing estimators need a named workload.
+            if args.estimators.iter().any(EstimatorSpec::needs_profile) {
+                fail("profile-based estimators (static/tuned) need --workload, not --asm");
+            }
+            let mut sim = Simulator::new(&program, pipeline, args.predictor.build_any());
+            for spec in &args.estimators {
+                sim.add_estimator(spec.build_any(None));
+            }
+            let stats = sim.run_to_completion();
+            let estimators = args
                 .estimators
                 .iter()
                 .zip(sim.estimator_quadrants())
@@ -138,7 +134,8 @@ fn cmd_run(argv: impl Iterator<Item = String>) -> ExitCode {
                     name: s.label(),
                     quadrants,
                 })
-                .collect(),
+                .collect();
+            (name, cestim::RunOutcome { stats, estimators })
         }
     };
 
