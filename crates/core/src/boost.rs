@@ -15,6 +15,13 @@ pub struct KRun {
 }
 
 impl KRun {
+    /// The Bernoulli-model boosted PVN: `1 − (1 − pvn)^k`, the probability
+    /// that at least one of `k` independent low-confidence branches with
+    /// predictive value `pvn` is mispredicted.
+    pub fn bernoulli_pvn(pvn: f64, k: u32) -> f64 {
+        1.0 - (1.0 - pvn).powi(k as i32)
+    }
+
     /// Feeds the next inner estimate; returns the boosted one.
     #[inline]
     pub fn observe(&mut self, inner: Confidence) -> Confidence {
@@ -44,7 +51,7 @@ impl KRun {
 /// "one of the last `k` LC branches is likely wrong", which is exactly what
 /// an SMT processor needs to justify a thread switch, and what an eager-
 /// execution machine can use by forking at *both* LC branches. The
-/// [`bernoulli_pvn`](Boosted::bernoulli_pvn) helper computes the model value
+/// [`KRun::bernoulli_pvn`] helper computes the model value
 /// the measured boost is compared against in the `repro boost` experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Boosted<E> {
@@ -85,11 +92,6 @@ impl<E: ConfidenceEstimator> Boosted<E> {
     /// current run).
     pub fn into_parts(self) -> (E, KRun) {
         (self.inner, self.run)
-    }
-
-    /// The Bernoulli-model boosted PVN: `1 − (1 − pvn)^k`.
-    pub fn bernoulli_pvn(pvn: f64, k: u32) -> f64 {
-        1.0 - (1.0 - pvn).powi(k as i32)
     }
 }
 
@@ -185,10 +187,10 @@ mod tests {
     #[test]
     fn bernoulli_model_values() {
         // The paper's example: PVN 30 % boosted with k=2 → ≈ 51 %.
-        let v = Boosted::<AlwaysLow>::bernoulli_pvn(0.30, 2);
+        let v = KRun::bernoulli_pvn(0.30, 2);
         assert!((v - 0.51).abs() < 1e-12);
-        assert_eq!(Boosted::<AlwaysLow>::bernoulli_pvn(0.5, 1), 0.5);
-        assert!((Boosted::<AlwaysLow>::bernoulli_pvn(0.2, 3) - 0.488).abs() < 1e-12);
+        assert_eq!(KRun::bernoulli_pvn(0.5, 1), 0.5);
+        assert!((KRun::bernoulli_pvn(0.2, 3) - 0.488).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Architectural interpreter with checkpoint/rollback.
 
-use crate::{Inst, MemMark, Program, Reg, SparseMemory};
-use std::collections::VecDeque;
+use crate::{Inst, Program, Reg, SparseMemory, UndoLog};
 
 /// What a single [`Machine::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +23,7 @@ pub enum Step {
         /// to), regardless of any forced direction.
         taken: bool,
         /// Direction the machine actually followed (differs from `taken`
-        /// only under [`Machine::step_forced`]).
+        /// only when [`Machine::step_decoded`] forced it).
         followed: bool,
         /// Taken-path target instruction index.
         target: u32,
@@ -54,35 +53,37 @@ pub enum Step {
     OutOfRange,
 }
 
+/// One overwritten value in the machine's undo log.
+#[derive(Debug, Clone, Copy)]
+enum Undo {
+    /// `(register index, old value)`.
+    Reg(u8, u32),
+    /// `(word address, old word)`.
+    Mem(u32, u32),
+}
+
 /// Architectural snapshot position, used for wrong-path recovery.
 ///
 /// Captured by [`Machine::checkpoint`] before following a predicted branch
-/// direction; [`Machine::restore`] rewinds registers, PC and (via the
-/// register and memory undo logs) all speculative writes.
+/// direction; [`Machine::restore`] rewinds the PC and every register and
+/// memory write made since.
 ///
-/// A checkpoint is a pair of undo-log positions plus the PC, not a copy of
-/// machine state: taking one is O(1) and a few dozen bytes, which is what
-/// lets the pipeline checkpoint *every* predicted branch without the
+/// A checkpoint is one position in the machine's [`UndoLog`] plus the PC,
+/// not a copy of machine state: taking one is O(1) and a few bytes, which
+/// is what lets the pipeline checkpoint *every* predicted branch without a
 /// per-branch register-file copy dominating simulation time. The cost moves
-/// to an O(1) log append per register write, and restore replays the log
-/// backwards — exactly like the memory undo log.
+/// to an O(1) log append per write, and restore replays the log backwards.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    reg_mark: u64,
+    mark: u64,
     pc: u32,
     halted: bool,
-    mem: MemMark,
 }
 
 impl Checkpoint {
     /// PC at which the checkpoint was taken.
     pub fn pc(&self) -> u32 {
         self.pc
-    }
-
-    /// Memory undo-log position of the checkpoint.
-    pub fn mem_mark(&self) -> MemMark {
-        self.mem
     }
 }
 
@@ -92,22 +93,25 @@ impl Checkpoint {
 /// [`step`](Machine::step) fully executes one instruction. Timing is the
 /// pipeline simulator's job. The split is what enables the paper's
 /// "execute-at-decode" methodology: the pipeline calls
-/// [`step_forced`](Machine::step_forced) to follow the *predicted* direction
-/// of a branch while learning the *actual* direction from the returned
-/// [`Step::Branch`], and uses [`checkpoint`](Machine::checkpoint) /
-/// [`restore`](Machine::restore) to rewind wrong paths.
+/// [`step_decoded`](Machine::step_decoded) with a forced direction to
+/// follow the *predicted* direction of a branch while learning the
+/// *actual* direction from the returned [`Step::Branch`], and uses
+/// [`checkpoint`](Machine::checkpoint) / [`restore`](Machine::restore) to
+/// rewind wrong paths.
+///
+/// Writes are logged for rewinding only from the first checkpoint on: no
+/// state before it can ever be restored, so plain interpretation keeps no
+/// history.
 #[derive(Debug, Clone)]
 pub struct Machine {
     regs: [u32; Reg::COUNT],
     pc: u32,
     halted: bool,
     mem: SparseMemory,
-    /// Register undo log: `(register index, overwritten value)` per write,
-    /// mirroring the memory undo log in [`SparseMemory`]. Checkpoints
-    /// record a position; restore pops back to it, commit releases from
-    /// the front.
-    reg_undo: VecDeque<(u32, u32)>,
-    reg_undo_base: u64,
+    /// Register and memory writes since the first checkpoint.
+    undo: UndoLog<Undo>,
+    /// Set by the first [`checkpoint`](Machine::checkpoint).
+    logging: bool,
 }
 
 impl Machine {
@@ -117,7 +121,7 @@ impl Machine {
         let mut mem = SparseMemory::new();
         for block in program.data() {
             for (i, &w) in block.words.iter().enumerate() {
-                mem.write_init(block.base.wrapping_add(i as u32), w);
+                mem.write(block.base.wrapping_add(i as u32), w);
             }
         }
         Machine {
@@ -125,8 +129,8 @@ impl Machine {
             pc: program.entry(),
             halted: false,
             mem,
-            reg_undo: VecDeque::new(),
-            reg_undo_base: 0,
+            undo: UndoLog::new(),
+            logging: false,
         }
     }
 
@@ -148,15 +152,20 @@ impl Machine {
         self.regs[r.index()]
     }
 
-    /// Writes a register (writes to `zero` are discarded), logging the
-    /// overwritten value for checkpoint rollback.
+    /// Writes a register (writes to `zero` are discarded).
     #[inline]
     pub fn set_reg(&mut self, r: Reg, val: u32) {
         if !r.is_zero() {
-            let slot = &mut self.regs[r.index()];
-            let old = *slot;
-            *slot = val;
-            self.reg_undo.push_back((r.index() as u32, old));
+            let old = std::mem::replace(&mut self.regs[r.index()], val);
+            self.log(Undo::Reg(r.index() as u8, old));
+        }
+    }
+
+    /// Records an overwritten value once a checkpoint may need it.
+    #[inline]
+    fn log(&mut self, entry: Undo) {
+        if self.logging {
+            self.undo.push(entry);
         }
     }
 
@@ -165,61 +174,25 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable access to data memory (for test setup and workload drivers).
-    pub fn mem_mut(&mut self) -> &mut SparseMemory {
-        &mut self.mem
-    }
-
-    /// The instruction the PC currently points at.
-    #[inline]
-    pub fn current_inst<'p>(&self, program: &'p Program) -> Option<&'p Inst> {
-        program.inst(self.pc)
-    }
-
-    /// Evaluates a conditional branch's condition against current register
-    /// values without executing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inst` is not a conditional branch.
-    #[inline]
-    pub fn eval_branch(&self, inst: &Inst) -> bool {
-        match *inst {
-            Inst::Branch { cond, rs1, rs2, .. } => cond.eval(self.reg(rs1), self.reg(rs2)),
-            ref other => panic!("eval_branch on non-branch instruction {other}"),
-        }
-    }
-
-    /// Executes one instruction, following the architecturally correct path.
+    /// Executes the instruction at the PC, following the architecturally
+    /// correct path.
     #[inline]
     pub fn step(&mut self, program: &Program) -> Step {
-        self.step_inner(program, None)
-    }
-
-    /// Executes one instruction; if it is a conditional branch, follows
-    /// `direction` instead of the evaluated condition.
-    ///
-    /// The returned [`Step::Branch`] still reports the *correct* outcome in
-    /// `taken`, so the caller learns immediately (at decode time) whether the
-    /// forced direction was a misprediction.
-    #[inline]
-    pub fn step_forced(&mut self, program: &Program, direction: bool) -> Step {
-        self.step_inner(program, Some(direction))
-    }
-
-    fn step_inner(&mut self, program: &Program, force: Option<bool>) -> Step {
         if self.halted {
             return Step::Halt;
         }
-        let inst = match program.inst(self.pc) {
-            Some(i) => *i,
-            None => return Step::OutOfRange,
-        };
-        self.exec_decoded(inst, force)
+        match program.inst(self.pc) {
+            Some(&inst) => self.step_decoded(inst, None),
+            None => Step::OutOfRange,
+        }
     }
 
     /// Executes an already-decoded instruction as if fetched from the
-    /// current PC, skipping the halt check and program lookup.
+    /// current PC, skipping the halt check and program lookup. A
+    /// conditional branch follows `force` when given, else its evaluated
+    /// condition; the returned [`Step::Branch`] reports the *correct*
+    /// outcome in `taken` either way, so the caller learns at decode time
+    /// whether a forced direction was a misprediction.
     ///
     /// The caller must guarantee the machine is not halted and that `inst`
     /// is the instruction at the current PC — the pipeline simulator has
@@ -228,11 +201,6 @@ impl Machine {
     #[inline]
     pub fn step_decoded(&mut self, inst: Inst, force: Option<bool>) -> Step {
         debug_assert!(!self.halted, "step_decoded on a halted machine");
-        self.exec_decoded(inst, force)
-    }
-
-    #[inline]
-    fn exec_decoded(&mut self, inst: Inst, force: Option<bool>) -> Step {
         let next = self.pc.wrapping_add(1);
         match inst {
             Inst::Alu { op, rd, rs1, rs2 } => {
@@ -261,7 +229,8 @@ impl Machine {
             }
             Inst::Store { rs, base, off } => {
                 let addr = self.reg(base).wrapping_add(off as u32);
-                self.mem.write(addr, self.reg(rs));
+                let old = self.mem.write(addr, self.reg(rs));
+                self.log(Undo::Mem(addr, old));
                 self.pc = next;
                 Step::Store { addr }
             }
@@ -318,15 +287,15 @@ impl Machine {
         n
     }
 
-    /// Snapshots the architectural state as a pair of undo-log positions
-    /// (registers and memory) plus the PC. O(1).
+    /// Snapshots the architectural state as an undo-log position plus the
+    /// PC. O(1). Writes are logged from the first call on.
     #[inline]
-    pub fn checkpoint(&self) -> Checkpoint {
+    pub fn checkpoint(&mut self) -> Checkpoint {
+        self.logging = true;
         Checkpoint {
-            reg_mark: self.reg_undo_base + self.reg_undo.len() as u64,
+            mark: self.undo.mark(),
             pc: self.pc,
             halted: self.halted,
-            mem: self.mem.mark(),
         }
     }
 
@@ -338,44 +307,39 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint's register-log prefix has already been
-    /// released (a checkpoint-discipline bug in the caller).
+    /// Panics if a [`release`](Machine::release) of a younger checkpoint
+    /// already passed this one (a checkpoint-discipline bug in the caller).
     pub fn restore(&mut self, cp: &Checkpoint) {
-        assert!(
-            cp.reg_mark >= self.reg_undo_base,
-            "restore of a released checkpoint"
-        );
-        while self.reg_undo_base + self.reg_undo.len() as u64 > cp.reg_mark {
-            let (r, old) = self.reg_undo.pop_back().expect("reg undo underflow");
-            self.regs[r as usize] = old;
-        }
+        let (regs, mem) = (&mut self.regs, &mut self.mem);
+        self.undo.rollback(cp.mark, |entry| match entry {
+            Undo::Reg(r, old) => regs[r as usize] = old,
+            Undo::Mem(addr, old) => {
+                mem.write(addr, old);
+            }
+        });
         self.pc = cp.pc;
         self.halted = cp.halted;
-        self.mem.rollback_to(cp.mem);
     }
 
     /// Releases undo-log history older than `cp`, once `cp` can no longer be
-    /// restored (its branch committed). Keeps the undo logs bounded.
+    /// restored (its branch committed). Keeps the undo log bounded.
+    #[inline]
     pub fn release(&mut self, cp: &Checkpoint) {
-        let n = (cp.reg_mark.saturating_sub(self.reg_undo_base) as usize).min(self.reg_undo.len());
-        if n > 0 {
-            self.reg_undo.drain(..n);
-            self.reg_undo_base += n as u64;
-        }
-        self.mem.release_to(cp.mem);
+        self.undo.release(cp.mark);
     }
 
-    /// Number of live register-undo entries (bounded by the speculation
-    /// window when the caller follows the checkpoint discipline).
-    pub fn reg_undo_len(&self) -> usize {
-        self.reg_undo.len()
+    /// Number of live undo-log entries (bounded by the speculation window
+    /// when the caller follows the checkpoint discipline; zero while no
+    /// checkpoint was ever taken).
+    pub fn undo_len(&self) -> usize {
+        self.undo.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AluOp, Cond, ProgramBuilder};
+    use crate::{AluOp, ProgramBuilder};
 
     fn prog(f: impl FnOnce(&mut ProgramBuilder)) -> Program {
         let mut b = ProgramBuilder::new();
@@ -458,7 +422,7 @@ mod tests {
         let mut m = Machine::new(&p);
         m.step(&p);
         // Force the (wrong) not-taken direction.
-        let s = m.step_forced(&p, false);
+        let s = m.step_decoded(p.insts()[1], Some(false));
         assert_eq!(
             s,
             Step::Branch {
@@ -532,24 +496,43 @@ mod tests {
     }
 
     #[test]
-    fn eval_branch_matches_step_outcome() {
+    fn plain_run_keeps_no_undo_history() {
         let p = prog(|b| {
-            let t = b.label();
-            b.li(Reg::T0, 5);
-            b.li(Reg::T1, 5);
-            b.branch(Cond::Eq, Reg::T0, Reg::T1, t);
-            b.bind(t);
+            let d = b.alloc(&[0]);
+            b.li(Reg::S0, d as i32);
+            b.li(Reg::T0, 7);
+            b.sw(Reg::T0, Reg::S0, 0);
+            b.halt();
+        });
+        let mut m = Machine::new(&p);
+        m.run(&p, 10);
+        assert_eq!(m.mem().read(ProgramBuilder::DATA_BASE), 7);
+        assert_eq!(
+            m.undo_len(),
+            0,
+            "nothing can be rewound, so nothing is logged"
+        );
+    }
+
+    #[test]
+    fn only_writes_after_the_first_checkpoint_are_logged() {
+        let p = prog(|b| {
+            let d = b.alloc(&[5]);
+            b.li(Reg::S0, d as i32); // before the checkpoint
+            b.li(Reg::T0, 9);
+            b.sw(Reg::T0, Reg::S0, 0);
             b.halt();
         });
         let mut m = Machine::new(&p);
         m.step(&p);
-        m.step(&p);
-        let inst = *m.current_inst(&p).unwrap();
-        assert!(m.eval_branch(&inst));
-        match m.step(&p) {
-            Step::Branch { taken, .. } => assert!(taken),
-            other => panic!("expected branch, got {other:?}"),
-        }
+        let cp = m.checkpoint();
+        m.run(&p, 10);
+        assert_eq!(m.undo_len(), 2, "the register write and the store");
+        m.restore(&cp);
+        assert_eq!(m.undo_len(), 0);
+        assert_eq!(m.reg(Reg::S0), ProgramBuilder::DATA_BASE);
+        assert_eq!(m.reg(Reg::T0), 0);
+        assert_eq!(m.mem().read(ProgramBuilder::DATA_BASE), 5);
     }
 
     #[test]

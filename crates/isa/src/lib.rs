@@ -20,7 +20,10 @@
 //! snapshot/restore its complete state ([`Machine::checkpoint`] /
 //! [`Machine::restore`]), which is what lets the pipeline simulator execute
 //! down *wrong paths* and recover — the capability the paper's "speculative
-//! trace" methodology depends on.
+//! trace" methodology depends on. A checkpoint is a position in one
+//! [`UndoLog`] of register and memory writes, which the machine keeps only
+//! once a checkpoint has been taken; the pipeline rewinds its scoreboard
+//! with the same log type.
 //!
 //! ## Example
 //!
@@ -59,12 +62,14 @@ mod interp;
 mod mem;
 mod program;
 mod reg;
+mod undo;
 
 pub use asm::{parse_asm, ParseError};
 pub use builder::{Label, ProgramBuilder};
 pub use error::BuildError;
 pub use inst::{AluOp, Cond, Inst};
 pub use interp::{Checkpoint, Machine, Step};
-pub use mem::{MemMark, SparseMemory};
+pub use mem::SparseMemory;
 pub use program::{DataBlock, Program};
 pub use reg::{regs, Reg};
+pub use undo::UndoLog;

@@ -1,33 +1,18 @@
-//! Sparse word-addressed memory with an undo log for speculative rollback.
+//! Sparse word-addressed memory.
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 
 const PAGE_BITS: u32 = 12;
 const PAGE_WORDS: usize = 1 << PAGE_BITS;
 const OFFSET_MASK: u32 = (PAGE_WORDS as u32) - 1;
 
-/// Opaque position in the undo log, captured by [`SparseMemory::mark`].
+/// Sparse, word-addressed 32-bit memory. Reads of unwritten locations
+/// return `0`.
 ///
-/// Marks order memory states in time: rolling back to a mark restores the
-/// memory image exactly as it was when the mark was taken, provided no
-/// *earlier* mark has been [released](SparseMemory::release_to) past it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MemMark(u64);
-
-/// Sparse, word-addressed 32-bit memory with speculative undo logging.
-///
-/// Every [`write`](SparseMemory::write) appends the overwritten value to an
-/// undo log so that the pipeline simulator can execute stores down predicted
-/// (possibly wrong) paths and restore memory on misprediction recovery.
-/// Reads of unwritten locations return `0`.
-///
-/// The undo log is a deque indexed by a monotonically increasing absolute
-/// position: checkpoints capture a [`MemMark`]; recovery calls
-/// [`rollback_to`](SparseMemory::rollback_to) (pops from the back); commit of
-/// the oldest outstanding checkpoint calls
-/// [`release_to`](SparseMemory::release_to) (drops from the front), keeping
-/// the log bounded by the pipeline's speculation window.
+/// [`write`](SparseMemory::write) returns the word it overwrote, which is
+/// all a caller needs to rewind it: the [`Machine`](crate::Machine) pushes
+/// that word onto its [`UndoLog`](crate::UndoLog) while a checkpoint is
+/// outstanding.
 #[derive(Debug, Clone, Default)]
 pub struct SparseMemory {
     /// Resident pages sorted by page number. Programs touch a handful of
@@ -37,9 +22,6 @@ pub struct SparseMemory {
     pages: Vec<(u32, Box<[u32; PAGE_WORDS]>)>,
     /// Index of the most recently accessed page (a hint, validated on use).
     mru: Cell<usize>,
-    undo: VecDeque<(u32, u32)>,
-    undo_base: u64,
-    writes: u64,
 }
 
 impl SparseMemory {
@@ -93,69 +75,11 @@ impl SparseMemory {
         }
     }
 
-    /// Writes `val` to `addr`, logging the overwritten value for rollback.
+    /// Writes `val` to `addr`, returning the overwritten word.
     #[inline]
-    pub fn write(&mut self, addr: u32, val: u32) {
+    pub fn write(&mut self, addr: u32, val: u32) -> u32 {
         let page = self.page_mut(addr >> PAGE_BITS);
-        let slot = &mut page[(addr & OFFSET_MASK) as usize];
-        let old = *slot;
-        *slot = val;
-        self.undo.push_back((addr, old));
-        self.writes += 1;
-    }
-
-    /// Writes without logging. Only for loading the initial program image;
-    /// calling this while checkpoints are outstanding would corrupt rollback.
-    pub fn write_init(&mut self, addr: u32, val: u32) {
-        let page = self.page_mut(addr >> PAGE_BITS);
-        page[(addr & OFFSET_MASK) as usize] = val;
-    }
-
-    /// Captures the current undo-log position.
-    #[inline]
-    pub fn mark(&self) -> MemMark {
-        MemMark(self.undo_base + self.undo.len() as u64)
-    }
-
-    /// Restores memory to the state it had when `mark` was captured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mark's log prefix has already been released (i.e. a
-    /// *younger* `release_to` passed this mark) — that indicates a
-    /// checkpoint-discipline bug in the caller.
-    pub fn rollback_to(&mut self, mark: MemMark) {
-        assert!(
-            mark.0 >= self.undo_base,
-            "rollback to a released memory mark"
-        );
-        while self.undo_base + self.undo.len() as u64 > mark.0 {
-            let (addr, old) = self.undo.pop_back().expect("undo log underflow");
-            // Restore directly; the page must exist because it was written.
-            let i = self.find_page(addr >> PAGE_BITS).expect("page vanished");
-            self.pages[i].1[(addr & OFFSET_MASK) as usize] = old;
-        }
-    }
-
-    /// Discards undo entries older than `mark`, making states before it
-    /// unreachable. Call when the checkpoint owning `mark` commits.
-    pub fn release_to(&mut self, mark: MemMark) {
-        let n = (mark.0.saturating_sub(self.undo_base) as usize).min(self.undo.len());
-        if n > 0 {
-            self.undo.drain(..n);
-            self.undo_base += n as u64;
-        }
-    }
-
-    /// Number of live undo-log entries (bounded by the speculation window
-    /// when the caller follows the checkpoint discipline).
-    pub fn undo_len(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// Total number of logged writes ever performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
+        std::mem::replace(&mut page[(addr & OFFSET_MASK) as usize], val)
     }
 
     /// Number of resident pages (each covering 4 Ki words).
@@ -183,71 +107,7 @@ mod tests {
         assert_eq!(m.read(42), 7);
         assert_eq!(m.read(u32::MAX), 9);
         assert_eq!(m.read(41), 0);
-    }
-
-    #[test]
-    fn rollback_restores_previous_values() {
-        let mut m = SparseMemory::new();
-        m.write(10, 1);
-        let mark = m.mark();
-        m.write(10, 2);
-        m.write(11, 3);
-        assert_eq!(m.read(10), 2);
-        m.rollback_to(mark);
-        assert_eq!(m.read(10), 1);
-        assert_eq!(m.read(11), 0);
-    }
-
-    #[test]
-    fn nested_rollback_pops_in_lifo_order() {
-        let mut m = SparseMemory::new();
-        m.write(0, 1);
-        let outer = m.mark();
-        m.write(0, 2);
-        let inner = m.mark();
-        m.write(0, 3);
-        m.rollback_to(inner);
-        assert_eq!(m.read(0), 2);
-        m.rollback_to(outer);
-        assert_eq!(m.read(0), 1);
-    }
-
-    #[test]
-    fn release_bounds_the_log() {
-        let mut m = SparseMemory::new();
-        for i in 0..100 {
-            m.write(i, i);
-        }
-        let mark = m.mark();
-        assert_eq!(m.undo_len(), 100);
-        m.release_to(mark);
-        assert_eq!(m.undo_len(), 0);
-        // Later marks still roll back correctly.
-        let mark2 = m.mark();
-        m.write(5, 99);
-        m.rollback_to(mark2);
-        assert_eq!(m.read(5), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "released memory mark")]
-    fn rollback_past_release_panics() {
-        let mut m = SparseMemory::new();
-        let early = m.mark();
-        m.write(0, 1);
-        let late = m.mark();
-        m.release_to(late);
-        m.rollback_to(early);
-    }
-
-    #[test]
-    fn write_init_is_unlogged() {
-        let mut m = SparseMemory::new();
-        let mark = m.mark();
-        m.write_init(3, 12);
-        assert_eq!(m.undo_len(), 0);
-        m.rollback_to(mark);
-        assert_eq!(m.read(3), 12, "init writes survive rollback");
+        assert_eq!(m.write(42, 8), 7, "write returns the overwritten word");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Property tests for the interpreter's checkpoint/rollback machinery and
-//! the undo-log memory.
+//! the undo log over memory.
 
-use cestim_isa::{AluOp, Inst, Machine, Program, Reg, SparseMemory};
+use cestim_isa::{AluOp, Inst, Machine, Program, Reg, SparseMemory, UndoLog};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
-// SparseMemory vs a naive model
+// SparseMemory + UndoLog vs a naive model
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -30,32 +30,35 @@ fn mem_ops() -> impl Strategy<Value = Vec<MemOp>> {
 }
 
 proptest! {
-    /// The undo-log memory behaves exactly like a map plus an explicit
-    /// snapshot stack.
+    /// Memory whose writes feed an undo log (through the returned old
+    /// word) behaves exactly like a map plus an explicit snapshot stack.
     #[test]
     fn sparse_memory_matches_model(ops in mem_ops()) {
         let mut mem = SparseMemory::new();
+        let mut log = UndoLog::new();
         let mut model: HashMap<u16, u32> = HashMap::new();
         // Stack of (mark, model snapshot); released marks leave the front.
-        let mut stack: Vec<(cestim_isa::MemMark, HashMap<u16, u32>)> = Vec::new();
+        let mut stack: Vec<(u64, HashMap<u16, u32>)> = Vec::new();
 
         for op in ops {
             match op {
                 MemOp::Write(a, v) => {
-                    mem.write(a as u32, v);
+                    log.push((a as u32, mem.write(a as u32, v)));
                     model.insert(a, v);
                 }
-                MemOp::Mark => stack.push((mem.mark(), model.clone())),
+                MemOp::Mark => stack.push((log.mark(), model.clone())),
                 MemOp::RollbackLast => {
                     if let Some((mark, snap)) = stack.pop() {
-                        mem.rollback_to(mark);
+                        log.rollback(mark, |(a, old)| {
+                            mem.write(a, old);
+                        });
                         model = snap;
                     }
                 }
                 MemOp::ReleaseOldest => {
                     if !stack.is_empty() {
                         let (mark, _) = stack.remove(0);
-                        mem.release_to(mark);
+                        log.release(mark);
                     }
                 }
             }

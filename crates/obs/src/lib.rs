@@ -13,9 +13,9 @@
 //!   [`Histogram`] handles with `(key, value)` labels, snapshotable to a
 //!   serializable [`MetricsSnapshot`]. Handles touch atomics only; the
 //!   registry lock is taken at registration time.
-//! * [`Tracer`] — a bounded ring buffer of owned [`TraceEvent`]s
+//! * [`Tracer`] — a recorder of owned [`TraceEvent`]s
 //!   (fetch/predict/resolve/commit/squash/recovery/gate), with JSONL export
-//!   ([`TraceWriter`]) and a reader ([`read_trace_jsonl`]) so analyses can
+//!   ([`Tracer::export_jsonl`]) and a reader ([`read_trace_jsonl`]) so analyses can
 //!   replay a recorded run post-hoc. `cestim-pipeline` makes it a
 //!   simulator observer and owns the replay back into observer hooks.
 //! * [`span`] — causal, hierarchical span tracing: a
@@ -48,4 +48,4 @@ pub use metrics::{
     Counter, FloatGauge, Gauge, Histogram, HistogramBucket, HistogramSnapshot, MetricSample,
     MetricValue, MetricsSnapshot, Registry, BUCKET_COUNT,
 };
-pub use trace::{read_trace_jsonl, TraceEvent, TraceWriter, Tracer};
+pub use trace::{read_trace_jsonl, TraceEvent, Tracer};

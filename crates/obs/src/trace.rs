@@ -1,5 +1,5 @@
-//! Structured event tracing: owned trace events, a bounded ring-buffer
-//! tracer, and JSONL export/import.
+//! Structured event tracing: owned trace events, a tracer that keeps
+//! them, and JSONL export/import.
 
 use cestim_core::Confidence;
 use serde::{Deserialize, Serialize};
@@ -131,52 +131,29 @@ impl TraceEvent {
     }
 }
 
-/// Bounded ring-buffer event recorder.
+/// Event recorder.
 ///
 /// A disabled tracer ([`Tracer::disabled`]) is a no-op whose
 /// [`enabled`](Tracer::enabled) guard lets recorders skip event
-/// construction entirely. When the buffer fills, the oldest events are
-/// overwritten and counted in [`dropped`](Tracer::dropped).
+/// construction entirely; an enabled one ([`Tracer::unbounded`]) keeps
+/// every event.
 #[derive(Debug, Default)]
 pub struct Tracer {
-    inner: Option<Ring>,
-}
-
-#[derive(Debug)]
-struct Ring {
-    buf: Vec<TraceEvent>,
-    cap: usize,
-    start: usize,
-    dropped: u64,
+    events: Option<Vec<TraceEvent>>,
 }
 
 impl Tracer {
     /// A tracer that records nothing.
     pub fn disabled() -> Tracer {
-        Tracer { inner: None }
+        Tracer { events: None }
     }
 
     /// A tracer retaining every event (the buffer grows without bound; use
-    /// for full-trace export at scales where memory allows).
+    /// for full-trace export at scales where memory allows). The first
+    /// 64 Ki events' storage is reserved up front.
     pub fn unbounded() -> Tracer {
-        Tracer::bounded(usize::MAX)
-    }
-
-    /// A tracer retaining the last `capacity` events.
-    ///
-    /// The ring storage is preallocated up front (capped at 64 Ki events
-    /// for unbounded/huge capacities, beyond which the buffer grows
-    /// amortized), so steady-state recording into a bounded ring performs
-    /// no allocation per event.
-    pub fn bounded(capacity: usize) -> Tracer {
-        let cap = capacity.max(1);
         Tracer {
-            inner: Some(Ring {
-                buf: Vec::with_capacity(cap.min(1 << 16)),
-                cap,
-                start: 0,
-                dropped: 0,
-            }),
+            events: Some(Vec::with_capacity(1 << 16)),
         }
     }
 
@@ -184,107 +161,49 @@ impl Tracer {
     /// construction: `if tracer.enabled() { tracer.record(...) }`.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.events.is_some()
     }
 
     /// Records one event (no-op when disabled).
     #[inline]
     pub fn record(&mut self, event: TraceEvent) {
-        if let Some(ring) = &mut self.inner {
-            if ring.buf.len() < ring.cap {
-                ring.buf.push(event);
-            } else {
-                ring.buf[ring.start] = event;
-                ring.start = (ring.start + 1) % ring.cap;
-                ring.dropped += 1;
-            }
+        if let Some(events) = &mut self.events {
+            events.push(event);
         }
     }
 
-    /// Retained events, oldest first.
+    /// Recorded events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        let (ring_len, start) = match &self.inner {
-            Some(r) => (r.buf.len(), r.start),
-            None => (0, 0),
-        };
-        (0..ring_len).map(move |i| {
-            let r = self.inner.as_ref().expect("non-empty ring");
-            &r.buf[(start + i) % ring_len.max(1)]
-        })
+        self.events.iter().flatten()
     }
 
-    /// Number of retained events.
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |r| r.buf.len())
+        self.events.as_ref().map_or(0, Vec::len)
     }
 
-    /// True when nothing is retained.
+    /// True when nothing is recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Events overwritten after the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |r| r.dropped)
-    }
-
-    /// Writes all retained events as JSONL.
+    /// Writes all recorded events as JSONL, one event per line, and
+    /// returns how many it wrote.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
-    pub fn export_jsonl<W: Write>(&self, w: W) -> io::Result<u64> {
-        let mut tw = TraceWriter::new(w);
+    pub fn export_jsonl<W: Write>(&self, mut w: W) -> io::Result<u64> {
         for ev in self.events() {
-            tw.write(ev)?;
+            serde_json::to_writer(&mut w, ev)?;
+            w.write_all(b"\n")?;
         }
-        Ok(tw.written())
+        Ok(self.len() as u64)
     }
 }
 
-/// Streaming JSONL writer for [`TraceEvent`]s.
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    w: W,
-    written: u64,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> TraceWriter<W> {
-        TraceWriter { w, written: 0 }
-    }
-
-    /// Writes one event as a JSON line.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write(&mut self, event: &TraceEvent) -> io::Result<()> {
-        serde_json::to_writer(&mut self.w, event)?;
-        self.w.write_all(b"\n")?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Events written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes and returns the inner writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from flushing.
-    pub fn finish(mut self) -> io::Result<W> {
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
-/// Reads a JSONL event stream written by [`TraceWriter`] (blank lines are
-/// skipped).
+/// Reads a JSONL event stream written by [`Tracer::export_jsonl`] (blank
+/// lines are skipped).
 ///
 /// A malformed **final** line is tolerated and dropped: a crash (or a
 /// full disk) mid-append leaves a torn last record, and — like the exec
@@ -336,30 +255,11 @@ mod tests {
         assert!(!t.enabled());
         t.record(predict(1));
         assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_keeps_newest() {
-        let mut t = Tracer::bounded(3);
-        for seq in 0..5 {
-            t.record(predict(seq));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let seqs: Vec<u64> = t
-            .events()
-            .map(|e| match e {
-                TraceEvent::Predict { seq, .. } => *seq,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
     }
 
     #[test]
     fn jsonl_round_trip() {
-        let mut t = Tracer::bounded(16);
+        let mut t = Tracer::unbounded();
         t.record(TraceEvent::Fetch {
             cycle: 0,
             pc: 0,
@@ -428,7 +328,7 @@ mod tests {
         // a truncated append — still an error.
         let mut buf = Vec::new();
         buf.extend_from_slice(b"{broken\n");
-        let mut t = Tracer::bounded(4);
+        let mut t = Tracer::unbounded();
         t.record(predict(1));
         t.export_jsonl(&mut buf).unwrap();
         assert!(read_trace_jsonl(buf.as_slice()).is_err());
@@ -439,7 +339,7 @@ mod tests {
         // Simulate a crash mid-append: valid events followed by a torn
         // tail. The reader recovers everything before the tear, exactly
         // like the exec journal's resume path.
-        let mut t = Tracer::bounded(4);
+        let mut t = Tracer::unbounded();
         t.record(predict(1));
         t.record(predict(2));
         let mut buf = Vec::new();

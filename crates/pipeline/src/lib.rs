@@ -29,7 +29,10 @@
 //! training) with two fetch sources: the live [`Simulator`] front end
 //! (interpreter, checkpoints, wrong-path fetch, recovery, eager forks,
 //! replay fetch mode, trace capture) and the [`TraceSimulator`] front end,
-//! which walks an imported `&[TraceRecord]`. Replaying a trace and running
+//! which walks an imported `&[TraceRecord]`. The live front end owns its
+//! interpreter, so a `Simulator` borrows nothing; recovery rewinds the
+//! machine and the scoreboard through one kind of [`UndoLog`], and replay
+//! fetch mode, which never rewinds, takes no checkpoint and keeps no log. Replaying a trace and running
 //! live in replay fetch mode therefore share every line of timing code;
 //! what the conformance suites still diff independently is the trace —
 //! the interpreter exporter against the live capture hook.
@@ -37,6 +40,7 @@
 //! See the [`Simulator`] type docs for the model and an example.
 //!
 //! [`TraceRecord`]: cestim_trace_io::TraceRecord
+//! [`UndoLog`]: cestim_isa::UndoLog
 
 #![warn(missing_docs)]
 

@@ -125,6 +125,10 @@ impl<'t> TraceSimulator<'t> {
     /// Replays the whole trace (or up to `max_cycles`), streaming events to
     /// `obs`. Returns the final stats. Honours a cooperative deadline armed
     /// on this thread exactly like [`Simulator::run`](crate::Simulator::run).
+    // Kept out of line: with LTO the trace, live and replay-fetch run loops
+    // otherwise inline into one large caller, and the speed of the trace
+    // loop then shifts with the code layout of the unrelated live loops.
+    #[inline(never)]
     pub fn run<O: SimObserver + ?Sized>(&mut self, obs: &mut O) -> PipelineStats {
         self.core.run(&mut self.trace, obs)
     }

@@ -4,7 +4,7 @@ use crate::timing::{Core, FetchSource, Peek};
 use crate::{NullObserver, PipelineConfig, PipelineStats, SimObserver};
 use cestim_bpred::AnyPredictor;
 use cestim_core::{AnyEstimator, Confidence};
-use cestim_isa::{Checkpoint, Inst, Machine, Program, Step};
+use cestim_isa::{Checkpoint, Inst, Machine, Program, Step, UndoLog};
 use cestim_obs::Registry;
 use cestim_trace_io::TraceRecord;
 use std::collections::VecDeque;
@@ -20,7 +20,7 @@ use cestim_isa::Reg;
 #[derive(Debug)]
 struct BranchCheckpoint {
     machine: Checkpoint,
-    /// Scoreboard undo-log position at fetch (see `LiveFront::sb_undo`).
+    /// Scoreboard undo-log mark at fetch (see `LiveFront::sb_undo`).
     sb_mark: u64,
     arch_insts: u64,
     arch_branches: u64,
@@ -28,23 +28,20 @@ struct BranchCheckpoint {
     forked: bool,
 }
 
-/// The live front end's state besides the machine: the program, the
+/// The live front end's state: the machine, the program as decoded, the
 /// per-branch checkpoints, the scoreboard undo log, trace capture and the
 /// commit-fault hook.
-struct LiveFront<'p> {
-    program: &'p Program,
+struct LiveFront {
+    machine: Machine,
     /// Each instruction with its record as far as decoding fixes it,
-    /// indexed by PC, so fetch never re-decodes (see
+    /// indexed by PC, so neither fetch nor recovery re-decodes (see
     /// [`TraceRecord::decode`]).
     decoded: Vec<(Inst, TraceRecord)>,
     checkpoints: VecDeque<BranchCheckpoint>,
-    /// Scoreboard undo log, mirroring the machine's register undo log:
-    /// `(register, overwritten ready-cycle)` per scoreboard write. Branch
-    /// checkpoints record a position instead of copying the whole
-    /// scoreboard; recovery replays the log backwards, commit releases
-    /// from the front.
-    sb_undo: VecDeque<(u8, u64)>,
-    sb_undo_base: u64,
+    /// Scoreboard undo log: `(register, overwritten ready-cycle)` per
+    /// scoreboard write, so a branch checkpoint records a mark instead of
+    /// copying the whole scoreboard.
+    sb_undo: UndoLog<(u8, u64)>,
     /// When `Some`, every fetched instruction is appended as a
     /// [`TraceRecord`] and wrong-path records are truncated away on
     /// recovery, so the buffer always holds exactly the architectural
@@ -54,22 +51,22 @@ struct LiveFront<'p> {
     fault_commit_seen: u64,
 }
 
-impl LiveFront<'_> {
+impl LiveFront {
     #[inline]
-    fn peek(&self, machine: &Machine) -> Option<Peek> {
-        if machine.halted() {
+    fn peek(&self) -> Option<Peek> {
+        if self.machine.halted() {
             return None;
         }
-        let (_, rec) = self.decoded.get(machine.pc() as usize)?;
+        let (_, rec) = self.decoded.get(self.machine.pc() as usize)?;
         Some(Peek::of(rec))
     }
 
     /// Executes the instruction at the PC (a branch follows `force`, or its
     /// actual direction when `None`) and captures its record.
     #[inline]
-    fn take(&mut self, machine: &mut Machine, force: Option<bool>) -> TraceRecord {
-        let (inst, decoded) = self.decoded[machine.pc() as usize];
-        let rec = decoded.with_step(&machine.step_decoded(inst, force));
+    fn take(&mut self, force: Option<bool>) -> TraceRecord {
+        let (inst, decoded) = self.decoded[self.machine.pc() as usize];
+        let rec = decoded.with_step(&self.machine.step_decoded(inst, force));
         if let Some(buf) = &mut self.trace_capture {
             buf.push(rec);
         }
@@ -101,20 +98,17 @@ impl LiveFront<'_> {
 /// The speculative fetch source: follows every prediction, right or
 /// wrong, and rewinds to the branch's checkpoint when it resolves
 /// mispredicted.
-struct Speculative<'a, 'p> {
-    machine: &'a mut Machine,
-    front: &'a mut LiveFront<'p>,
-}
+struct Speculative<'a>(&'a mut LiveFront);
 
-impl FetchSource for Speculative<'_, '_> {
+impl FetchSource for Speculative<'_> {
     #[inline]
     fn peek(&self) -> Option<Peek> {
-        self.front.peek(self.machine)
+        self.0.peek()
     }
 
     #[inline]
     fn take(&mut self) -> TraceRecord {
-        self.front.take(self.machine, None)
+        self.0.take(None)
     }
 
     fn take_branch(
@@ -129,21 +123,22 @@ impl FetchSource for Speculative<'_, '_> {
         let forked = core
             .cfg
             .eager_max_forks
-            .is_some_and(|max| est0_low && self.front.active_forks(core) < max);
+            .is_some_and(|max| est0_low && self.0.active_forks(core) < max);
         if forked {
             core.stats.eager_forks += 1;
         }
         // Checkpoint *before* executing the branch: restoring must land on
         // the branch so the correct direction can be re-executed.
-        self.front.checkpoints.push_back(BranchCheckpoint {
-            machine: self.machine.checkpoint(),
-            sb_mark: self.front.sb_undo_base + self.front.sb_undo.len() as u64,
+        let front = &mut *self.0;
+        front.checkpoints.push_back(BranchCheckpoint {
+            machine: front.machine.checkpoint(),
+            sb_mark: front.sb_undo.mark(),
             arch_insts: core.arch_insts,
             arch_branches: core.arch_branches,
             forked,
         });
         // Follow the prediction, right or wrong.
-        let actual = self.front.take(self.machine, Some(pred)).taken;
+        let actual = front.take(Some(pred)).taken;
         core.ghr.push(pred);
         (actual, pred)
     }
@@ -152,7 +147,7 @@ impl FetchSource for Speculative<'_, '_> {
         // Active eager forks consume half the fetch slots for the
         // alternate paths.
         let mut width = core.cfg.fetch_width;
-        if core.cfg.eager_max_forks.is_some() && self.front.active_forks(core) > 0 {
+        if core.cfg.eager_max_forks.is_some() && self.0.active_forks(core) > 0 {
             let alt = width / 2;
             core.stats.eager_alt_slots += alt as u64;
             width -= alt;
@@ -165,7 +160,7 @@ impl FetchSource for Speculative<'_, '_> {
     fn on_mispredict<O: SimObserver + ?Sized>(&mut self, core: &mut Core, idx: usize, obs: &mut O) {
         core.stats.recoveries += 1;
         let squashed = core.squash_after(idx, obs);
-        let front = &mut *self.front;
+        let front = &mut *self.0;
         front.checkpoints.truncate(idx + 1);
         let cp = &front.checkpoints[idx];
         // Wrong-path work after this branch, excluding the branch itself
@@ -182,14 +177,14 @@ impl FetchSource for Speculative<'_, '_> {
 
         // Architectural rewind, then re-execute the branch down its correct
         // direction.
-        self.machine.restore(&cp.machine);
-        while front.sb_undo_base + front.sb_undo.len() as u64 > cp.sb_mark {
-            let (r, old) = front.sb_undo.pop_back().expect("sb undo underflow");
-            core.scoreboard[r as usize] = old;
-        }
+        front.machine.restore(&cp.machine);
+        front
+            .sb_undo
+            .rollback(cp.sb_mark, |(r, old)| core.scoreboard[r as usize] = old);
         let e = &core.inflight[idx];
         let actual = e.actual_taken;
-        let step = self.machine.step_forced(front.program, actual);
+        let (inst, _) = front.decoded[front.machine.pc() as usize];
+        let step = front.machine.step_decoded(inst, Some(actual));
         debug_assert!(matches!(
             step,
             Step::Branch { taken, followed, .. } if taken == actual && followed == actual
@@ -216,59 +211,46 @@ impl FetchSource for Speculative<'_, '_> {
     }
 
     fn on_commit(&mut self) {
-        let front = &mut *self.front;
+        let front = &mut *self.0;
         let cp = front
             .checkpoints
             .pop_front()
             .expect("checkpoint per branch");
         // The oldest checkpoint is gone; undo entries older than it can
-        // never be needed again. Dropped in one bulk drain — commit is
-        // on the per-branch hot path and the entry type is trivial.
-        let n = (cp.sb_mark.saturating_sub(front.sb_undo_base) as usize).min(front.sb_undo.len());
-        if n > 0 {
-            front.sb_undo.drain(..n);
-            front.sb_undo_base += n as u64;
-        }
-        self.machine.release(&cp.machine);
+        // never be needed again.
+        front.sb_undo.release(cp.sb_mark);
+        front.machine.release(&cp.machine);
     }
 
     fn commit_fault(&mut self) -> bool {
-        self.front.commit_fault()
+        self.0.commit_fault()
     }
 
     fn scoreboard_written(&mut self, reg: u8, old: u64) {
-        self.front.sb_undo.push_back((reg, old));
+        self.0.sb_undo.push((reg, old));
     }
 }
 
 /// The replay fetch source: the interpreter follows the actual path and
 /// feeds its records to the core's replay stall policy (the trait
 /// defaults), exactly as [`TraceSimulator`](crate::TraceSimulator) feeds
-/// an imported trace.
-struct Replaying<'a, 'p> {
-    machine: &'a mut Machine,
-    front: &'a mut LiveFront<'p>,
-}
+/// an imported trace. Nothing is ever rewound, so the machine never takes
+/// a checkpoint and keeps no undo history.
+struct Replaying<'a>(&'a mut LiveFront);
 
-impl FetchSource for Replaying<'_, '_> {
+impl FetchSource for Replaying<'_> {
     #[inline]
     fn peek(&self) -> Option<Peek> {
-        self.front.peek(self.machine)
+        self.0.peek()
     }
 
     #[inline]
     fn take(&mut self) -> TraceRecord {
-        self.front.take(self.machine, None)
-    }
-
-    fn on_commit(&mut self) {
-        // Nothing is ever rewound: drop the machine's undo history.
-        let now = self.machine.checkpoint();
-        self.machine.release(&now);
+        self.0.take(None)
     }
 
     fn commit_fault(&mut self) -> bool {
-        self.front.commit_fault()
+        self.0.commit_fault()
     }
 }
 
@@ -333,15 +315,14 @@ impl FetchSource for Replaying<'_, '_> {
 /// ```
 ///
 /// [`ConfidenceEstimator::on_branch_resolved`]: cestim_core::ConfidenceEstimator::on_branch_resolved
-pub struct Simulator<'p> {
+pub struct Simulator {
     core: Core,
-    machine: Machine,
-    front: LiveFront<'p>,
+    front: LiveFront,
     /// Replay fetch mode (see [`Simulator::set_replay_fetch`]).
     replay_fetch: bool,
 }
 
-impl<'p> Simulator<'p> {
+impl Simulator {
     /// Creates a simulator over `program` with the given predictor.
     ///
     /// Accepts a concrete predictor (`Gshare::new(12)`) or an
@@ -352,16 +333,15 @@ impl<'p> Simulator<'p> {
     /// Panics if `cfg.fetch_width == 0`, `cfg.max_unresolved_branches == 0`,
     /// or `cfg.gate_threshold == Some(0)` (which would gate fetch forever).
     pub fn new(
-        program: &'p Program,
+        program: &Program,
         cfg: PipelineConfig,
         predictor: impl Into<AnyPredictor>,
-    ) -> Simulator<'p> {
+    ) -> Simulator {
         let window = cfg.max_unresolved_branches;
         Simulator {
             core: Core::new(cfg, predictor.into()),
-            machine: Machine::new(program),
             front: LiveFront {
-                program,
+                machine: Machine::new(program),
                 decoded: (0..program.len() as u32)
                     .map(|pc| {
                         let inst = *program.inst(pc).expect("pc in range");
@@ -369,8 +349,7 @@ impl<'p> Simulator<'p> {
                     })
                     .collect(),
                 checkpoints: VecDeque::with_capacity(window),
-                sb_undo: VecDeque::new(),
-                sb_undo_base: 0,
+                sb_undo: UndoLog::new(),
                 trace_capture: None,
                 fault_commit_every: 0,
                 fault_commit_seen: 0,
@@ -537,18 +516,18 @@ impl<'p> Simulator<'p> {
     /// overdue job via [`cestim_obs::cancel::fire`] (see the shared core's
     /// run loop).
     pub fn run<O: SimObserver + ?Sized>(&mut self, obs: &mut O) -> PipelineStats {
-        let (machine, front) = (&mut self.machine, &mut self.front);
+        let front = &mut self.front;
         if self.replay_fetch {
-            self.core.run(&mut Replaying { machine, front }, obs)
+            self.core.run(&mut Replaying(front), obs)
         } else {
-            self.core.run(&mut Speculative { machine, front }, obs)
+            self.core.run(&mut Speculative(front), obs)
         }
     }
 
     /// `true` once the architectural program has finished and the pipeline
     /// has drained.
     pub fn done(&self) -> bool {
-        self.core.inflight.is_empty() && self.front.peek(&self.machine).is_none()
+        self.core.inflight.is_empty() && self.front.peek().is_none()
     }
 
     /// Advances the pipeline by one cycle, fetching only when `allow_fetch`
@@ -559,13 +538,11 @@ impl<'p> Simulator<'p> {
     /// shared fetch bandwidth to one thread per cycle, while every
     /// thread's back end keeps draining.
     pub fn step_cycle<O: SimObserver + ?Sized>(&mut self, allow_fetch: bool, obs: &mut O) {
-        let (machine, front) = (&mut self.machine, &mut self.front);
+        let front = &mut self.front;
         if self.replay_fetch {
-            self.core
-                .step(&mut Replaying { machine, front }, allow_fetch, obs);
+            self.core.step(&mut Replaying(front), allow_fetch, obs);
         } else {
-            self.core
-                .step(&mut Speculative { machine, front }, allow_fetch, obs);
+            self.core.step(&mut Speculative(front), allow_fetch, obs);
         }
     }
 
@@ -612,11 +589,6 @@ impl<'p> Simulator<'p> {
     pub fn now(&self) -> u64 {
         self.core.now
     }
-
-    #[cfg(test)]
-    fn active_forks(&self) -> u32 {
-        self.front.active_forks(&self.core)
-    }
 }
 
 #[cfg(test)]
@@ -661,7 +633,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn sim<'p>(p: &'p Program) -> Simulator<'p> {
+    fn sim(p: &Program) -> Simulator {
         Simulator::new(p, PipelineConfig::paper(), Gshare::new(12))
     }
 
@@ -729,8 +701,19 @@ mod tests {
 
         let mut s = sim(&p);
         s.run_to_completion();
-        assert_eq!(s.machine.reg(Reg::T3), t3_ref);
-        assert!(s.machine.halted());
+        assert_eq!(s.front.machine.reg(Reg::T3), t3_ref);
+        assert!(s.front.machine.halted());
+    }
+
+    #[test]
+    fn replay_fetch_keeps_no_undo_history() {
+        let p = noisy_loop(300);
+        let mut s = sim(&p);
+        s.set_replay_fetch(true);
+        let stats = s.run_to_completion();
+        assert!(stats.recoveries > 0, "mispredictions still stall fetch");
+        assert!(s.front.machine.halted());
+        assert_eq!(s.front.machine.undo_len(), 0, "nothing is ever rewound");
     }
 
     #[test]
@@ -859,13 +842,9 @@ mod tests {
         s.add_estimator(SaturatingConfidence::selected());
         // Run manually and check the invariant each cycle.
         while !s.done() {
-            s.step_cycle(true, &mut cestim_pipeline_null());
-            assert!(s.active_forks() <= 1);
+            s.step_cycle(true, &mut NullObserver);
+            assert!(s.front.active_forks(&s.core) <= 1);
         }
-    }
-
-    fn cestim_pipeline_null() -> crate::NullObserver {
-        crate::NullObserver
     }
 
     #[test]

@@ -83,27 +83,27 @@ impl SmtStats {
 ///
 /// ```no_run
 /// use cestim_pipeline::{FetchPolicy, PipelineConfig, Simulator, SmtSimulator};
-/// # fn mk<'p>() -> Simulator<'p> { unimplemented!() }
+/// # fn mk() -> Simulator { unimplemented!() }
 /// let threads = vec![mk(), mk()];
 /// let mut smt = SmtSimulator::new(threads, FetchPolicy::FewestLowConfidence);
 /// let stats = smt.run(1_000_000);
 /// println!("throughput {:.2} IPC", stats.throughput());
 /// ```
-pub struct SmtSimulator<'p> {
-    threads: Vec<Simulator<'p>>,
+pub struct SmtSimulator {
+    threads: Vec<Simulator>,
     policy: FetchPolicy,
     current: usize,
     cycles: u64,
 }
 
-impl<'p> SmtSimulator<'p> {
+impl SmtSimulator {
     /// Creates the arbiter over the given threads.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is empty, or a confidence-driven policy is used
     /// with a thread that has no estimator attached.
-    pub fn new(threads: Vec<Simulator<'p>>, policy: FetchPolicy) -> SmtSimulator<'p> {
+    pub fn new(threads: Vec<Simulator>, policy: FetchPolicy) -> SmtSimulator {
         assert!(!threads.is_empty(), "need at least one thread");
         if matches!(
             policy,
@@ -248,7 +248,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn thread<'p>(p: &'p Program) -> Simulator<'p> {
+    fn thread(p: &Program) -> Simulator {
         let mut s = Simulator::new(p, PipelineConfig::paper(), Gshare::new(12));
         s.add_estimator(SaturatingConfidence::selected());
         s

@@ -298,9 +298,6 @@ fn check_replay(p: &QaProgram) -> Result<(), OracleFailure> {
     let mut live = DistanceAnalysis::new(64);
     let mut tracer = Tracer::unbounded();
     sim.run(&mut MultiObserver::new(vec![&mut live, &mut tracer]));
-    if tracer.dropped() > 0 {
-        return Err(fail(kind, "unbounded tracer dropped events"));
-    }
 
     let mut jsonl = Vec::new();
     tracer

@@ -4,7 +4,7 @@
 //! One worker thread per shard pops tickets from its [`DrrQueue`] and
 //! runs them: probe the shared content-addressed [`DiskCache`] first
 //! (warm hit → replay the stored `JobOutput` without simulating), else
-//! execute the [`ExecJob`] under `catch_unwind` isolation and store the
+//! execute the [`ExecJob`](cestim_sim::ExecJob) under `catch_unwind` isolation and store the
 //! result. Every step is journaled ([`RunJournal`]), counted (`serve.*`
 //! metrics), and spanned (`serve.queue_wait` / `serve.request`), so the
 //! existing Prometheus/Perfetto exporters work unchanged.

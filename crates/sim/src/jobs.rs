@@ -384,7 +384,7 @@ impl Job for ExecJob {
                 scale,
                 policy,
             } => {
-                fn mk(p: &cestim_isa::Program) -> Simulator<'_> {
+                fn mk(p: &cestim_isa::Program) -> Simulator {
                     use cestim_core::SaturatingConfidence;
                     let mut s = Simulator::new(
                         p,

@@ -305,7 +305,6 @@ mod tests {
             plain.estimators[0].quadrants
         );
         assert!(!tracer.is_empty());
-        assert_eq!(tracer.dropped(), 0);
         assert_eq!(
             inst.metrics.counter_value("pipeline.cycles"),
             Some(plain.stats.cycles)

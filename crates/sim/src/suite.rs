@@ -20,7 +20,7 @@ use crate::spec::{SatVariantSpec, TuneTargetSpec};
 use crate::PredictorKind::{Gshare, McFarling};
 use crate::{pct, EstimatorSpec, PredictorKind, RunConfig, Table};
 use cestim_core::diagnostic::ParametricCurve;
-use cestim_core::{mean_quadrant, MetricSummary, Quadrant};
+use cestim_core::{mean_quadrant, KRun, MetricSummary, Quadrant};
 use cestim_exec::{payload_message, BatchFailure, Executor, JobError};
 use cestim_pipeline::PipelineStats;
 use cestim_trace::{BoostAnalysis, ClusterAnalysis, DistanceHistogram, DistanceSeries};
@@ -819,7 +819,7 @@ pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Expe
     let mut jrows = Vec::new();
     for k in 1..=4u32 {
         let measured = windows.boosted_pvn(k);
-        let model = BoostAnalysis::model(base_pvn, k);
+        let model = KRun::bernoulli_pvn(base_pvn, k);
         // Coverage of the per-branch Boosted transform at this k (k=1 is
         // the base estimator itself).
         let cov: f64 = {

@@ -9,9 +9,10 @@ use std::collections::VecDeque;
 /// §4.2 is explicit that boosting "describes the state of the pipeline
 /// rather than the state of a particular branch": seeing `k` consecutive LC
 /// estimates is evidence that *something* in the window will not commit.
-/// Under the Bernoulli approximation the value is `1 − (1 − PVN)^k`; this
-/// observer measures it directly over the committed branch stream (sliding
-/// windows within LC runs) so the approximation can be validated.
+/// Under the Bernoulli approximation the value is `1 − (1 − PVN)^k`
+/// (`cestim_core::KRun::bernoulli_pvn`); this observer measures it directly
+/// over the committed branch stream (sliding windows within LC runs) so the
+/// approximation can be validated.
 #[derive(Debug, Clone)]
 pub struct BoostAnalysis {
     estimator_index: usize,
@@ -49,11 +50,6 @@ impl BoostAnalysis {
     pub fn boosted_pvn(&self, k: u32) -> f64 {
         let (w, h) = self.counts[(k - 1) as usize];
         h as f64 / w as f64
-    }
-
-    /// The Bernoulli model value `1 − (1 − pvn)^k` for comparison.
-    pub fn model(pvn: f64, k: u32) -> f64 {
-        1.0 - (1.0 - pvn).powi(k as i32)
     }
 
     /// Raw `(windows, windows with ≥1 misprediction)` counts per window
@@ -111,7 +107,7 @@ impl SimObserver for BoostAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cestim_core::Confidence;
+    use cestim_core::{Confidence, KRun};
 
     fn ev(mispredicted: bool, est: Confidence, committed: bool) -> OutcomeEvent<'static> {
         let estimates: &'static [Confidence] = match est {
@@ -170,8 +166,8 @@ mod tests {
         let p2 = a.boosted_pvn(2);
         let p3 = a.boosted_pvn(3);
         assert!(p1 < p2 && p2 < p3);
-        assert!((p2 - BoostAnalysis::model(p1, 2)).abs() < 0.02, "{p2}");
-        assert!((p3 - BoostAnalysis::model(p1, 3)).abs() < 0.02, "{p3}");
+        assert!((p2 - KRun::bernoulli_pvn(p1, 2)).abs() < 0.02, "{p2}");
+        assert!((p3 - KRun::bernoulli_pvn(p1, 3)).abs() < 0.02, "{p3}");
     }
 
     #[test]

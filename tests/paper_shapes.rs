@@ -224,7 +224,7 @@ fn boosting_raises_window_pvn_and_cuts_coverage() {
     let p1 = windows.boosted_pvn(1);
     let p2 = windows.boosted_pvn(2);
     assert!(p2 > p1, "k=2 window {p2} should beat k=1 {p1}");
-    let model2 = BoostAnalysis::model(p1, 2);
+    let model2 = cestim::core::KRun::bernoulli_pvn(p1, 2);
     assert!(
         p2 <= model2 + 0.05,
         "independence bound: measured {p2} vs model {model2}"

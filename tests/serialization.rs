@@ -15,7 +15,6 @@ fn trace_of_a_real_run_round_trips_through_jsonl() {
         &[EstimatorSpec::jrs_paper()],
         &mut tracer,
     );
-    assert_eq!(tracer.dropped(), 0);
 
     let mut buf = Vec::new();
     tracer.export_jsonl(&mut buf).unwrap();
@@ -86,7 +85,6 @@ fn replay_reproduces_live_distance_analysis_bit_for_bit() {
     let mut live = DistanceAnalysis::new(64);
     let mut tracer = Tracer::unbounded();
     sim.run(&mut MultiObserver::new(vec![&mut live, &mut tracer]));
-    assert_eq!(tracer.dropped(), 0, "unbounded tracer must not drop");
 
     // Replay from memory.
     let mut replayed = DistanceAnalysis::new(64);
