@@ -11,6 +11,19 @@ pub struct CacheAccess {
     pub latency: u64,
 }
 
+/// The MRU filter's "no line yet": wider than any line number, so every
+/// `u32` line — `u32::MAX` included — is a real one.
+pub(crate) const NO_LINE: u64 = u64::MAX;
+
+/// One way of a set: its tag (the line number with the set index removed)
+/// and its LRU age, packed so a set's ways sit side by side.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    tag: u32,
+    /// Tick of the last access (smaller = less recently used).
+    age: u32,
+}
+
 /// Timing-only set-associative cache with true-LRU replacement.
 ///
 /// The cache tracks tags, not data — the interpreter provides values; the
@@ -26,17 +39,19 @@ pub struct Cache {
     set_mask: u32,
     /// `log2(sets)`.
     set_shift: u32,
-    /// `sets × assoc` entries; `None` = invalid. Tag stored with the set
-    /// index removed.
-    tags: Vec<Option<u32>>,
-    /// LRU age per way (smaller = more recently used).
-    ages: Vec<u32>,
-    /// Line number of the most recent access (`u32::MAX` = none): a one-line
+    /// `sets × assoc` ways, set by set.
+    ways: Vec<Way>,
+    /// Valid ways per set. A miss fills the first invalid way and nothing
+    /// ever invalidates one, so a set's valid ways are always a prefix of
+    /// it: this count is the whole validity state, and every tag value —
+    /// `u32::MAX` included — stays a real tag.
+    filled: Vec<u32>,
+    /// Line number of the most recent access ([`NO_LINE`] = none): a one-line
     /// MRU filter. Sequential fetch streams touch the same line `line_words`
     /// times in a row, and only an intervening access — which would update
     /// this filter — could evict it, so a repeat access can skip the way
     /// scan entirely.
-    last_line: u32,
+    last_line: u64,
     /// Entry index (`set * assoc + way`) of `last_line`, valid only when
     /// the previous access hit or filled it.
     last_entry: usize,
@@ -50,24 +65,19 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `line_words` is not a power of two, or `assoc`
-    /// is zero.
+    /// Panics if `cfg` is invalid (see [`CacheConfig::validate`]).
     pub fn new(cfg: CacheConfig) -> Cache {
-        assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(
-            cfg.line_words.is_power_of_two(),
-            "line_words must be a power of two"
-        );
-        assert!(cfg.assoc > 0, "associativity must be positive");
-        let entries = (cfg.sets * cfg.assoc) as usize;
+        if let Err(e) = cfg.validate() {
+            panic!("invalid cache config: {e}");
+        }
         Cache {
             line_shift: cfg.line_words.trailing_zeros(),
             set_mask: cfg.sets - 1,
             set_shift: cfg.sets.trailing_zeros(),
+            ways: vec![Way::default(); (cfg.sets * cfg.assoc) as usize],
+            filled: vec![0; cfg.sets as usize],
             cfg,
-            tags: vec![None; entries],
-            ages: vec![0; entries],
-            last_line: u32::MAX,
+            last_line: NO_LINE,
             last_entry: 0,
             tick: 0,
             accesses: 0,
@@ -76,50 +86,63 @@ impl Cache {
     }
 
     /// Accesses the word at `addr`, filling the line on a miss.
+    #[inline]
     pub fn access(&mut self, addr: u32) -> CacheAccess {
         self.accesses += 1;
         self.tick = self.tick.wrapping_add(1);
         let line = addr >> self.line_shift;
-        if line == self.last_line {
+        if u64::from(line) == self.last_line {
             // Repeat access to the most recent line: it cannot have been
             // evicted (only another access could do that, and it would have
             // replaced the filter), so refresh its age and hit.
-            self.ages[self.last_entry] = self.tick;
+            self.ways[self.last_entry].age = self.tick;
             return CacheAccess {
                 hit: true,
                 latency: self.cfg.hit_latency,
             };
         }
-        self.last_line = line;
-        let set = line & self.set_mask;
-        let tag = line >> self.set_shift;
-        let base = (set * self.cfg.assoc) as usize;
-        let ways = &mut self.tags[base..base + self.cfg.assoc as usize];
+        self.lookup(line)
+    }
 
-        if let Some(w) = ways.iter().position(|t| *t == Some(tag)) {
-            self.ages[base + w] = self.tick;
+    /// The way scan and fill of an access to a line other than the most
+    /// recent one, kept out of line so the repeat-line path inlines.
+    #[inline(never)]
+    fn lookup(&mut self, line: u32) -> CacheAccess {
+        self.last_line = u64::from(line);
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
+        let assoc = self.cfg.assoc as usize;
+        let base = set * assoc;
+        let filled = &mut self.filled[set];
+        let ways = &mut self.ways[base..base + assoc];
+
+        if let Some(w) = ways[..*filled as usize].iter().position(|w| w.tag == tag) {
+            ways[w].age = self.tick;
             self.last_entry = base + w;
             return CacheAccess {
                 hit: true,
                 latency: self.cfg.hit_latency,
             };
         }
-        // Miss: fill the least-recently-used way (preferring invalid ways).
+        // Miss: fill the first invalid way, else the least-recently-used
+        // one (the first of equal ages).
         self.misses += 1;
-        let victim = match ways.iter().position(|t| t.is_none()) {
-            Some(w) => w,
-            None => {
-                let mut best = 0;
-                for w in 1..self.cfg.assoc as usize {
-                    if self.ages[base + w] < self.ages[base + best] {
-                        best = w;
-                    }
+        let victim = if (*filled as usize) < assoc {
+            *filled += 1;
+            *filled as usize - 1
+        } else {
+            let mut best = 0;
+            for w in 1..assoc {
+                if ways[w].age < ways[best].age {
+                    best = w;
                 }
-                best
             }
+            best
         };
-        self.tags[base + victim] = Some(tag);
-        self.ages[base + victim] = self.tick;
+        ways[victim] = Way {
+            tag,
+            age: self.tick,
+        };
         self.last_entry = base + victim;
         CacheAccess {
             hit: false,
@@ -144,10 +167,10 @@ impl Cache {
     /// sequential-run batcher in the fetch loop satisfies this).
     #[inline]
     pub fn repeat_hits(&mut self, n: u64) {
-        debug_assert!(self.last_line != u32::MAX, "repeat before any access");
+        debug_assert!(self.last_line != NO_LINE, "repeat before any access");
         self.accesses += n;
         self.tick = self.tick.wrapping_add(n as u32);
-        self.ages[self.last_entry] = self.tick;
+        self.ways[self.last_entry].age = self.tick;
     }
 
     /// Total accesses so far.
@@ -169,6 +192,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny(assoc: u32) -> Cache {
         Cache::new(CacheConfig {
@@ -239,6 +263,133 @@ mod tests {
     fn paper_caches_construct() {
         let _ = Cache::new(CacheConfig::paper_icache());
         let _ = Cache::new(CacheConfig::paper_dcache());
+    }
+
+    /// A naive true-LRU cache: per set, the resident `(tag, last use)`
+    /// pairs in fill order.
+    struct Model {
+        cfg: CacheConfig,
+        sets: Vec<Vec<(u32, u32)>>,
+        tick: u32,
+        last: Option<(usize, u32)>,
+    }
+
+    impl Model {
+        fn new(cfg: CacheConfig) -> Model {
+            Model {
+                cfg,
+                sets: vec![Vec::new(); cfg.sets as usize],
+                tick: 0,
+                last: None,
+            }
+        }
+
+        fn access(&mut self, addr: u32) -> bool {
+            self.tick = self.tick.wrapping_add(1);
+            let line = addr / self.cfg.line_words;
+            let (set, tag) = ((line % self.cfg.sets) as usize, line / self.cfg.sets);
+            self.last = Some((set, tag));
+            let ways = &mut self.sets[set];
+            if let Some(w) = ways.iter_mut().find(|w| w.0 == tag) {
+                w.1 = self.tick;
+                return true;
+            }
+            if ways.len() < self.cfg.assoc as usize {
+                ways.push((tag, self.tick));
+            } else {
+                // The first of the least recently used ways.
+                let oldest = ways.iter().map(|w| w.1).min().expect("a full set");
+                let victim = ways.iter().position(|w| w.1 == oldest).expect("oldest way");
+                ways[victim] = (tag, self.tick);
+            }
+            false
+        }
+
+        fn repeat_hits(&mut self, n: u32) {
+            self.tick = self.tick.wrapping_add(n);
+            let (set, tag) = self.last.expect("an access before repeats");
+            let way = self.sets[set].iter_mut().find(|w| w.0 == tag);
+            way.expect("the last line is resident").1 = self.tick;
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Access(u32),
+        Repeat(u32),
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                6 => (0u32..96).prop_map(Op::Access),
+                // The top of the address space: tags up to `u32::MAX`.
+                2 => (0u32..8).prop_map(|a| Op::Access(u32::MAX - a)),
+                1 => (1u32..5).prop_map(Op::Repeat),
+            ],
+            0..300,
+        )
+    }
+
+    proptest! {
+        /// The packed-way cache hits, misses and evicts exactly like a
+        /// naive per-set LRU list, over small geometries that force
+        /// conflicts, the all-ones tag included.
+        #[test]
+        fn cache_matches_a_naive_lru_model(
+            ops in ops(),
+            sets_log in 0u32..3,
+            assoc in 1u32..5,
+            line_log in 0u32..3,
+        ) {
+            let cfg = CacheConfig {
+                sets: 1 << sets_log,
+                assoc,
+                line_words: 1 << line_log,
+                hit_latency: 2,
+                miss_latency: 20,
+            };
+            let mut cache = Cache::new(cfg);
+            let mut model = Model::new(cfg);
+            let mut misses = 0u64;
+            for op in &ops {
+                match *op {
+                    Op::Access(addr) => {
+                        let hit = model.access(addr);
+                        misses += u64::from(!hit);
+                        let got = cache.access(addr);
+                        prop_assert_eq!(got.hit, hit, "{:?} at {}", cfg, addr);
+                        prop_assert_eq!(got.latency, if hit { 2 } else { 20 });
+                    }
+                    Op::Repeat(n) => {
+                        if model.last.is_some() {
+                            model.repeat_hits(n);
+                            cache.repeat_hits(u64::from(n));
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(cache.misses(), misses);
+        }
+    }
+
+    /// With one set and one-word lines the tag is the whole address, so
+    /// `u32::MAX` is a real tag: it must miss cold and hit warm.
+    #[test]
+    fn the_all_ones_tag_is_a_real_tag() {
+        let mut c = Cache::new(CacheConfig {
+            sets: 1,
+            assoc: 2,
+            line_words: 1,
+            hit_latency: 1,
+            miss_latency: 10,
+        });
+        assert!(!c.access(u32::MAX).hit, "cold");
+        assert!(c.access(u32::MAX).hit, "warm");
+        // And through the way scan, not only the repeat-line filter.
+        assert!(!c.access(0).hit);
+        assert!(c.access(u32::MAX).hit);
+        assert_eq!((c.accesses(), c.misses()), (4, 2));
     }
 
     #[test]

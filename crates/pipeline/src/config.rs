@@ -47,6 +47,61 @@ impl CacheConfig {
     pub fn capacity_words(&self) -> u64 {
         self.sets as u64 * self.assoc as u64 * self.line_words as u64
     }
+
+    /// Checks that a [`Cache`](crate::Cache) can be built from this
+    /// geometry: power-of-two `sets` and `line_words`, a positive `assoc`,
+    /// at most [`MAX_CACHE_WAYS`] ways in all, and latencies of at most
+    /// [`MAX_LATENCY`] cycles.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.sets.is_power_of_two() {
+            return Err(format!("sets {} is not a power of two", self.sets));
+        }
+        if !self.line_words.is_power_of_two() {
+            return Err(format!(
+                "line_words {} is not a power of two",
+                self.line_words
+            ));
+        }
+        if self.assoc == 0 {
+            return Err("associativity must be positive".to_string());
+        }
+        let ways = u64::from(self.sets) * u64::from(self.assoc);
+        if ways > MAX_CACHE_WAYS {
+            return Err(format!(
+                "sets × assoc = {ways} exceeds the limit {MAX_CACHE_WAYS}"
+            ));
+        }
+        for (name, latency) in [
+            ("hit_latency", self.hit_latency),
+            ("miss_latency", self.miss_latency),
+        ] {
+            check_latency(name, latency)?;
+        }
+        Ok(())
+    }
+}
+
+/// Largest speculation window [`PipelineConfig::validate`] accepts: the
+/// timing core allocates a ring and an estimate row per window entry.
+pub const MAX_WINDOW: usize = 1 << 12;
+
+/// Most ways (`sets × assoc`) one cache may have: 256× the paper's
+/// 4096-way I-cache.
+pub const MAX_CACHE_WAYS: u64 = 1 << 20;
+
+/// Largest latency or penalty, in cycles, a configuration may charge, so
+/// cycle arithmetic can never overflow.
+pub const MAX_LATENCY: u64 = 1 << 20;
+
+fn check_latency(name: &str, cycles: u64) -> Result<(), String> {
+    if cycles > MAX_LATENCY {
+        return Err(format!("{name} {cycles} exceeds the limit {MAX_LATENCY}"));
+    }
+    Ok(())
 }
 
 /// Full pipeline-simulator configuration.
@@ -122,6 +177,39 @@ impl PipelineConfig {
     pub fn with_eager(mut self, n: u32) -> PipelineConfig {
         self.eager_max_forks = Some(n);
         self
+    }
+
+    /// Checks that a simulator can be built from this configuration: a
+    /// positive fetch width, a speculation window in `1..=`[`MAX_WINDOW`],
+    /// a history width in `1..=32`, no gate threshold of 0 (which would
+    /// gate fetch forever), latencies of at most [`MAX_LATENCY`], and two
+    /// valid caches (see [`CacheConfig::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.fetch_width == 0 {
+            return Err("fetch_width must be positive".to_string());
+        }
+        if !(1..=MAX_WINDOW).contains(&self.max_unresolved_branches) {
+            return Err(format!(
+                "max_unresolved_branches {} outside 1..={MAX_WINDOW}",
+                self.max_unresolved_branches
+            ));
+        }
+        if !(1..=32).contains(&self.ghr_width) {
+            return Err(format!("ghr_width {} outside 1..=32", self.ghr_width));
+        }
+        if self.gate_threshold == Some(0) {
+            return Err("a gate_threshold of 0 would stall fetch forever".to_string());
+        }
+        check_latency("branch_resolve_latency", self.branch_resolve_latency)?;
+        check_latency("mispredict_penalty", self.mispredict_penalty)?;
+        for (name, cache) in [("icache", &self.icache), ("dcache", &self.dcache)] {
+            cache.validate().map_err(|e| format!("{name}: {e}"))?;
+        }
+        Ok(())
     }
 }
 

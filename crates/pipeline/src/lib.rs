@@ -25,7 +25,7 @@
 //! feeds its recorded events back through any other.
 //!
 //! The timing model exists once, as a private core (predictor, estimators,
-//! scoreboard, caches, in-flight window, resolution, gating, commit
+//! scoreboard, caches, a fixed in-flight ring, resolution, gating, commit
 //! training) with two fetch sources: the live [`Simulator`] front end
 //! (interpreter, checkpoints, wrong-path fetch, recovery, eager forks,
 //! replay fetch mode, trace capture) and the [`TraceSimulator`] front end,
@@ -48,6 +48,7 @@ mod cache;
 mod config;
 mod events;
 mod replay;
+mod ring;
 mod roster;
 mod simulator;
 mod smt;
@@ -55,7 +56,7 @@ mod stats;
 mod timing;
 
 pub use cache::{Cache, CacheAccess};
-pub use config::{CacheConfig, PipelineConfig};
+pub use config::{CacheConfig, PipelineConfig, MAX_CACHE_WAYS, MAX_LATENCY, MAX_WINDOW};
 pub use events::{
     replay, replay_event, FetchEvent, GateEvent, MultiObserver, NullObserver, OutcomeEvent,
     PredictEvent, RecoveryEvent, ResolveEvent, SimObserver,

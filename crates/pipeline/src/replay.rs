@@ -1,7 +1,7 @@
 //! The trace front end: [`TraceSimulator`], the crate's timing core fed by
 //! an imported `&[TraceRecord]`.
 
-use crate::timing::{Core, FetchSource, Peek};
+use crate::timing::{Core, FetchSource};
 use crate::{EstimatorQuadrants, NullObserver, PipelineConfig, PipelineStats, SimObserver};
 use cestim_bpred::AnyPredictor;
 use cestim_core::AnyEstimator;
@@ -21,15 +21,15 @@ struct TraceFetch<'t> {
 
 impl FetchSource for TraceFetch<'_> {
     #[inline]
-    fn peek(&self) -> Option<Peek> {
-        self.records.get(self.cursor).map(Peek::of)
+    fn peek(&self) -> Option<TraceRecord> {
+        self.records.get(self.cursor).copied()
     }
 
+    /// The peeked record is already complete.
     #[inline]
-    fn take(&mut self) -> TraceRecord {
-        let rec = self.records[self.cursor];
+    fn take(&mut self, peeked: TraceRecord) -> TraceRecord {
         self.cursor += 1;
-        rec
+        peeked
     }
 }
 
@@ -73,9 +73,8 @@ impl<'t> TraceSimulator<'t> {
     ///
     /// # Panics
     ///
-    /// Panics on the same degenerate configurations as the live simulator
-    /// (`fetch_width == 0`, empty speculation window, gate threshold 0) and
-    /// if eager execution is configured.
+    /// Panics if `cfg` is invalid (see [`PipelineConfig::validate`]) or
+    /// configures eager execution.
     pub fn new(
         records: &'t [TraceRecord],
         cfg: PipelineConfig,

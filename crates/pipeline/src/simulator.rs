@@ -1,6 +1,6 @@
 //! The live front end: the speculative pipeline simulator.
 
-use crate::timing::{Core, FetchSource, Peek};
+use crate::timing::{Core, FetchSource};
 use crate::{NullObserver, PipelineConfig, PipelineStats, SimObserver};
 use cestim_bpred::AnyPredictor;
 use cestim_core::{AnyEstimator, Confidence};
@@ -52,13 +52,14 @@ struct LiveFront {
 }
 
 impl LiveFront {
+    /// The decoded record at the PC (no target or direction yet).
     #[inline]
-    fn peek(&self) -> Option<Peek> {
+    fn peek(&self) -> Option<TraceRecord> {
         if self.machine.halted() {
             return None;
         }
-        let (_, rec) = self.decoded.get(self.machine.pc() as usize)?;
-        Some(Peek::of(rec))
+        let &(_, rec) = self.decoded.get(self.machine.pc() as usize)?;
+        Some(rec)
     }
 
     /// Executes the instruction at the PC (a branch follows `force`, or its
@@ -102,18 +103,19 @@ struct Speculative<'a>(&'a mut LiveFront);
 
 impl FetchSource for Speculative<'_> {
     #[inline]
-    fn peek(&self) -> Option<Peek> {
+    fn peek(&self) -> Option<TraceRecord> {
         self.0.peek()
     }
 
     #[inline]
-    fn take(&mut self) -> TraceRecord {
+    fn take(&mut self, _peeked: TraceRecord) -> TraceRecord {
         self.0.take(None)
     }
 
     fn take_branch(
         &mut self,
         core: &mut Core,
+        _peeked: TraceRecord,
         pred: bool,
         est0_low: bool,
         _resolve_at: u64,
@@ -240,12 +242,12 @@ struct Replaying<'a>(&'a mut LiveFront);
 
 impl FetchSource for Replaying<'_> {
     #[inline]
-    fn peek(&self) -> Option<Peek> {
+    fn peek(&self) -> Option<TraceRecord> {
         self.0.peek()
     }
 
     #[inline]
-    fn take(&mut self) -> TraceRecord {
+    fn take(&mut self, _peeked: TraceRecord) -> TraceRecord {
         self.0.take(None)
     }
 
@@ -330,8 +332,7 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.fetch_width == 0`, `cfg.max_unresolved_branches == 0`,
-    /// or `cfg.gate_threshold == Some(0)` (which would gate fetch forever).
+    /// Panics if `cfg` is invalid (see [`PipelineConfig::validate`]).
     pub fn new(
         program: &Program,
         cfg: PipelineConfig,

@@ -17,18 +17,19 @@
 //! the scoreboard and branch timing exist once. Dispatch to the source is
 //! static: every core entry point is generic over it.
 
+use crate::cache::NO_LINE;
+use crate::ring::{Ring, RESOLVED};
 use crate::roster::Roster;
 use crate::{Cache, PipelineConfig, PipelineStats};
 use crate::{FetchEvent, GateEvent, OutcomeEvent, PredictEvent, RecoveryEvent};
 use crate::{ResolveEvent, SimObserver};
-use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction};
+use cestim_bpred::{AnyPredictor, BranchPredictor, HistoryRegister, Prediction, PredictorInfo};
 use cestim_core::AnyEstimator;
 use cestim_isa::Reg;
 use cestim_trace_io::{TraceClass, TraceRecord};
-use std::collections::VecDeque;
 
 /// One fetched, not-yet-committed conditional branch.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Inflight {
     pub(crate) seq: u64,
     pub(crate) pc: u32,
@@ -37,7 +38,8 @@ pub(crate) struct Inflight {
     pub(crate) mispredicted: bool,
     pub(crate) ghr_at_predict: u32,
     /// Row of the core's estimate slab holding this branch's
-    /// per-estimator confidence estimates.
+    /// per-estimator confidence estimates: its physical slot in the
+    /// in-flight ring.
     pub(crate) est_slot: u32,
     /// Estimator 0's estimate was low confidence (cached here so gating
     /// never touches the slab).
@@ -48,30 +50,29 @@ pub(crate) struct Inflight {
 }
 
 impl Inflight {
+    /// What an in-flight ring slot holds before its first branch.
+    const EMPTY: Inflight = Inflight {
+        seq: 0,
+        pc: 0,
+        pred: Prediction {
+            taken: false,
+            info: PredictorInfo::Bimodal {
+                counter: 0,
+                index: 0,
+            },
+        },
+        actual_taken: false,
+        mispredicted: false,
+        ghr_at_predict: 0,
+        est_slot: 0,
+        est0_low: false,
+        fetch_cycle: 0,
+        resolve_cycle: None,
+    };
+
     #[inline]
     pub(crate) fn resolved(&self) -> bool {
         self.resolve_cycle.is_some()
-    }
-}
-
-/// What fetch knows of the instruction at the fetch PC before consuming
-/// it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Peek {
-    pub(crate) pc: u32,
-    /// For a conditional branch, its source registers (`NO_REG` for none):
-    /// they time its resolution before it is taken.
-    pub(crate) branch: Option<(u8, u8)>,
-}
-
-impl Peek {
-    #[inline]
-    pub(crate) fn of(rec: &TraceRecord) -> Peek {
-        let branch = rec.class == TraceClass::CondBranch;
-        Peek {
-            pc: rec.pc,
-            branch: branch.then_some((rec.s1, rec.s2)),
-        }
     }
 }
 
@@ -86,27 +87,32 @@ impl Peek {
 /// squashed work. The live speculative front end overrides them to follow
 /// predictions and rewind.
 pub(crate) trait FetchSource {
-    /// The instruction at the fetch PC, if one is fetchable: `None` once
-    /// the program halted or left its image (on a wrong path, until
-    /// recovery) or the trace is consumed.
-    fn peek(&self) -> Option<Peek>;
+    /// The record of the instruction at the fetch PC, if one is
+    /// fetchable: `None` once the program halted or left its image (on a
+    /// wrong path, until recovery) or the trace is consumed. Fetch reads
+    /// only what decoding fixes (`pc`, `class`, the registers); a source
+    /// that executes at [`take`](FetchSource::take) may leave `target` and
+    /// `taken` unset here.
+    fn peek(&self) -> Option<TraceRecord>;
 
-    /// Consumes the peeked instruction. A load's or store's `target` is
-    /// its memory address.
-    fn take(&mut self) -> TraceRecord;
+    /// Consumes the instruction `peek` just returned as `peeked` and
+    /// returns its complete record. A load's or store's `target` is its
+    /// memory address.
+    fn take(&mut self, peeked: TraceRecord) -> TraceRecord;
 
-    /// Consumes the peeked conditional branch, predicted `pred` (with
-    /// estimator 0 saying `est0_low`) and resolving at `resolve_at`, and
-    /// steers fetch past it: speculative history and fetch stall. Returns
-    /// its actual direction and whether the fetch group ends there.
+    /// Consumes the peeked conditional branch `peeked`, predicted `pred`
+    /// (with estimator 0 saying `est0_low`) and resolving at `resolve_at`,
+    /// and steers fetch past it: speculative history and fetch stall.
+    /// Returns its actual direction and whether the fetch group ends there.
     fn take_branch(
         &mut self,
         core: &mut Core,
+        peeked: TraceRecord,
         pred: bool,
         _est0_low: bool,
         resolve_at: u64,
     ) -> (bool, bool) {
-        let actual = self.take().taken;
+        let actual = self.take(peeked).taken;
         core.ghr.push(actual);
         let mispredicted = pred != actual;
         if mispredicted {
@@ -152,18 +158,17 @@ pub(crate) struct Core {
     predictor: AnyPredictor,
     pub(crate) roster: Roster,
     pub(crate) ghr: HistoryRegister,
-    /// Ready cycle per register, plus one always-zero sentinel slot that
-    /// every non-register byte (`NO_REG`) reads, so operand readiness needs
-    /// no branching.
-    pub(crate) scoreboard: [u64; Reg::COUNT + 1],
+    /// Ready cycle per register byte. Only real registers are ever
+    /// written, so every other byte (`NO_REG` among them) reads an
+    /// always-zero slot and operand readiness needs no clamp or branch.
+    pub(crate) scoreboard: [u64; 256],
     icache: Cache,
     dcache: Cache,
-    pub(crate) inflight: VecDeque<Inflight>,
-    /// Resolve deadline of each in-flight branch, in lockstep with
-    /// `inflight` (`u64::MAX` once resolved). The per-cycle resolution scan
-    /// walks this one-cache-line ring instead of the full `Inflight`
-    /// payloads.
-    resolve_track: VecDeque<u64>,
+    /// The speculation window: in-flight branches in fetch order, each
+    /// with its resolve deadline ([`RESOLVED`] once resolved) in the ring's
+    /// parallel array, which the per-cycle resolution scan walks instead
+    /// of the full `Inflight` payloads.
+    pub(crate) inflight: Ring<Inflight>,
     /// Scratch `(deadline, index)` list of due resolutions, reused across
     /// scans.
     due_buf: Vec<(u64, u32)>,
@@ -182,29 +187,23 @@ pub(crate) struct Core {
 impl Core {
     /// # Panics
     ///
-    /// Panics if `cfg.fetch_width == 0`, `cfg.max_unresolved_branches == 0`,
-    /// or `cfg.gate_threshold == Some(0)` (which would gate fetch forever).
+    /// Panics if `cfg` is invalid (see [`PipelineConfig::validate`]).
     pub(crate) fn new(cfg: PipelineConfig, predictor: AnyPredictor) -> Core {
-        assert!(cfg.fetch_width > 0, "fetch width must be positive");
-        assert!(
-            cfg.max_unresolved_branches > 0,
-            "speculation window must be positive"
-        );
-        assert!(
-            cfg.gate_threshold != Some(0),
-            "a gate threshold of 0 would stall fetch forever"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("invalid pipeline config: {e}");
+        }
         let window = cfg.max_unresolved_branches;
+        let inflight = Ring::new(window, Inflight::EMPTY);
         Core {
             ghr: HistoryRegister::new(cfg.ghr_width),
             icache: Cache::new(cfg.icache),
             dcache: Cache::new(cfg.dcache),
             cfg,
             predictor,
-            roster: Roster::new(window),
-            scoreboard: [0; Reg::COUNT + 1],
-            inflight: VecDeque::with_capacity(window),
-            resolve_track: VecDeque::with_capacity(window),
+            // One estimate row per ring slot: a branch's row is its slot.
+            roster: Roster::new(inflight.capacity()),
+            scoreboard: [0; 256],
+            inflight,
             due_buf: Vec::with_capacity(window),
             now: 0,
             fetch_stall_until: 0,
@@ -337,10 +336,11 @@ impl Core {
         // its entry was squashed, which the deadline recheck detects.
         let mut soonest = u64::MAX;
         self.due_buf.clear();
-        for (i, &at) in self.resolve_track.iter().enumerate() {
+        for i in 0..self.inflight.len() {
+            let at = self.inflight.deadline(i);
             if at <= self.now {
                 self.due_buf.push((at, i as u32));
-            } else if at != u64::MAX {
+            } else if at != RESOLVED {
                 soonest = soonest.min(at);
             }
         }
@@ -350,7 +350,7 @@ impl Core {
         let mut due_buf = std::mem::take(&mut self.due_buf);
         for &(at, idx) in &due_buf {
             let idx = idx as usize;
-            if idx < self.resolve_track.len() && self.resolve_track[idx] == at {
+            if idx < self.inflight.len() && self.inflight.deadline(idx) == at {
                 self.resolve_one(src, idx, obs);
             }
         }
@@ -371,7 +371,7 @@ impl Core {
             e.resolve_cycle = Some(self.now);
             (e.seq, e.pc, e.mispredicted)
         };
-        self.resolve_track[idx] = u64::MAX;
+        self.inflight.set_deadline(idx, RESOLVED);
         self.roster.resolved(mispredicted);
         obs.on_branch_resolved(&ResolveEvent {
             seq,
@@ -389,9 +389,8 @@ impl Core {
     pub(crate) fn squash_after<O: SimObserver + ?Sized>(&mut self, idx: usize, obs: &mut O) -> u32 {
         let squashed = (self.inflight.len() - idx - 1) as u32;
         while self.inflight.len() > idx + 1 {
-            let victim = self.inflight.pop_back().expect("victim exists");
-            self.resolve_track.pop_back();
-            self.record_outcome(&victim, false, false, obs);
+            self.record_outcome(self.inflight.len() - 1, false, false, obs);
+            self.inflight.pop_back();
         }
         squashed
     }
@@ -422,9 +421,10 @@ impl Core {
         S: FetchSource,
         O: SimObserver + ?Sized,
     {
+        // The head commits in place: it leaves the ring only after its
+        // outcome is recorded.
         while self.inflight.front().is_some_and(Inflight::resolved) {
-            let head = self.inflight.pop_front().expect("head exists");
-            self.resolve_track.pop_front();
+            let head = &self.inflight[0];
             let correct = !head.mispredicted;
             self.predictor
                 .update(head.pc, head.actual_taken, &head.pred);
@@ -435,20 +435,23 @@ impl Core {
                 self.stats.mispredicted_committed += 1;
             }
             let fault = src.commit_fault();
-            self.record_outcome(&head, true, fault, obs);
+            self.record_outcome(0, true, fault, obs);
+            self.inflight.pop_front();
             src.on_commit();
         }
     }
 
-    /// Records a committed or squashed branch in the quadrants and streams
-    /// its outcome; `fault` flips the *reported* direction only.
+    /// Records the committed or squashed branch at in-flight index `idx`
+    /// in the quadrants and streams its outcome; `fault` flips the
+    /// *reported* direction only.
     fn record_outcome<O: SimObserver + ?Sized>(
         &mut self,
-        e: &Inflight,
+        idx: usize,
         committed: bool,
         fault: bool,
         obs: &mut O,
     ) {
+        let e = &self.inflight[idx];
         let correct = !e.mispredicted;
         if e.mispredicted {
             self.stats.mispredicted_all += 1;
@@ -501,19 +504,20 @@ impl Core {
             return;
         }
         let width = src.fetch_width(self);
-        let burst_pc = src.peek().map_or(0, |p| p.pc);
+        let mut burst_pc = None;
         let arch_before = self.arch_insts;
         // I-cache accesses for a sequential run on one line are batched
         // into a single counter update at the end of the run (fetch is the
         // I-cache's only client, so no access can interleave).
-        let mut run_line = u32::MAX;
+        let mut run_line = NO_LINE;
         let mut run_hits = 0u64;
         for _ in 0..width {
             let Some(next) = src.peek() else {
                 break;
             };
+            burst_pc.get_or_insert(next.pc);
             let line = self.icache.line_of(next.pc);
-            if line == run_line {
+            if u64::from(line) == run_line {
                 // Repeat access to the most recent line: guaranteed hit
                 // (only another access could evict it); account it at the
                 // end of the run.
@@ -524,21 +528,21 @@ impl Core {
                     run_hits = 0;
                 }
                 let access = self.icache.access(next.pc);
-                run_line = line;
+                run_line = u64::from(line);
                 if !access.hit {
                     self.fetch_stall_until = self.now + access.latency;
                     break;
                 }
             }
 
-            if let Some((s1, s2)) = next.branch {
+            if next.class == TraceClass::CondBranch {
                 if self.inflight.len() >= self.cfg.max_unresolved_branches {
                     break;
                 }
-                if self.fetch_branch(src, next.pc, s1, s2, obs) {
+                if self.fetch_branch(src, next, obs) {
                     break;
                 }
-            } else if !self.fetch_straightline(src) {
+            } else if !self.fetch_straightline(src, next) {
                 break;
             }
         }
@@ -551,7 +555,7 @@ impl Core {
         if count > 0 {
             obs.on_fetch(&FetchEvent {
                 cycle: self.now,
-                pc: burst_pc,
+                pc: burst_pc.unwrap_or(0),
                 count,
             });
         }
@@ -559,31 +563,28 @@ impl Core {
 
     /// Fetches a conditional branch; returns `true` when the fetch group
     /// ends.
-    fn fetch_branch<S, O>(&mut self, src: &mut S, pc: u32, s1: u8, s2: u8, obs: &mut O) -> bool
+    fn fetch_branch<S, O>(&mut self, src: &mut S, peeked: TraceRecord, obs: &mut O) -> bool
     where
         S: FetchSource,
         O: SimObserver + ?Sized,
     {
+        let pc = peeked.pc;
         let ghr_val = self.ghr.value();
         let pred = self.predictor.predict(pc, ghr_val);
         // Resolution timing is known at fetch from the scoreboard (branches
         // write no registers). The roster feeds the modeled latency to the
         // estimators that take it before they estimate.
-        let resolve_at = self.operands_ready(s1, s2) + self.cfg.branch_resolve_latency;
+        let resolve_at =
+            self.operands_ready(peeked.s1, peeked.s2) + self.cfg.branch_resolve_latency;
         let resolve_latency = resolve_at - self.now;
-        // The row after the youngest in-flight branch's (see the roster's
-        // slab); both terms are below the window, so one subtraction wraps
-        // it.
-        let est_slot = self.inflight.front().map_or(0, |e| {
-            let next = e.est_slot as usize + self.inflight.len();
-            let window = self.cfg.max_unresolved_branches;
-            (if next >= window { next - window } else { next }) as u32
-        });
+        // The branch's estimate row is the ring slot it is about to take.
+        let est_slot = self.inflight.slot(self.inflight.len()) as u32;
         let est0_low = self
             .roster
             .estimate(est_slot, pc, ghr_val, &pred, resolve_latency);
 
-        let (actual_taken, group_ends) = src.take_branch(self, pred.taken, est0_low, resolve_at);
+        let (actual_taken, group_ends) =
+            src.take_branch(self, peeked, pred.taken, est0_low, resolve_at);
         let mispredicted = actual_taken != pred.taken;
         let seq = self.branch_seq;
         self.branch_seq += 1;
@@ -603,8 +604,7 @@ impl Core {
             estimates,
         });
 
-        self.resolve_track.push_back(resolve_at);
-        self.inflight.push_back(Inflight {
+        *self.inflight.push_back(resolve_at) = Inflight {
             seq,
             pc,
             pred,
@@ -615,14 +615,14 @@ impl Core {
             est0_low,
             fetch_cycle: self.now,
             resolve_cycle: None,
-        });
+        };
         group_ends
     }
 
     /// Fetches a non-branch instruction; returns `false` when the fetch
     /// group ends (control redirect or halt).
-    fn fetch_straightline<S: FetchSource>(&mut self, src: &mut S) -> bool {
-        let rec = src.take();
+    fn fetch_straightline<S: FetchSource>(&mut self, src: &mut S, peeked: TraceRecord) -> bool {
+        let rec = src.take(peeked);
         let operands_ready = self.operands_ready(rec.s1, rec.s2);
         self.arch_insts += 1;
         let latency = match rec.class {
@@ -652,10 +652,10 @@ impl Core {
     }
 
     /// Earliest cycle at which source registers `s1`/`s2` are ready
-    /// (`NO_REG` reads the always-zero sentinel slot).
+    /// (`NO_REG` reads an always-zero slot).
     #[inline]
     fn operands_ready(&self, s1: u8, s2: u8) -> u64 {
-        let ready = |r: u8| self.scoreboard[(r as usize).min(Reg::COUNT)];
+        let ready = |r: u8| self.scoreboard[r as usize];
         self.now.max(ready(s1)).max(ready(s2))
     }
 }

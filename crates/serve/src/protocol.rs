@@ -23,6 +23,7 @@
 //! batch `repro` harness executes, so server results are byte-identical
 //! to direct execution by construction.
 
+use cestim_pipeline::PipelineConfig;
 use cestim_sim::{EstimatorSpec, ExecJob};
 use serde::{Deserialize, Value};
 
@@ -349,13 +350,31 @@ pub fn parse_line(bytes: &[u8], limits: &RequestLimits) -> Result<Request, Proto
     }
 }
 
-/// Validates a deserialized job against the server's admission limits.
+/// Validates a deserialized job against the server's admission limits and
+/// checks that every pipeline configuration it carries can be simulated
+/// ([`PipelineConfig::validate`]),
+/// so a bad config is refused here instead of panicking a worker or
+/// aborting the process on a huge allocation.
 ///
 /// # Errors
 ///
 /// Returns an `invalid-spec` [`ProtoError`] naming the offending bound.
 pub fn validate_job(job: &ExecJob, limits: &RequestLimits) -> Result<(), ProtoError> {
     let invalid = |msg: String| ProtoError::new(ErrorCode::InvalidSpec, msg);
+    let check_pipeline = |pipeline: &PipelineConfig| {
+        pipeline
+            .validate()
+            .map_err(|e| invalid(format!("pipeline: {e}")))
+    };
+    let check_cfg = |cfg: &cestim_sim::RunConfig| {
+        if cfg.scale == 0 || cfg.scale > limits.max_scale {
+            return Err(invalid(format!(
+                "scale {} outside 1..={}",
+                cfg.scale, limits.max_scale
+            )));
+        }
+        check_pipeline(&cfg.pipeline)
+    };
     let check_scale = |scale: u32| {
         if scale == 0 || scale > limits.max_scale {
             Err(invalid(format!(
@@ -391,24 +410,24 @@ pub fn validate_job(job: &ExecJob, limits: &RequestLimits) -> Result<(), ProtoEr
     };
     match job {
         ExecJob::Run { cfg, specs } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_specs(specs)
         }
         ExecJob::CrossProfileRun { cfg, specs, .. } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_specs(specs)
         }
         ExecJob::Distance { cfg, buckets } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_buckets(*buckets)
         }
         ExecJob::Cluster { cfg, spec, buckets } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             spec.validate().map_err(|e| invalid(e.to_string()))?;
             check_buckets(*buckets)
         }
         ExecJob::Boost { cfg, specs, max_k } => {
-            check_scale(cfg.scale)?;
+            check_cfg(cfg)?;
             check_specs(specs)?;
             if specs.is_empty() {
                 return Err(invalid(
@@ -420,7 +439,19 @@ pub fn validate_job(job: &ExecJob, limits: &RequestLimits) -> Result<(), ProtoEr
             }
             Ok(())
         }
-        ExecJob::Replay { records, specs, .. } => {
+        ExecJob::Replay {
+            records,
+            pipeline,
+            specs,
+            ..
+        } => {
+            check_pipeline(pipeline)?;
+            // A trace is the actual path: there is no wrong path to fork.
+            if pipeline.eager_max_forks.is_some() {
+                return Err(invalid(
+                    "pipeline: eager_max_forks is not supported by trace replay".to_string(),
+                ));
+            }
             check_specs(specs)?;
             // Inline traces are bounded by the protocol's line cap anyway;
             // this bound produces a structured rejection before a huge
@@ -643,7 +674,6 @@ mod tests {
 
     #[test]
     fn replay_requests_round_trip_with_inline_records() {
-        use cestim_pipeline::PipelineConfig;
         use cestim_sim::{EstimatorSpec, TraceRecord};
         let records: Vec<TraceRecord> = cestim_trace_io::from_jsonl(concat!(
             "{\"format\":\"cestim-trace\",\"version\":1}\n",
@@ -671,7 +701,6 @@ mod tests {
 
     #[test]
     fn replay_validation_bounds_records_and_specs() {
-        use cestim_pipeline::PipelineConfig;
         use cestim_sim::{EstimatorSpec, TraceRecord};
         let limits = RequestLimits::default();
         let job = |n_specs: usize| ExecJob::Replay {
@@ -823,6 +852,94 @@ mod tests {
             }],
         };
         assert!(validate_job(&good, &limits).is_ok());
+    }
+
+    /// A `run` line whose pipeline config has one field changed by `edit`
+    /// must parse to `invalid-spec`, with the field named in the message.
+    fn assert_pipeline_field_rejected(field: &str, edit: impl Fn(&mut PipelineConfig)) {
+        let mut cfg = RunConfig::paper(WorkloadKind::Compress, 1, PredictorKind::Gshare);
+        edit(&mut cfg.pipeline);
+        let line = serde_json::json!({"op":"run","id":"x","job":{"Run":{
+            "cfg": serde::to_value(&cfg),
+            "specs": [],
+        }}});
+        let e = parse_line(line.to_string().as_bytes(), &RequestLimits::default()).unwrap_err();
+        assert_eq!(e.code, ErrorCode::InvalidSpec, "{field}: {}", e.message);
+        assert!(e.message.contains(field), "{field}: {}", e.message);
+    }
+
+    #[test]
+    fn oversized_speculation_window_is_invalid_spec() {
+        // Building this window would try to allocate ~88 TB and abort.
+        assert_pipeline_field_rejected("max_unresolved_branches", |p| {
+            p.max_unresolved_branches = 1 << 40
+        });
+        assert_pipeline_field_rejected("max_unresolved_branches", |p| {
+            p.max_unresolved_branches = 0
+        });
+    }
+
+    #[test]
+    fn zero_fetch_width_is_invalid_spec() {
+        assert_pipeline_field_rejected("fetch_width", |p| p.fetch_width = 0);
+    }
+
+    #[test]
+    fn zero_gate_threshold_is_invalid_spec() {
+        assert_pipeline_field_rejected("gate_threshold", |p| p.gate_threshold = Some(0));
+    }
+
+    #[test]
+    fn out_of_range_history_width_is_invalid_spec() {
+        assert_pipeline_field_rejected("ghr_width", |p| p.ghr_width = 0);
+        assert_pipeline_field_rejected("ghr_width", |p| p.ghr_width = 33);
+    }
+
+    #[test]
+    fn non_power_of_two_cache_geometry_is_invalid_spec() {
+        assert_pipeline_field_rejected("icache: sets", |p| p.icache.sets = 1000);
+        assert_pipeline_field_rejected("dcache: line_words", |p| p.dcache.line_words = 6);
+    }
+
+    #[test]
+    fn wrapping_cache_entry_count_is_invalid_spec() {
+        // 2^31 sets × 2 ways wraps a u32 to 0 entries.
+        assert_pipeline_field_rejected("icache: sets × assoc", |p| {
+            p.icache.sets = 1 << 31;
+            p.icache.assoc = 2;
+        });
+    }
+
+    #[test]
+    fn zero_associativity_is_invalid_spec() {
+        assert_pipeline_field_rejected("dcache: associativity", |p| p.dcache.assoc = 0);
+    }
+
+    #[test]
+    fn oversized_latency_is_invalid_spec() {
+        assert_pipeline_field_rejected("mispredict_penalty", |p| p.mispredict_penalty = u64::MAX);
+        assert_pipeline_field_rejected("icache: miss_latency", |p| {
+            p.icache.miss_latency = u64::MAX
+        });
+    }
+
+    #[test]
+    fn replay_jobs_validate_their_pipeline() {
+        let mut zero_width = PipelineConfig::paper();
+        zero_width.fetch_width = 0;
+        // `TraceSimulator::new` panics on an eager configuration.
+        let eager = PipelineConfig::paper().with_eager(1);
+        for (pipeline, field) in [(zero_width, "fetch_width"), (eager, "eager_max_forks")] {
+            let job = ExecJob::Replay {
+                records: Vec::new(),
+                predictor: PredictorKind::Gshare,
+                pipeline,
+                specs: Vec::new(),
+            };
+            let e = validate_job(&job, &RequestLimits::default()).unwrap_err();
+            assert_eq!(e.code, ErrorCode::InvalidSpec);
+            assert!(e.message.contains(field), "{}", e.message);
+        }
     }
 
     #[test]

@@ -34,21 +34,29 @@ pub const RECORD_BYTES: usize = 16;
 
 /// Encodes a trace into the binary wire format.
 pub fn to_binary(records: &[TraceRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_BYTES + records.len() * RECORD_BYTES);
-    out.extend_from_slice(&TRACE_MAGIC);
-    out.extend_from_slice(&TRACE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
-    for r in records {
-        out.extend_from_slice(&r.pc.to_le_bytes());
-        out.extend_from_slice(&r.target.to_le_bytes());
-        out.push(r.taken as u8);
-        out.push(r.class.to_u8());
-        out.push(r.dst);
-        out.push(r.s1);
-        out.push(r.s2);
-        out.extend_from_slice(&[0, 0, 0]);
+    let mut out = vec![0; HEADER_BYTES + records.len() * RECORD_BYTES];
+    let (header, body) = out.split_at_mut(HEADER_BYTES);
+    header[..8].copy_from_slice(&TRACE_MAGIC);
+    header[8..12].copy_from_slice(&TRACE_VERSION.to_le_bytes());
+    header[12..].copy_from_slice(&(records.len() as u64).to_le_bytes());
+    for (chunk, r) in body.chunks_exact_mut(RECORD_BYTES).zip(records) {
+        chunk.copy_from_slice(&encode(r));
     }
     out
+}
+
+/// One record as its 16 wire bytes: the layout above, read as a
+/// little-endian `u128` (the padding is the zero top bytes).
+#[inline]
+fn encode(r: &TraceRecord) -> [u8; RECORD_BYTES] {
+    let block = u128::from(r.pc)
+        | u128::from(r.target) << 32
+        | u128::from(r.taken) << 64
+        | u128::from(r.class.to_u8()) << 72
+        | u128::from(r.dst) << 80
+        | u128::from(r.s1) << 88
+        | u128::from(r.s2) << 96;
+    block.to_le_bytes()
 }
 
 /// Decodes the binary wire format. Total: returns a structured

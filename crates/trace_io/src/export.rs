@@ -8,7 +8,7 @@
 //! path shows up as a divergence.
 
 use crate::record::TraceRecord;
-use cestim_isa::{Machine, Program};
+use cestim_isa::{Inst, Machine, Program};
 
 /// Export failure: the program did not produce a complete trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +42,12 @@ impl std::error::Error for ExportError {}
 /// record per retired instruction — the halt included, so a complete
 /// trace's record count equals the pipeline's `committed_insts`.
 pub fn export_program(program: &Program, max_steps: u64) -> Result<Vec<TraceRecord>, ExportError> {
+    // Each static instruction is decoded once; a retired instruction only
+    // adds what executing it did.
+    let decoded: Vec<(Inst, TraceRecord)> = (0u32..)
+        .zip(program.insts())
+        .map(|(pc, &inst)| (inst, TraceRecord::decode(pc, &inst)))
+        .collect();
     let mut m = Machine::new(program);
     let mut out = Vec::new();
     for _ in 0..max_steps {
@@ -49,12 +55,10 @@ pub fn export_program(program: &Program, max_steps: u64) -> Result<Vec<TraceReco
             return Ok(out);
         }
         let pc = m.pc();
-        let Some(inst) = program.inst(pc) else {
+        let Some(&(inst, rec)) = decoded.get(pc as usize) else {
             return Err(ExportError::OutOfRange { pc });
         };
-        let inst = *inst;
-        let step = m.step(program);
-        out.push(TraceRecord::classify(pc, &inst, &step));
+        out.push(rec.with_step(&m.step_decoded(inst, None)));
     }
     if m.halted() {
         Ok(out)

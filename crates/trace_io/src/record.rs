@@ -54,12 +54,11 @@ impl TraceClass {
         TraceClass::Halt,
     ];
 
-    /// Wire byte of this class.
+    /// Wire byte of this class: its position in [`ALL`](Self::ALL),
+    /// which lists the classes in declaration order.
+    #[inline]
     pub fn to_u8(self) -> u8 {
-        TraceClass::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("class in ALL") as u8
+        self as u8
     }
 
     /// Class for a wire byte, `None` for unknown values.
@@ -115,18 +114,9 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Classifies one architecturally executed instruction into a record.
-    ///
-    /// `inst` is the instruction at `pc` and `step` what executing it did
-    /// (the step supplies the data-dependent payloads: branch direction and
-    /// taken-target, redirect destinations, memory addresses). Equal to
-    /// [`decode`](Self::decode) followed by [`with_step`](Self::with_step).
-    pub fn classify(pc: u32, inst: &Inst, step: &Step) -> TraceRecord {
-        TraceRecord::decode(pc, inst).with_step(step)
-    }
-
     /// The part of an instruction's record that decoding alone fixes: its
-    /// class and registers, with no target and not taken.
+    /// class and registers, with no target and not taken. A retired
+    /// instruction's record is this plus [`with_step`](Self::with_step).
     pub fn decode(pc: u32, inst: &Inst) -> TraceRecord {
         let reg = |r: Option<Reg>| r.map_or(NO_REG, |r| r.index() as u8);
         let (s1, s2) = inst.srcs();
@@ -310,6 +300,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn class_bytes_are_positions_in_all() {
+        for (i, c) in TraceClass::ALL.into_iter().enumerate() {
+            assert_eq!(c as u8 as usize, i, "{c:?}");
+            assert_eq!(c.to_u8() as usize, i, "{c:?}");
+        }
+    }
+
+    #[test]
     fn class_bytes_round_trip() {
         for c in TraceClass::ALL {
             assert_eq!(TraceClass::from_u8(c.to_u8()), Some(c));
@@ -319,9 +317,14 @@ mod tests {
         assert_eq!(TraceClass::from_name("wat"), None);
     }
 
+    /// The record of `inst` at `pc` retired as `step`.
+    fn classify(pc: u32, inst: &Inst, step: &Step) -> TraceRecord {
+        TraceRecord::decode(pc, inst).with_step(step)
+    }
+
     #[test]
     fn classify_covers_the_isa() {
-        let r = TraceRecord::classify(
+        let r = classify(
             3,
             &Inst::Branch {
                 cond: cestim_isa::Cond::Lt,
@@ -340,7 +343,7 @@ mod tests {
         assert_eq!(r.dst, NO_REG);
         assert_eq!(r.s1, Reg::T0.index() as u8);
 
-        let r = TraceRecord::classify(
+        let r = classify(
             0,
             &Inst::Alu {
                 op: AluOp::Div,
@@ -353,7 +356,7 @@ mod tests {
         assert_eq!(r.class, TraceClass::Div);
         assert_eq!(r.dst, Reg::T2.index() as u8);
 
-        let r = TraceRecord::classify(
+        let r = classify(
             1,
             &Inst::Load {
                 rd: Reg::T0,
@@ -364,7 +367,7 @@ mod tests {
         );
         assert_eq!((r.class, r.target), (TraceClass::Load, 42));
 
-        let r = TraceRecord::classify(5, &Inst::Halt, &Step::Halt);
+        let r = classify(5, &Inst::Halt, &Step::Halt);
         assert_eq!(r.class, TraceClass::Halt);
     }
 
