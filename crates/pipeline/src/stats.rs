@@ -48,7 +48,9 @@ pub struct PipelineStats {
     pub eager_covered: u64,
     /// Fetch slots consumed by alternate paths (eager overhead).
     pub eager_alt_slots: u64,
-    /// Instruction-cache accesses / misses.
+    /// Instruction-cache accesses. Fetch probes a branch's line before
+    /// it checks the speculation window, so this includes one access per
+    /// fetch cycle in which a full window blocks the next branch.
     pub icache_accesses: u64,
     /// Instruction-cache misses.
     pub icache_misses: u64,

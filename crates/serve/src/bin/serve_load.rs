@@ -1,10 +1,10 @@
 //! `serve-load` — deterministic synthetic load generator for `serve`.
 //!
 //! Replays a seeded mix of duplicate/unique/priority-skewed requests
-//! against a server — either a running one over TCP (`--addr`) or a
-//! private in-process one (`--spawn`) — and reports throughput,
-//! cache hit-rate, latency quantiles, and per-client fairness, one
-//! `[serve-load] pass=…` line per pass. With `--verify` every unique job
+//! over TCP against a server — either a running one (`--addr`) or a
+//! private in-process one on a loopback port (`--spawn`) — and reports
+//! throughput, cache hit-rate, latency quantiles, and per-client
+//! fairness, one `[serve-load] pass=…` line per pass. With `--verify` every unique job
 //! is re-executed directly and its payload compared byte-for-byte
 //! (canonical JSON) against the server's.
 //!
@@ -27,12 +27,13 @@
 //! Exits 1 on transport errors, execution errors, an incomplete pass, or any
 //! verification mismatch.
 
+use cestim_obs::Registry;
 use cestim_serve::load::{
-    build_mix, run_pass, verify_against_direct, LoadConfig, PassReport, ServeConn, TcpConn,
+    build_mix, run_pass, verify_against_direct, LoadConfig, MixItem, PassReport,
 };
-use cestim_serve::{Request, Response, ServeConfig, Server};
+use cestim_serve::{ServeClient, ServeConfig, Server};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::net::TcpListener;
 
 fn usage() -> ! {
     eprintln!(
@@ -172,89 +173,57 @@ fn main() {
         args.passes
     );
 
-    // Spawn-mode keeps the server alive for the whole run.
-    let spawned = if args.spawn {
-        let registry = cestim_obs::Registry::new();
-        match Server::start_with(
-            args.serve_cfg.clone(),
-            registry.clone(),
-            cestim_obs::span::SpanCollector::disabled(),
-        ) {
-            Ok(server) => Some((server, registry)),
-            Err(e) => {
-                eprintln!("serve-load: cannot start in-process server: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        None
+    let failed = match &args.addr {
+        Some(addr) => drive(addr, &args, &mix),
+        None => drive_spawned(&args, &mix),
     };
-
-    let mut conn: Box<dyn ServeConn> = match (&spawned, &args.addr) {
-        (Some((server, _)), _) => Box::new(server.client()),
-        (None, Some(addr)) => match TcpConn::connect(addr) {
-            Ok(conn) => Box::new(conn),
-            Err(e) => {
-                eprintln!("serve-load: cannot connect to {addr}: {e}");
-                std::process::exit(1);
-            }
-        },
-        (None, None) => unreachable!("parse_args enforces addr xor spawn"),
-    };
-
-    let mut payloads = HashMap::new();
-    let mut failed = false;
-    for p in 0..args.passes.max(1) {
-        match run_pass(
-            conn.as_mut(),
-            &mix,
-            &args.load,
-            &pass_name(p),
-            &mut payloads,
-        ) {
-            Ok(report) => {
-                print_pass(&report);
-                if report.errors > 0 || report.completed < report.requests {
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("serve-load: pass {} failed: {e}", pass_name(p));
-                failed = true;
-                break;
-            }
-        }
+    if failed {
+        std::process::exit(1);
     }
+}
 
+/// Runs every pass over one TCP client connected to `addr`, then
+/// `--verify` and (against `--addr`) `--shutdown`. True when anything
+/// failed.
+fn drive(addr: &str, args: &Args, mix: &[MixItem]) -> bool {
+    let mut client = match ServeClient::connect(addr) {
+        Ok(client) => client,
+        Err(e) => {
+            eprintln!("serve-load: cannot connect to {addr}: {e}");
+            std::process::exit(1);
+        }
+    };
     // The overload pass floods the queue on purpose: every request is
     // in flight at once, so a small server sheds until its watermarks
     // clear. Shed submissions are retried, so the pass still completes;
     // what it measures is the degraded-mode p99 and how much was shed.
-    if args.overload && !failed {
-        let mut degraded_cfg = args.load.clone();
-        degraded_cfg.window = degraded_cfg.requests.max(1);
-        match run_pass(
-            conn.as_mut(),
-            &mix,
-            &degraded_cfg,
-            "degraded",
-            &mut payloads,
-        ) {
+    let mut degraded = args.load.clone();
+    degraded.window = degraded.requests.max(1);
+    let passes = (0..args.passes.max(1))
+        .map(|p| (pass_name(p), &args.load))
+        .chain(args.overload.then(|| ("degraded".to_string(), &degraded)));
+
+    let mut payloads = HashMap::new();
+    let mut failed = false;
+    for (name, cfg) in passes {
+        if name == "degraded" && failed {
+            break;
+        }
+        match run_pass(&mut client, mix, cfg, &name, &mut payloads) {
             Ok(report) => {
                 print_pass(&report);
-                if report.shed == 0 {
+                if name == "degraded" && report.shed == 0 {
                     println!(
                         "[serve-load] warning: overload pass shed nothing; \
                          lower --groups/--queue-depth to make the watermarks reachable"
                     );
                 }
-                if report.errors > 0 || report.completed < report.requests {
-                    failed = true;
-                }
+                failed |= report.errors > 0 || report.completed < report.requests;
             }
             Err(e) => {
-                eprintln!("serve-load: degraded pass failed: {e}");
+                eprintln!("serve-load: pass {name} failed: {e}");
                 failed = true;
+                break;
             }
         }
     }
@@ -265,35 +234,57 @@ fn main() {
             "[serve-load] verify checked={} mismatches={}",
             report.checked, report.mismatches
         );
-        if report.mismatches > 0 {
+        failed |= report.mismatches > 0;
+    }
+    // The acknowledgement means the server has begun draining.
+    if args.shutdown && args.addr.is_some() {
+        if let Err(e) = client.shutdown() {
+            eprintln!("serve-load: shutdown of {addr} unacknowledged: {e}");
+        }
+    }
+    failed
+}
+
+/// `--spawn`: serves a private in-process server on a loopback port for
+/// the whole run, drives it like `--addr`, drains it, and writes its
+/// registry to `--prom-out`.
+fn drive_spawned(args: &Args, mix: &[MixItem]) -> bool {
+    let registry = Registry::new();
+    let spans = cestim_obs::span::SpanCollector::disabled();
+    let started =
+        Server::start_with(args.serve_cfg.clone(), registry.clone(), spans).and_then(|server| {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let addr = listener.local_addr()?;
+            Ok((server, listener, addr))
+        });
+    let (server, listener, addr) = match started {
+        Ok(started) => started,
+        Err(e) => {
+            eprintln!("serve-load: cannot start in-process server: {e}");
+            std::process::exit(1);
+        }
+    };
+    let mut failed = std::thread::scope(|scope| {
+        let acceptor = scope.spawn(|| server.serve_tcp(listener));
+        let mut failed = drive(&addr.to_string(), args, mix);
+        server.begin_shutdown();
+        if let Err(e) = acceptor.join().expect("the acceptor does not panic") {
+            eprintln!("serve-load: in-process server stopped accepting: {e}");
+            failed = true;
+        }
+        failed
+    });
+    server.shutdown();
+    if let Some(path) = &args.prom_out {
+        if let Err(e) = write_prom(path, &registry) {
+            eprintln!("serve-load: writing {path} failed: {e}");
             failed = true;
         }
     }
-
-    if args.shutdown && args.addr.is_some() && conn.send_request(&Request::Shutdown).is_ok() {
-        // Wait for the acknowledgement so the server has begun
-        // draining before we exit.
-        while let Ok(resp) = conn.recv_response(Duration::from_secs(10)) {
-            if matches!(resp, Response::ShuttingDown) {
-                break;
-            }
-        }
-    }
-    if let Some((server, registry)) = spawned {
-        server.shutdown();
-        if let Some(path) = &args.prom_out {
-            if let Err(e) = write_prom(path, &registry) {
-                eprintln!("serve-load: writing {path} failed: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    failed
 }
 
-fn write_prom(path: &str, registry: &cestim_obs::Registry) -> std::io::Result<()> {
+fn write_prom(path: &str, registry: &Registry) -> std::io::Result<()> {
     use std::io::Write;
     let path = std::path::Path::new(path);
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {

@@ -1,7 +1,17 @@
-//! A resilient TCP client for the serve protocol.
+//! The TCP client for the serve protocol.
 //!
-//! [`ServeClient`] assumes the network is hostile — connections drop,
-//! lines are torn, responses vanish — and heals by construction:
+//! [`ServeClient`] is the workspace's one client for the line protocol
+//! over a socket: `serve-load`'s [`crate::load::run_pass`], the chaos
+//! tests and the end-to-end tests all drive it. It holds one lazily
+//! (re)connected socket with `TCP_NODELAY`, one send path
+//! ([`ServeClient::send_request`], or [`ServeClient::send_raw_line`] for
+//! negative-path tests) and one receive path
+//! ([`ServeClient::recv_response`]), which keeps a partial line across
+//! timeouts so a read that times out mid-line never tears the framing.
+//!
+//! On that pair, [`ServeClient::run_job`] assumes the network is hostile
+//! — connections drop, lines are torn, responses vanish — and heals by
+//! construction:
 //!
 //! * **Deterministic retry.** Failed attempts (I/O errors, EOF,
 //!   response timeouts, rejections, execution errors) are retried under
@@ -25,30 +35,21 @@
 
 use crate::overload::WaitWindow;
 use crate::protocol::{parse_response, render_request, Request, Response};
-use cestim_exec::{Job, RetryPolicy};
+use cestim_exec::{CacheKey, Job, RetryPolicy};
 use cestim_sim::ExecJob;
 use serde::Value;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// Client tuning.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Server (or chaos proxy) address.
-    pub addr: SocketAddr,
-    /// Client identity sent with every run request (fair-queuing lane).
-    pub client: String,
-    /// Scheduling priority (1..=100).
-    pub priority: u32,
-    /// Per-request deadline forwarded to the server (0 = none).
-    pub deadline_ms: u64,
+    /// Server (or chaos proxy) address: any `HOST:PORT` that
+    /// [`TcpStream::connect`] accepts, host names included.
+    pub addr: String,
     /// Retry/backoff policy across attempts.
     pub retry: RetryPolicy,
-    /// How long one attempt waits for progress before being abandoned.
-    /// The timer restarts whenever a response for the request arrives,
-    /// so long executions are not cut off mid-run.
-    pub recv_timeout: Duration,
     /// Hedging floor: `None` disables hedging; `Some(d)` sends a
     /// duplicate request once an attempt has waited `max(d, observed
     /// completion p99)` without completing.
@@ -56,33 +57,51 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// A sane default aimed at `addr`: 8 attempts, 2s progress timeout,
-    /// no deadline, no hedging.
-    pub fn new(addr: SocketAddr) -> ClientConfig {
+    /// A sane default aimed at `addr`: 8 attempts, no hedging.
+    pub fn new(addr: impl ToString) -> ClientConfig {
         ClientConfig {
-            addr,
-            client: "resilient".to_string(),
-            priority: 1,
-            deadline_ms: 0,
+            addr: addr.to_string(),
             retry: RetryPolicy {
                 max_attempts: 8,
                 ..RetryPolicy::default()
             },
-            recv_timeout: Duration::from_secs(2),
             hedge_after: None,
         }
     }
 }
 
-/// Cumulative client-side resilience counters (the client half of the
-/// `serve.hedge.*` story; server counters live in the registry).
+/// Client identity sent with every [`ServeClient::run_job`] request
+/// (its fair-queuing lane).
+const CLIENT: &str = "resilient";
+/// Scheduling priority of [`ServeClient::run_job`] requests.
+const PRIORITY: u32 = 1;
+/// Per-request deadline of [`ServeClient::run_job`] requests (none).
+const DEADLINE_MS: u64 = 0;
+/// How long one attempt waits for progress before being abandoned.
+/// The timer restarts whenever a response for the request arrives, so
+/// long executions are not cut off mid-run.
+const RECV_TIMEOUT: Duration = Duration::from_secs(2);
+/// How often the receive loop wakes to check hedge/abandon timers.
+const POLL_SLICE: Duration = Duration::from_millis(25);
+/// Suffix appended to a request id for its hedged duplicate.
+const HEDGE_SUFFIX: &str = "~h";
+/// Control requests have no cache key; their backoff is keyed on this
+/// fixed one so its jitter stays deterministic.
+const CONTROL_KEY: CacheKey = CacheKey {
+    schema: 0,
+    content: 0xC0_47_01,
+};
+
+/// Cumulative client-side resilience counters. They exist only here:
+/// the server's registry books no hedging.
 #[derive(Debug, Default, Clone)]
 pub struct ClientReport {
     /// Requests completed with a payload.
     pub completed: u64,
     /// Total attempts sent (including the first of each request).
     pub attempts: u64,
-    /// Reconnections after an I/O failure or EOF.
+    /// Open connections dropped after an I/O failure, EOF, or an
+    /// abandoned attempt; the next send reconnects.
     pub reconnects: u64,
     /// Rejections observed (queue-full / shedding / breaker / deadline).
     pub rejected: u64,
@@ -96,9 +115,6 @@ pub struct ClientReport {
     pub hedge_wins: u64,
 }
 
-/// Suffix appended to a request id for its hedged duplicate.
-const HEDGE_SUFFIX: &str = "~h";
-
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -108,17 +124,14 @@ struct Conn {
     pending: Vec<u8>,
 }
 
-/// The resilient client. Not thread-safe; one instance per submitting
-/// thread (each holds its own connection).
+/// The client. Not thread-safe; one instance per submitting thread
+/// (each holds its own connection).
 pub struct ServeClient {
     cfg: ClientConfig,
     conn: Option<Conn>,
     latencies: WaitWindow,
     report: ClientReport,
 }
-
-/// How often the receive loop wakes to check hedge/abandon timers.
-const POLL_SLICE: Duration = Duration::from_millis(25);
 
 impl ServeClient {
     /// A client for `cfg.addr`; connects lazily on first use.
@@ -131,9 +144,69 @@ impl ServeClient {
         }
     }
 
+    /// A default-configured client for `addr`, connected now.
+    ///
+    /// # Errors
+    ///
+    /// Returns the connect error.
+    pub fn connect(addr: impl ToString) -> io::Result<ServeClient> {
+        let mut client = ServeClient::new(ClientConfig::new(addr));
+        client.ensure_conn()?;
+        Ok(client)
+    }
+
     /// Cumulative resilience counters.
     pub fn report(&self) -> &ClientReport {
         &self.report
+    }
+
+    /// Sends one request, connecting first if needed.
+    ///
+    /// # Errors
+    ///
+    /// Returns any connect or write error; a failed write drops the
+    /// connection.
+    pub fn send_request(&mut self, req: &Request) -> io::Result<()> {
+        self.send_raw_line(&render_request(req))
+    }
+
+    /// Sends one raw protocol line verbatim, bypassing request
+    /// rendering — for exercising the server's negative paths.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServeClient::send_request`].
+    pub fn send_raw_line(&mut self, line: &str) -> io::Result<()> {
+        let conn = self.ensure_conn()?;
+        let sent = writeln!(conn.writer, "{line}").and_then(|()| conn.writer.flush());
+        if sent.is_err() {
+            self.drop_conn();
+        }
+        sent
+    }
+
+    /// Receives the next response, waiting up to `timeout`. A line cut
+    /// off by the timeout is kept and completed by the next call.
+    ///
+    /// # Errors
+    ///
+    /// `TimedOut` when no whole line arrived in time, `InvalidData` for
+    /// an unparseable line (which is consumed), `NotConnected` before
+    /// any send, or a transport error or EOF, which drops the connection.
+    pub fn recv_response(&mut self, timeout: Duration) -> io::Result<Response> {
+        let deadline = Instant::now() + timeout;
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(io::ErrorKind::NotConnected.into());
+        };
+        match read_line_until(conn, deadline) {
+            Ok(Some(line)) => parse_response(&line)
+                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unparseable response")),
+            Ok(None) => Err(io::Error::new(io::ErrorKind::TimedOut, "no response")),
+            Err(e) => {
+                self.drop_conn();
+                Err(e)
+            }
+        }
     }
 
     /// Runs one job to a byte-stable payload, healing connection drops,
@@ -144,27 +217,19 @@ impl ServeClient {
     ///
     /// Returns an error only once the retry budget is exhausted.
     pub fn run_job(&mut self, id: &str, job: &ExecJob) -> io::Result<Value> {
-        let key = job.cache_key();
-        let mut attempt = 1u32;
-        loop {
-            self.report.attempts += 1;
-            match self.attempt_job(id, job) {
-                Ok(payload) => {
-                    self.report.completed += 1;
-                    return Ok(payload);
-                }
-                Err(failure) => {
-                    self.drop_conn_if(&failure);
-                    if !self.cfg.retry.allows_retry(attempt) {
-                        return Err(io::Error::other(format!(
-                            "request `{id}` failed after {attempt} attempts: {}",
-                            failure.describe()
-                        )));
-                    }
-                    std::thread::sleep(self.cfg.retry.backoff(attempt, &key));
-                    attempt += 1;
-                }
+        let outcome = self.with_retry(&job.cache_key(), |client| {
+            client.report.attempts += 1;
+            client.attempt_job(id, job)
+        });
+        match outcome {
+            Ok(payload) => {
+                self.report.completed += 1;
+                Ok(payload)
             }
+            Err((attempts, failure)) => Err(io::Error::other(format!(
+                "request `{id}` failed after {attempts} attempts: {}",
+                failure.describe()
+            ))),
         }
     }
 
@@ -180,7 +245,7 @@ impl ServeClient {
         })
     }
 
-    /// Sends a `health` request; `Ok(true)` when the server is healthy.
+    /// Sends a `health` request and returns the server's answer.
     ///
     /// # Errors
     ///
@@ -189,186 +254,165 @@ impl ServeClient {
         self.control(Request::Health)
     }
 
-    /// Sends a `shutdown` request (best-effort, no retry).
-    pub fn shutdown(&mut self) {
-        if let Ok(conn) = self.ensure_conn() {
-            let _ = writeln!(conn.writer, "{}", render_request(&Request::Shutdown));
-            let _ = conn.writer.flush();
-        }
+    /// Sends a `shutdown` request and waits for its acknowledgement, so
+    /// the server has begun draining when this returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when no acknowledgement arrives within the
+    /// retry budget.
+    pub fn shutdown(&mut self) -> io::Result<()> {
+        self.control(Request::Shutdown).map(drop)
     }
 
-    /// Sends one control request and waits for its (typed) response,
-    /// retrying over reconnects.
-    fn control(&mut self, req: Request) -> io::Result<Response> {
+    /// Runs `once` under the retry policy, dropping the connection after
+    /// a transport failure or timeout and backing off (jitter keyed on
+    /// `key`) between attempts. On exhaustion returns the attempt count
+    /// and the last failure.
+    fn with_retry<T>(
+        &mut self,
+        key: &CacheKey,
+        mut once: impl FnMut(&mut ServeClient) -> Result<T, Failure>,
+    ) -> Result<T, (u32, Failure)> {
         let mut attempt = 1u32;
         loop {
-            let outcome = self.control_once(&req);
-            match outcome {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    self.conn = None;
-                    self.report.reconnects += 1;
-                    if !self.cfg.retry.allows_retry(attempt) {
-                        return Err(e);
+            match once(self) {
+                Ok(value) => return Ok(value),
+                Err(failure) => {
+                    // Rejections and execution errors arrived on a
+                    // healthy connection; keep it for the retry.
+                    if matches!(failure, Failure::Io(_) | Failure::Timeout) {
+                        self.drop_conn();
                     }
-                    // Control ops have no cache key; back off on a fixed
-                    // synthetic key so jitter stays deterministic.
-                    let key = cestim_exec::CacheKey {
-                        schema: 0,
-                        content: 0xC0_47_01,
-                    };
-                    std::thread::sleep(self.cfg.retry.backoff(attempt, &key));
+                    if !self.cfg.retry.allows_retry(attempt) {
+                        return Err((attempt, failure));
+                    }
+                    std::thread::sleep(self.cfg.retry.backoff(attempt, key));
                     attempt += 1;
                 }
             }
         }
     }
 
-    fn control_once(&mut self, req: &Request) -> io::Result<Response> {
-        let recv_timeout = self.cfg.recv_timeout;
-        let mut garbage = 0u64;
-        let result = (|| {
-            let conn = self.ensure_conn()?;
-            writeln!(conn.writer, "{}", render_request(req))?;
-            conn.writer.flush()?;
-            let deadline = Instant::now() + recv_timeout;
-            loop {
-                let Some(line) = read_line_until(conn, deadline)? else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "no control response",
-                    ));
-                };
-                match parse_response(&line) {
-                    Some(
-                        resp @ (Response::Stats(_)
-                        | Response::Pong
-                        | Response::Health { .. }
-                        | Response::Ready { .. }
-                        | Response::Gc { .. }
-                        | Response::ShuttingDown),
-                    ) => return Ok(resp),
-                    Some(_) => continue, // stale run traffic on this conn
-                    None => {
-                        garbage += 1;
-                        continue;
-                    }
-                }
+    /// Sends one control request and waits for its (typed) response,
+    /// retrying over reconnects.
+    fn control(&mut self, req: Request) -> io::Result<Response> {
+        self.with_retry(&CONTROL_KEY, |client| client.control_once(&req))
+            .map_err(|(_, failure)| match failure {
+                Failure::Io(e) => e,
+                other => io::Error::new(io::ErrorKind::TimedOut, other.describe()),
+            })
+    }
+
+    fn control_once(&mut self, req: &Request) -> Result<Response, Failure> {
+        self.send_request(req).map_err(Failure::Io)?;
+        let deadline = Instant::now() + RECV_TIMEOUT;
+        while Instant::now() < deadline {
+            // Anything else is stale run traffic on this connection.
+            if let Some(
+                resp @ (Response::Stats(_)
+                | Response::Pong
+                | Response::Health { .. }
+                | Response::Ready { .. }
+                | Response::Gc { .. }
+                | Response::ShuttingDown),
+            ) = self.poll(deadline)?
+            {
+                return Ok(resp);
             }
-        })();
-        self.report.garbage_lines += garbage;
-        result
+        }
+        Err(Failure::Timeout)
     }
 
     /// One attempt: submit, optionally hedge, wait for a terminal
     /// response with our id (or the hedge id).
     fn attempt_job(&mut self, id: &str, job: &ExecJob) -> Result<Value, Failure> {
         let hedge_delay = self.hedge_delay();
-        let started = Instant::now();
-        let cfg_client = self.cfg.client.clone();
-        let cfg_priority = self.cfg.priority;
-        let cfg_deadline = self.cfg.deadline_ms;
-        let recv_timeout = self.cfg.recv_timeout;
         let hedge_id = format!("{id}{HEDGE_SUFFIX}");
+        let ours = |rid: &str| rid == id || rid == hedge_id;
+        let started = Instant::now();
+        self.submit(id, job)?;
+        // Progress-based abandon: the window restarts every time the
+        // server says something about this request.
+        let mut abandon_at = Instant::now() + RECV_TIMEOUT;
         let mut hedged = false;
-        let mut garbage = 0u64;
-
-        let send = |conn: &mut Conn, req_id: &str| -> io::Result<()> {
-            let line = render_request(&Request::Run {
-                id: req_id.to_string(),
-                client: cfg_client.clone(),
-                priority: cfg_priority,
-                deadline_ms: cfg_deadline,
-                job: job.clone(),
-            });
-            writeln!(conn.writer, "{line}")?;
-            conn.writer.flush()
-        };
-
-        let result = (|| {
-            let conn = self.ensure_conn().map_err(Failure::Io)?;
-            send(conn, id).map_err(Failure::Io)?;
-            // Progress-based abandon: the window restarts every time the
-            // server says something about this request.
-            let mut abandon_at = Instant::now() + recv_timeout;
-            loop {
-                if !hedged {
-                    if let Some(delay) = hedge_delay {
-                        if started.elapsed() >= delay {
-                            hedged = true;
-                            send(conn, &hedge_id).map_err(Failure::Io)?;
-                        }
-                    }
-                }
-                let now = Instant::now();
-                if now >= abandon_at {
-                    return Err(Failure::Timeout);
-                }
-                let slice_end = (now + POLL_SLICE).min(abandon_at);
-                let Some(line) = read_line_until(conn, slice_end).map_err(Failure::Io)? else {
-                    continue;
-                };
-                let Some(resp) = parse_response(&line) else {
-                    garbage += 1;
-                    continue;
-                };
-                let ours = |rid: &str| rid == id || rid == hedge_id;
-                match resp {
-                    Response::Accepted { id: rid, .. } | Response::Started { id: rid, .. }
-                        if ours(&rid) =>
-                    {
-                        abandon_at = Instant::now() + recv_timeout;
-                    }
-                    Response::Result {
-                        id: rid, payload, ..
-                    } if ours(&rid) => {
-                        return Ok((rid, payload));
-                    }
-                    // A hedge rejection/error is not fatal while the
-                    // primary is still in flight, so only the primary id
-                    // fails the attempt; the hedge id falls through.
-                    Response::Rejected {
-                        id: rid, reason, ..
-                    } if rid == id => {
-                        return Err(Failure::Rejected(reason));
-                    }
-                    Response::Error {
-                        id: Some(rid),
-                        code,
-                        message,
-                    } if rid == id => {
-                        return Err(Failure::Exec(code, message));
-                    }
-                    // Stale ids from prior attempts, other clients'
-                    // traffic, id-less errors (garbage we injected into
-                    // the server): all skipped.
-                    Response::Error { id: None, .. } => garbage += 1,
-                    _ => {}
-                }
+        loop {
+            if !hedged && hedge_delay.is_some_and(|delay| started.elapsed() >= delay) {
+                hedged = true;
+                self.report.hedges_sent += 1;
+                self.submit(&hedge_id, job)?;
             }
-        })();
-
-        self.report.garbage_lines += garbage;
-        if hedged {
-            self.report.hedges_sent += 1;
+            let now = Instant::now();
+            if now >= abandon_at {
+                return Err(Failure::Timeout);
+            }
+            let Some(resp) = self.poll((now + POLL_SLICE).min(abandon_at))? else {
+                continue;
+            };
+            match resp {
+                Response::Accepted { id: rid, .. } | Response::Started { id: rid, .. }
+                    if ours(&rid) =>
+                {
+                    abandon_at = Instant::now() + RECV_TIMEOUT;
+                }
+                Response::Result {
+                    id: rid, payload, ..
+                } if ours(&rid) => {
+                    if rid == hedge_id {
+                        self.report.hedge_wins += 1;
+                    }
+                    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    self.latencies.record(nanos);
+                    return Ok(payload);
+                }
+                // A hedge rejection/error is not fatal while the
+                // primary is still in flight, so only the primary id
+                // fails the attempt; the hedge id falls through.
+                Response::Rejected {
+                    id: rid, reason, ..
+                } if rid == id => {
+                    self.report.rejected += 1;
+                    return Err(Failure::Rejected(reason));
+                }
+                Response::Error {
+                    id: Some(rid),
+                    code,
+                    message,
+                } if rid == id => {
+                    self.report.exec_errors += 1;
+                    return Err(Failure::Exec(code, message));
+                }
+                // Stale ids from prior attempts, other clients'
+                // traffic, id-less errors (garbage we injected into
+                // the server): all skipped.
+                Response::Error { id: None, .. } => self.report.garbage_lines += 1,
+                _ => {}
+            }
         }
-        match result {
-            Ok((rid, payload)) => {
-                if rid == hedge_id {
-                    self.report.hedge_wins += 1;
-                }
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.latencies.record(nanos);
-                Ok(payload)
+    }
+
+    fn submit(&mut self, id: &str, job: &ExecJob) -> Result<(), Failure> {
+        self.send_request(&Request::Run {
+            id: id.to_string(),
+            client: CLIENT.to_string(),
+            priority: PRIORITY,
+            deadline_ms: DEADLINE_MS,
+            job: job.clone(),
+        })
+        .map_err(Failure::Io)
+    }
+
+    /// [`ServeClient::recv_response`] for the retrying paths: `Ok(None)`
+    /// when nothing arrived by `until` or the line was garbage (counted).
+    fn poll(&mut self, until: Instant) -> Result<Option<Response>, Failure> {
+        match self.recv_response(until.saturating_duration_since(Instant::now())) {
+            Ok(resp) => Ok(Some(resp)),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => Ok(None),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                self.report.garbage_lines += 1;
+                Ok(None)
             }
-            Err(f) => {
-                match &f {
-                    Failure::Rejected(_) => self.report.rejected += 1,
-                    Failure::Exec(..) => self.report.exec_errors += 1,
-                    _ => {}
-                }
-                Err(f)
-            }
+            Err(e) => Err(Failure::Io(e)),
         }
     }
 
@@ -380,24 +424,16 @@ impl ServeClient {
         Some(floor.max(p99))
     }
 
-    /// Drops the connection when the failure implies it is unusable.
-    fn drop_conn_if(&mut self, failure: &Failure) {
-        match failure {
-            Failure::Io(_) | Failure::Timeout => {
-                if self.conn.is_some() {
-                    self.conn = None;
-                    self.report.reconnects += 1;
-                }
-            }
-            // Rejections and execution errors arrived on a healthy
-            // connection; keep it for the retry.
-            Failure::Rejected(_) | Failure::Exec(..) => {}
+    /// Drops the connection, counting only one that was open.
+    fn drop_conn(&mut self) {
+        if self.conn.take().is_some() {
+            self.report.reconnects += 1;
         }
     }
 
     fn ensure_conn(&mut self) -> io::Result<&mut Conn> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(self.cfg.addr)?;
+            let stream = TcpStream::connect(self.cfg.addr.as_str())?;
             stream.set_nodelay(true).ok();
             let reader = BufReader::new(stream.try_clone()?);
             let writer = BufWriter::new(stream);
@@ -467,5 +503,56 @@ fn read_line_until(conn: &mut Conn, deadline: Instant) -> io::Result<Option<Stri
             }
             Err(e) => return Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    #[test]
+    fn a_refused_connect_is_not_counted_as_a_reconnect() {
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        // The listener is dropped: nothing listens on `addr` any more.
+        let mut client = ServeClient::new(ClientConfig {
+            retry: RetryPolicy::with_attempts(2),
+            ..ClientConfig::new(addr)
+        });
+        assert!(client.health().is_err());
+        assert_eq!(client.report().reconnects, 0);
+    }
+
+    #[test]
+    fn a_line_split_by_a_receive_timeout_is_not_torn() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (half_sent, half_arrived) = mpsc::channel::<()>();
+        let (resume, resumed) = mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(br#"{"type":"#).unwrap();
+            half_sent.send(()).unwrap();
+            resumed.recv().unwrap();
+            stream.write_all(b"\"pong\"}\n").unwrap();
+        });
+        let mut client = ServeClient::connect(addr).unwrap();
+        half_arrived.recv().unwrap();
+        let first = client.recv_response(Duration::from_millis(200));
+        assert_eq!(
+            first.map_err(|e| e.kind()),
+            Err(io::ErrorKind::TimedOut),
+            "half a line is not a response"
+        );
+        resume.send(()).unwrap();
+        assert_eq!(
+            client.recv_response(Duration::from_secs(10)).unwrap(),
+            Response::Pong
+        );
+        peer.join().unwrap();
     }
 }

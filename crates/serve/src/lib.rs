@@ -21,14 +21,16 @@
 //! * [`overload`] — overload control: load-shedding hysteresis over
 //!   queue-depth/p99 watermarks and per-client circuit breakers (the
 //!   failure model in docs/SERVING.md).
-//! * [`client`] — [`ServeClient`]: a resilient TCP client with
-//!   deterministic retry/backoff/jitter, idempotent re-submission keyed
-//!   on cache keys, and optional hedged requests.
+//! * [`client`] — [`ServeClient`]: the one TCP client for the protocol
+//!   (one reconnecting socket, one send path, one framing-safe receive
+//!   path), with deterministic retry/backoff/jitter, idempotent
+//!   re-submission keyed on cache keys, and optional hedged requests.
 //! * [`chaos`] — a deterministic fault-injecting TCP proxy
 //!   ([`ChaosProxy`]) for network-chaos testing: seeded drops,
 //!   truncation, delays, garbage, and mid-stream resets.
 //! * [`load`] — the deterministic seeded load harness behind the
-//!   `serve-load` binary and the `serve` workload of `perfbench/`.
+//!   `serve-load` binary (which replays it over a [`ServeClient`]) and
+//!   the mix of the `serve` workload of `perfbench/`.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,7 @@
 //! [`build_mix`] expands a seeded [`LoadConfig`] into a fixed request
 //! sequence — a mix of duplicate and unique jobs across several clients,
 //! with client 0 carrying a priority skew — and [`run_pass`] replays it
-//! against any [`ServeConn`] (in-process or TCP). Because the mix is a
+//! over a [`ServeClient`] connection. Because the mix is a
 //! pure function of the seed, replaying the same pass twice measures the
 //! cold→warm cache transition exactly, and replaying it against two
 //! different servers produces byte-identical payload streams.
@@ -13,10 +13,8 @@
 //! completion statistics; [`verify_against_direct`] re-executes every
 //! unique job and compares its payload with the served one.
 
-use crate::protocol::{
-    parse_response, render_request, Request, Response, REASON_BREAKER_OPEN, REASON_DEADLINE,
-    REASON_SHEDDING,
-};
+use crate::client::ServeClient;
+use crate::protocol::{Request, Response, REASON_BREAKER_OPEN, REASON_DEADLINE, REASON_SHEDDING};
 use cestim_exec::{canonical_string, Job};
 use cestim_obs::Registry;
 use cestim_qa::XorShift64Star;
@@ -24,8 +22,7 @@ use cestim_sim::{EstimatorSpec, ExecJob, PredictorKind, RunConfig};
 use cestim_workloads::WorkloadKind;
 use serde::Value;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::io;
 use std::time::{Duration, Instant};
 
 /// Parameters of one synthetic load mix.
@@ -134,92 +131,6 @@ pub fn build_mix(cfg: &LoadConfig) -> Vec<MixItem> {
     items
 }
 
-/// A client transport the load harness can drive.
-pub trait ServeConn {
-    /// Submits one request.
-    ///
-    /// # Errors
-    ///
-    /// Returns any transport error.
-    fn send_request(&mut self, req: &Request) -> io::Result<()>;
-
-    /// Receives the next response, waiting up to `timeout`.
-    ///
-    /// # Errors
-    ///
-    /// Returns `TimedOut` when no response arrived in time, or any
-    /// transport error.
-    fn recv_response(&mut self, timeout: Duration) -> io::Result<Response>;
-}
-
-impl ServeConn for crate::server::InProcClient {
-    fn send_request(&mut self, req: &Request) -> io::Result<()> {
-        self.send(req.clone());
-        Ok(())
-    }
-
-    fn recv_response(&mut self, timeout: Duration) -> io::Result<Response> {
-        self.recv_timeout(timeout)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "no response"))
-    }
-}
-
-/// A blocking TCP protocol connection.
-pub struct TcpConn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-    line: String,
-}
-
-impl TcpConn {
-    /// Connects to a running server.
-    ///
-    /// # Errors
-    ///
-    /// Returns any connect error.
-    pub fn connect(addr: &str) -> io::Result<TcpConn> {
-        let stream = TcpStream::connect(addr)?;
-        let write_half = stream.try_clone()?;
-        Ok(TcpConn {
-            reader: BufReader::new(stream),
-            writer: BufWriter::new(write_half),
-            line: String::new(),
-        })
-    }
-
-    /// Sends one raw protocol line verbatim, bypassing request
-    /// rendering — for exercising the server's negative paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns any write error.
-    pub fn send_raw_line(&mut self, line: &str) -> io::Result<()> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
-    }
-}
-
-impl ServeConn for TcpConn {
-    fn send_request(&mut self, req: &Request) -> io::Result<()> {
-        writeln!(self.writer, "{}", render_request(req))?;
-        self.writer.flush()
-    }
-
-    fn recv_response(&mut self, timeout: Duration) -> io::Result<Response> {
-        self.reader.get_ref().set_read_timeout(Some(timeout))?;
-        self.line.clear();
-        let n = self.reader.read_line(&mut self.line)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        parse_response(&self.line)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unparseable response"))
-    }
-}
-
 /// Measured outcome of one load pass.
 #[derive(Debug, Clone)]
 pub struct PassReport {
@@ -264,16 +175,17 @@ struct Pending {
     started: Instant,
 }
 
-/// Replays `mix` over `conn` as pass `pass`, collecting the first
+/// Replays `mix` over `client` as pass `pass`, collecting the first
 /// payload seen per unique job into `payloads` (keyed by cache-key id)
 /// for later [`verify_against_direct`].
 ///
 /// # Errors
 ///
-/// Returns any transport error, or `TimedOut` when the server stops
-/// responding mid-pass.
+/// Returns any transport error, `InvalidData` for an unparseable
+/// response line, or `TimedOut` when the server stops responding
+/// mid-pass.
 pub fn run_pass(
-    conn: &mut dyn ServeConn,
+    client: &mut ServeClient,
     mix: &[MixItem],
     cfg: &LoadConfig,
     pass: &str,
@@ -315,7 +227,7 @@ pub fn run_pass(
                     started: Instant::now(),
                 },
             );
-            conn.send_request(&Request::Run {
+            client.send_request(&Request::Run {
                 id,
                 client: client_name(item.client_idx),
                 priority: item.priority,
@@ -326,7 +238,7 @@ pub fn run_pass(
         if pending.is_empty() {
             break;
         }
-        match conn.recv_response(RECV_TIMEOUT)? {
+        match client.recv_response(RECV_TIMEOUT)? {
             Response::Accepted { .. } | Response::Started { .. } => {}
             Response::Result {
                 id,

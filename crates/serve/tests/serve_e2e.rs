@@ -3,7 +3,7 @@
 //! TCP front end.
 
 use cestim_exec::{canonical_string, CacheKey, DiskCache, Job};
-use cestim_serve::load::{ServeConn, TcpConn};
+use cestim_serve::ServeClient;
 use cestim_serve::{Request, RequestLimits, Response, ServeConfig, Server, ShedConfig};
 use cestim_sim::{EstimatorSpec, ExecJob, PredictorKind, RunConfig};
 use cestim_workloads::WorkloadKind;
@@ -362,7 +362,7 @@ fn unknown_family_names_get_invalid_spec_on_both_paths() {
         let server = std::sync::Arc::clone(&server);
         std::thread::spawn(move || server.serve_tcp(listener))
     };
-    let mut conn = TcpConn::connect(&addr).unwrap();
+    let mut conn = ServeClient::connect(&addr).unwrap();
     conn.send_raw_line(&bad_predictor).unwrap();
     match conn.recv_response(WAIT).unwrap() {
         Response::Error { id, code, .. } => {
@@ -404,7 +404,7 @@ fn tcp_front_end_serves_and_shuts_down() {
         std::thread::spawn(move || server.serve_tcp(listener))
     };
 
-    let mut conn = TcpConn::connect(&addr).unwrap();
+    let mut conn = ServeClient::connect(&addr).unwrap();
     let job = quick_job();
     conn.send_request(&run_request("t1", "net", 2, job.clone()))
         .unwrap();
