@@ -1,6 +1,6 @@
 //! Boosting confidence estimates with consecutive events (the paper's §4.2).
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::Prediction;
 
 /// The k-run rule of boosting: low confidence only from the `k`-th
@@ -114,10 +114,6 @@ impl<E: ConfidenceEstimator> ConfidenceEstimator for Boosted<E> {
 
     fn name(&self) -> String {
         format!("boost{}({})", self.run.k, self.inner.name())
-    }
-
-    fn hooks(&self) -> Hooks {
-        self.inner.hooks()
     }
 }
 

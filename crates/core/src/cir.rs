@@ -1,6 +1,6 @@
 //! Correct/incorrect registers (the other JRS design).
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::Prediction;
 
 /// Jacobsen, Rotenberg & Smith's *correct/incorrect register* (CIR)
@@ -115,10 +115,6 @@ impl ConfidenceEstimator for Cir {
             self.threshold,
             if self.enhanced { ",enh" } else { "" }
         )
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::UPDATE
     }
 }
 

@@ -1,11 +1,11 @@
 //! Enum-based static dispatch over the confidence estimators of the study.
 //!
-//! The simulator queries every attached estimator once per *fetched*
-//! branch ([`ConfidenceEstimator::estimate`]), notifies each on every
-//! resolution, and trains each at commit. With `Box<dyn>` estimators,
-//! every one of those calls is an indirect call. [`AnyEstimator`]
-//! enumerates the study's concrete estimators so the dispatch compiles to
-//! a jump table with inlinable arms.
+//! [`AnyEstimator`] enumerates the study's concrete estimators, so a
+//! caller that holds estimators of mixed types dispatches through a jump
+//! table with inlinable arms rather than a `Box<dyn>` virtual call. The
+//! pipeline takes estimators as `AnyEstimator` values but does not call
+//! through this match per branch: its roster files each leaf variant in a
+//! group of its concrete type.
 //!
 //! As with `cestim_bpred::AnyPredictor`, every concrete estimator converts
 //! into its variant with `From`, so call sites pass values:
@@ -16,7 +16,7 @@
 //! goes through one more enum dispatch rather than a virtual call.
 
 use crate::boost::Boosted;
-use crate::estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator, Hooks};
+use crate::estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator};
 use crate::voting::Voting;
 use crate::{
     Cir, DistanceEstimator, Jrs, JrsCombining, PatternHistory, SaturatingConfidence, StaticProfile,
@@ -105,10 +105,6 @@ impl ConfidenceEstimator for AnyEstimator {
 
     fn name(&self) -> String {
         dispatch!(self, e => e.name())
-    }
-
-    fn hooks(&self) -> Hooks {
-        dispatch!(self, e => e.hooks())
     }
 }
 

@@ -1,6 +1,6 @@
 //! The misprediction-distance estimator (the paper's §4).
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::Prediction;
 
 /// The paper's near-free estimator: a *single* global counter of branches
@@ -72,10 +72,6 @@ impl ConfidenceEstimator for DistanceEstimator {
 
     fn name(&self) -> String {
         format!("distance(>{})", self.threshold)
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::RESOLVE
     }
 }
 

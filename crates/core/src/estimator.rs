@@ -46,60 +46,6 @@ impl fmt::Display for Confidence {
     }
 }
 
-/// The optional per-branch hooks an estimator consumes (see
-/// [`ConfidenceEstimator::hooks`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hooks {
-    /// [`update`](ConfidenceEstimator::update): trained at commit.
-    pub update: bool,
-    /// [`on_branch_resolved`](ConfidenceEstimator::on_branch_resolved):
-    /// watches resolutions.
-    pub resolve: bool,
-    /// [`note_resolve_latency`](ConfidenceEstimator::note_resolve_latency):
-    /// takes the modeled resolution latency.
-    pub latency: bool,
-}
-
-impl Hooks {
-    /// Every hook (the conservative default).
-    pub const ALL: Hooks = Hooks {
-        update: true,
-        resolve: true,
-        latency: true,
-    };
-    /// No hook: the estimate depends on the `estimate` arguments and fixed
-    /// state only.
-    pub const NONE: Hooks = Hooks {
-        update: false,
-        resolve: false,
-        latency: false,
-    };
-    /// Only [`update`](ConfidenceEstimator::update).
-    pub const UPDATE: Hooks = Hooks {
-        update: true,
-        ..Hooks::NONE
-    };
-    /// Only [`on_branch_resolved`](ConfidenceEstimator::on_branch_resolved).
-    pub const RESOLVE: Hooks = Hooks {
-        resolve: true,
-        ..Hooks::NONE
-    };
-    /// Only [`note_resolve_latency`](ConfidenceEstimator::note_resolve_latency).
-    pub const LATENCY: Hooks = Hooks {
-        latency: true,
-        ..Hooks::NONE
-    };
-
-    /// The hooks either set consumes.
-    pub fn union(self, other: Hooks) -> Hooks {
-        Hooks {
-            update: self.update || other.update,
-            resolve: self.resolve || other.resolve,
-            latency: self.latency || other.latency,
-        }
-    }
-}
-
 /// A confidence estimator attached to a branch predictor.
 ///
 /// Call order per dynamic branch, mirroring hardware:
@@ -145,14 +91,6 @@ pub trait ConfidenceEstimator {
 
     /// Human-readable name including configuration (e.g. `"jrs(4096,t=15)"`).
     fn name(&self) -> String;
-
-    /// The optional hooks this estimator consumes. A caller may skip a hook
-    /// left out here: skipping it must not change any later
-    /// [`estimate`](ConfidenceEstimator::estimate). The pipeline calls only
-    /// the declared hooks. Default: [`Hooks::ALL`].
-    fn hooks(&self) -> Hooks {
-        Hooks::ALL
-    }
 }
 
 impl<E: ConfidenceEstimator + ?Sized> ConfidenceEstimator for Box<E> {
@@ -170,9 +108,6 @@ impl<E: ConfidenceEstimator + ?Sized> ConfidenceEstimator for Box<E> {
     }
     fn name(&self) -> String {
         (**self).name()
-    }
-    fn hooks(&self) -> Hooks {
-        (**self).hooks()
     }
 }
 
@@ -192,9 +127,6 @@ impl ConfidenceEstimator for AlwaysHigh {
     fn name(&self) -> String {
         "always-high".to_string()
     }
-    fn hooks(&self) -> Hooks {
-        Hooks::NONE
-    }
 }
 
 /// Degenerate estimator that marks every branch low-confidence.
@@ -211,9 +143,6 @@ impl ConfidenceEstimator for AlwaysLow {
     fn update(&mut self, _pc: u32, _ghr: u32, _pred: &Prediction, _correct: bool) {}
     fn name(&self) -> String {
         "always-low".to_string()
-    }
-    fn hooks(&self) -> Hooks {
-        Hooks::NONE
     }
 }
 

@@ -1,6 +1,6 @@
 //! The JRS "miss distance counter" estimator (Jacobsen, Rotenberg, Smith).
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::{Prediction, SaturatingCounter};
 
 /// The one-level resetting-counter estimator of Jacobsen, Rotenberg & Smith,
@@ -138,10 +138,6 @@ impl ConfidenceEstimator for Jrs {
             self.threshold,
             if self.enhanced { ",enh" } else { "" }
         )
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::UPDATE
     }
 }
 

@@ -6,7 +6,7 @@
 //! observation that an estimator performs best when its indexing structure
 //! mimics the predictor's.
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::{Prediction, PredictorInfo, SaturatingCounter};
 
 /// JRS-style miss distance counters indexed with the McFarling predictor's
@@ -102,10 +102,6 @@ impl ConfidenceEstimator for JrsCombining {
 
     fn name(&self) -> String {
         format!("jrs-mcf({}x4b,t>={})", self.table.len(), self.threshold)
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::UPDATE
     }
 }
 

@@ -113,7 +113,7 @@ pub use boost::{Boosted, KRun};
 pub use cir::Cir;
 pub use dispatch::AnyEstimator;
 pub use distance::DistanceEstimator;
-pub use estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator, Hooks};
+pub use estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator};
 pub use jrs::Jrs;
 pub use jrs_combining::JrsCombining;
 pub use metrics::{geometric_mean, mean_quadrant, MetricSummary};

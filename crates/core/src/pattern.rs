@@ -1,6 +1,6 @@
 //! The fixed-pattern history estimator (after Lick et al.).
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::Prediction;
 
 /// Lick et al.'s pattern-history estimator, used to gate dual-path
@@ -80,10 +80,6 @@ impl ConfidenceEstimator for PatternHistory {
 
     fn name(&self) -> String {
         format!("pattern({}b)", self.width)
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::NONE
     }
 }
 

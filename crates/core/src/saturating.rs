@@ -1,6 +1,6 @@
 //! Confidence from the branch predictor's own saturating counters.
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::{CounterStrength, Prediction, PredictorInfo};
 
 /// How to combine component-counter strength for combining predictors.
@@ -103,10 +103,6 @@ impl ConfidenceEstimator for SaturatingConfidence {
             SaturatingVariant::BothStrong => "satctr(both-strong)".to_string(),
             SaturatingVariant::EitherStrong => "satctr(either-strong)".to_string(),
         }
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::NONE
     }
 }
 

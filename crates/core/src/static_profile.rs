@@ -1,6 +1,6 @@
 //! Static (profile-based) confidence estimation.
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::Prediction;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -121,10 +121,6 @@ impl ConfidenceEstimator for StaticProfile {
 
     fn name(&self) -> String {
         format!("static(>{:.0}%)", self.threshold * 100.0)
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::NONE
     }
 }
 

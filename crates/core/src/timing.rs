@@ -9,7 +9,7 @@
 //! through [`ConfidenceEstimator::note_resolve_latency`] immediately before
 //! each [`estimate`](ConfidenceEstimator::estimate) call.
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::Prediction;
 
 /// Estimator keyed on modeled resolution latency: high confidence iff the
@@ -59,10 +59,6 @@ impl ConfidenceEstimator for TimingEstimator {
 
     fn name(&self) -> String {
         format!("timing(<={})", self.threshold)
-    }
-
-    fn hooks(&self) -> Hooks {
-        Hooks::LATENCY
     }
 }
 

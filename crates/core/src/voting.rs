@@ -8,7 +8,7 @@
 //! an AND (maximizes SPEC/PVN), and a majority quorum trades between them —
 //! the composite design point the extension tables explore.
 
-use crate::{Confidence, ConfidenceEstimator, Hooks};
+use crate::{Confidence, ConfidenceEstimator};
 use cestim_bpred::Prediction;
 
 /// The quorum rule: high confidence iff at least `quorum` votes are high.
@@ -115,12 +115,6 @@ impl<E: ConfidenceEstimator> ConfidenceEstimator for Voting<E> {
     fn name(&self) -> String {
         let names: Vec<String> = self.components.iter().map(|c| c.name()).collect();
         format!("vote{}({})", self.quorum(), names.join(","))
-    }
-
-    fn hooks(&self) -> Hooks {
-        self.components
-            .iter()
-            .fold(Hooks::NONE, |h, c| h.union(c.hooks()))
     }
 }
 

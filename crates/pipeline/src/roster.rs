@@ -3,11 +3,13 @@
 //! The [`Roster`] owns the attached confidence estimators with their
 //! labels, quadrants and estimate slab, flattened into two parts:
 //!
-//! * **Leaf columns**: every non-composite estimator, each writing one slot
-//!   of a branch's estimate row. A leaf gets only the optional hooks it
-//!   declares ([`ConfidenceEstimator::hooks`]): the roster keeps one
-//!   subscriber list per hook, so an estimator that never trains is never
-//!   called at commit.
+//! * **Leaf groups**: every non-composite estimator, each writing one slot
+//!   of a branch's estimate row, filed in the group of its type (one
+//!   `Vec<(estimator, slot)>` per leaf variant of [`AnyEstimator`]). Each
+//!   per-branch call is one statically dispatched loop per group through
+//!   all four [`ConfidenceEstimator`] methods: a method an estimator type
+//!   leaves empty inlines away, so the type alone decides which calls cost
+//!   anything.
 //! * **Combiners**: every [`Voting`](cestim_core::Voting) and
 //!   [`Boosted`](cestim_core::Boosted) composite, reduced to its rule
 //!   ([`Quorum`] or [`KRun`]) over the slots of its components. A component
@@ -20,7 +22,11 @@
 
 use crate::EstimatorQuadrants;
 use cestim_bpred::Prediction;
-use cestim_core::{AnyEstimator, Confidence, ConfidenceEstimator, KRun, Quorum};
+use cestim_core::{
+    AlwaysHigh, AlwaysLow, AnyEstimator, Boosted, Cir, Confidence, ConfidenceEstimator,
+    DistanceEstimator, Jrs, JrsCombining, KRun, PatternHistory, Quorum, SaturatingConfidence,
+    StaticProfile, TimingEstimator, Voting,
+};
 
 /// Preallocated per-branch estimate rows, one per speculation-window entry.
 ///
@@ -63,11 +69,95 @@ impl EstimateSlab {
     }
 }
 
-/// A non-composite estimator and the row slot it writes.
-#[derive(Debug)]
-struct Leaf {
-    estimator: AnyEstimator,
-    slot: u32,
+/// A composite estimator, handed back by [`Leaves::insert`] to be
+/// reduced to a combiner.
+enum Composite {
+    Vote(Voting<AnyEstimator>),
+    Boost(Boosted<AnyEstimator>),
+}
+
+/// Generates [`Leaves`] from the leaf variants of [`AnyEstimator`]. Its
+/// `insert` matches every variant with no wildcard, so a variant missing
+/// here does not compile.
+macro_rules! leaf_groups {
+    ($($variant:ident($ty:ty) => $group:ident),* $(,)?) => {
+        /// The leaf estimators, one group per type, each with the row slot
+        /// it writes.
+        #[derive(Debug, Default)]
+        struct Leaves {
+            $($group: Vec<($ty, u32)>,)*
+        }
+
+        impl Leaves {
+            /// Files a leaf in its type's group so it writes `slot`; hands
+            /// a composite back.
+            fn insert(&mut self, estimator: AnyEstimator, slot: u32) -> Result<(), Composite> {
+                match estimator {
+                    $(AnyEstimator::$variant(e) => self.$group.push((e, slot)),)*
+                    AnyEstimator::Voting(v) => return Err(Composite::Vote(*v)),
+                    AnyEstimator::Boosted(b) => return Err(Composite::Boost(*b)),
+                }
+                Ok(())
+            }
+
+            /// The slot of a leaf equal to `component`, if any.
+            fn slot_of(&self, component: &AnyEstimator) -> Option<u32> {
+                match component {
+                    $(AnyEstimator::$variant(c) => {
+                        self.$group.iter().find(|(e, _)| e == c).map(|&(_, slot)| slot)
+                    })*
+                    AnyEstimator::Voting(_) | AnyEstimator::Boosted(_) => None,
+                }
+            }
+
+            /// Every leaf's slot.
+            fn slots_mut(&mut self) -> impl Iterator<Item = &mut u32> + '_ {
+                std::iter::empty()$(.chain(self.$group.iter_mut().map(|(_, slot)| slot)))*
+            }
+
+            #[inline]
+            fn estimate(
+                &mut self,
+                row: &mut [Confidence],
+                pc: u32,
+                ghr: u32,
+                pred: &Prediction,
+                latency: u64,
+            ) {
+                $(for (e, slot) in &mut self.$group {
+                    e.note_resolve_latency(latency);
+                    row[*slot as usize] = e.estimate(pc, ghr, pred);
+                })*
+            }
+
+            #[inline]
+            fn resolved(&mut self, mispredicted: bool) {
+                $(for (e, _) in &mut self.$group {
+                    e.on_branch_resolved(mispredicted);
+                })*
+            }
+
+            #[inline]
+            fn train(&mut self, pc: u32, ghr: u32, pred: &Prediction, correct: bool) {
+                $(for (e, _) in &mut self.$group {
+                    e.update(pc, ghr, pred, correct);
+                })*
+            }
+        }
+    };
+}
+
+leaf_groups! {
+    Jrs(Jrs) => jrs,
+    Saturating(SaturatingConfidence) => saturating,
+    Pattern(PatternHistory) => pattern,
+    Static(StaticProfile) => static_profile,
+    Distance(DistanceEstimator) => distance,
+    Cir(Cir) => cir,
+    JrsCombining(JrsCombining) => jrs_combining,
+    Timing(TimingEstimator) => timing,
+    AlwaysHigh(AlwaysHigh) => always_high,
+    AlwaysLow(AlwaysLow) => always_low,
 }
 
 /// A composite's rule over the slots of its components.
@@ -88,12 +178,7 @@ struct Combiner {
 /// The attached estimators (see the [module docs](self)).
 #[derive(Debug)]
 pub(crate) struct Roster {
-    leaves: Vec<Leaf>,
-    /// Leaves subscribed to `update`, `on_branch_resolved` and
-    /// `note_resolve_latency` (indices into `leaves`).
-    trainers: Vec<u32>,
-    resolvers: Vec<u32>,
-    timed: Vec<u32>,
+    leaves: Leaves,
     /// In dependency order: a combiner's components come before it.
     combiners: Vec<Combiner>,
     labels: Vec<String>,
@@ -107,10 +192,7 @@ impl Roster {
     /// An empty roster for a speculation window of `window` branches.
     pub(crate) fn new(window: usize) -> Roster {
         Roster {
-            leaves: Vec::new(),
-            trainers: Vec::new(),
-            resolvers: Vec::new(),
-            timed: Vec::new(),
+            leaves: Leaves::default(),
             combiners: Vec::new(),
             labels: Vec::new(),
             quadrants: Vec::new(),
@@ -127,9 +209,7 @@ impl Roster {
         // Slot `index` is the new estimator's: hidden columns move up one.
         let at = index as u32;
         let bump = |s: &mut u32| *s += (*s >= at) as u32;
-        for leaf in &mut self.leaves {
-            bump(&mut leaf.slot);
-        }
+        self.leaves.slots_mut().for_each(bump);
         for c in &mut self.combiners {
             bump(&mut c.slot);
             match &mut c.rule {
@@ -146,8 +226,9 @@ impl Roster {
     /// Places `estimator` so it writes `slot`; `width` is the row width,
     /// grown by any hidden column the estimator needs.
     fn place(&mut self, estimator: AnyEstimator, slot: u32, width: &mut usize) {
-        let rule = match estimator {
-            AnyEstimator::Voting(v) => {
+        let rule = match self.leaves.insert(estimator, slot) {
+            Ok(()) => return,
+            Err(Composite::Vote(v)) => {
                 let (components, quorum) = v.into_parts();
                 let inputs = components
                     .into_iter()
@@ -155,24 +236,9 @@ impl Roster {
                     .collect();
                 Rule::Vote(quorum, inputs)
             }
-            AnyEstimator::Boosted(b) => {
+            Err(Composite::Boost(b)) => {
                 let (inner, run) = b.into_parts();
                 Rule::Boost(run, self.component(inner, width))
-            }
-            estimator => {
-                let i = self.leaves.len() as u32;
-                let hooks = estimator.hooks();
-                for (subscribed, list) in [
-                    (hooks.update, &mut self.trainers),
-                    (hooks.resolve, &mut self.resolvers),
-                    (hooks.latency, &mut self.timed),
-                ] {
-                    if subscribed {
-                        list.push(i);
-                    }
-                }
-                self.leaves.push(Leaf { estimator, slot });
-                return;
             }
         };
         self.combiners.push(Combiner { rule, slot });
@@ -182,8 +248,8 @@ impl Roster {
     /// state evolves equally under the same calls), else a new hidden
     /// column's.
     fn component(&mut self, component: AnyEstimator, width: &mut usize) -> u32 {
-        if let Some(leaf) = self.leaves.iter().find(|l| l.estimator == component) {
-            return leaf.slot;
+        if let Some(slot) = self.leaves.slot_of(&component) {
+            return slot;
         }
         let slot = *width as u32;
         *width += 1;
@@ -218,16 +284,9 @@ impl Roster {
         pred: &Prediction,
         latency: u64,
     ) -> bool {
-        for &i in &self.timed {
-            self.leaves[i as usize]
-                .estimator
-                .note_resolve_latency(latency);
-        }
         let attached = self.slab.visible > 0;
         let row = self.slab.row_mut(slot);
-        for leaf in &mut self.leaves {
-            row[leaf.slot as usize] = leaf.estimator.estimate(pc, ghr, pred);
-        }
+        self.leaves.estimate(row, pc, ghr, pred, latency);
         for c in &mut self.combiners {
             row[c.slot as usize] = match &mut c.rule {
                 Rule::Vote(quorum, inputs) => quorum.tally(inputs.iter().map(|&s| row[s as usize])),
@@ -240,21 +299,13 @@ impl Roster {
     /// A branch resolved somewhere in the pipeline.
     #[inline]
     pub(crate) fn resolved(&mut self, mispredicted: bool) {
-        for &i in &self.resolvers {
-            self.leaves[i as usize]
-                .estimator
-                .on_branch_resolved(mispredicted);
-        }
+        self.leaves.resolved(mispredicted);
     }
 
     /// Trains on a committed branch.
     #[inline]
     pub(crate) fn train(&mut self, pc: u32, ghr: u32, pred: &Prediction, correct: bool) {
-        for &i in &self.trainers {
-            self.leaves[i as usize]
-                .estimator
-                .update(pc, ghr, pred, correct);
-        }
+        self.leaves.train(pc, ghr, pred, correct);
     }
 
     /// Records row `slot` of a committed or squashed branch in the
@@ -275,7 +326,9 @@ impl Roster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cestim_core::{DistanceEstimator, Jrs, SaturatingConfidence, TimingEstimator, Voting};
+    use cestim_bpred::PredictorInfo;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn vote() -> AnyEstimator {
         Voting::new(
@@ -290,12 +343,17 @@ mod tests {
     }
 
     /// (leaves, combiners, row width) of a roster.
-    fn shape(roster: &Roster) -> (usize, usize, usize) {
+    fn shape(roster: &mut Roster) -> (usize, usize, usize) {
         (
-            roster.leaves.len(),
+            roster.leaves.slots_mut().count(),
             roster.combiners.len(),
             roster.slab.width,
         )
+    }
+
+    /// The slots a leaf group writes, in attach order.
+    fn slots<E>(group: &[(E, u32)]) -> Vec<u32> {
+        group.iter().map(|&(_, slot)| slot).collect()
     }
 
     #[test]
@@ -306,10 +364,17 @@ mod tests {
         r.add(DistanceEstimator::new(3).into());
         r.add(TimingEstimator::new(4).into());
         assert_eq!(r.add(vote()), 4);
-        assert_eq!(shape(&r), (4, 1, 5), "the vote added no column");
+        assert_eq!(shape(&mut r), (4, 1, 5), "the vote added no column");
+        let l = &r.leaves;
         assert_eq!(
-            (r.trainers.len(), r.resolvers.len(), r.timed.len()),
-            (1, 1, 1)
+            [
+                slots(&l.saturating),
+                slots(&l.jrs),
+                slots(&l.distance),
+                slots(&l.timing)
+            ],
+            [[0], [1], [2], [3]],
+            "each leaf sits in its type's group"
         );
         let Rule::Vote(_, inputs) = &r.combiners[0].rule else {
             panic!("a vote")
@@ -321,26 +386,204 @@ mod tests {
     fn other_components_get_hidden_columns_after_the_attached_slots() {
         let mut r = Roster::new(4);
         r.add(vote());
-        assert_eq!(shape(&r), (3, 1, 4));
+        assert_eq!(shape(&mut r), (3, 1, 4));
         assert_eq!(r.combiners[0].slot, 0);
         // Attaching moves the hidden columns up one; a distance leaf in a
         // different state from the vote's gets its own column.
         let mut used = DistanceEstimator::new(3);
         let pred = Prediction {
             taken: true,
-            info: cestim_bpred::PredictorInfo::Bimodal {
+            info: PredictorInfo::Bimodal {
                 counter: 3,
                 index: 0,
             },
         };
         used.estimate(0, 0, &pred);
         r.add(used.into());
-        assert_eq!(shape(&r), (4, 1, 5));
+        assert_eq!(shape(&mut r), (4, 1, 5));
         let Rule::Vote(_, inputs) = &r.combiners[0].rule else {
             panic!("a vote")
         };
         assert_eq!(inputs, &[2, 3, 4]);
-        assert_eq!(r.leaves[3].slot, 1);
+        assert_eq!(slots(&r.leaves.distance), [3, 1]);
         assert_eq!(r.row(0).len(), 2, "observers see the attached slots only");
+    }
+
+    /// One estimator call site of the pipeline.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// The roster's `estimate`, at fetch.
+        Fetch {
+            pc: u32,
+            ghr: u32,
+            pred: Prediction,
+            latency: u64,
+        },
+        /// `resolved`.
+        Resolve { mispredicted: bool },
+        /// `train`, at commit.
+        Commit {
+            pc: u32,
+            ghr: u32,
+            pred: Prediction,
+            correct: bool,
+        },
+    }
+
+    fn prediction() -> impl Strategy<Value = Prediction> {
+        let gshare = (any::<bool>(), 0u8..4, 0u32..64, 0u32..64).prop_map(
+            |(taken, counter, index, history)| Prediction {
+                taken,
+                info: PredictorInfo::Gshare {
+                    counter,
+                    index,
+                    history,
+                },
+            },
+        );
+        let mcfarling = (
+            any::<bool>(),
+            0u8..4,
+            0u8..4,
+            0u8..4,
+            0u32..64,
+            any::<bool>(),
+        )
+            .prop_map(
+                |(taken, gshare, bimodal, meta, history, chose_gshare)| Prediction {
+                    taken,
+                    info: PredictorInfo::McFarling {
+                        gshare,
+                        bimodal,
+                        meta,
+                        gshare_index: history,
+                        bimodal_index: history / 2,
+                        history,
+                        chose_gshare,
+                    },
+                },
+            );
+        prop_oneof![gshare, mcfarling]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            3 => (0u32..32, 0u32..64, prediction(), 0u64..10).prop_map(
+                |(pc, ghr, pred, latency)| Op::Fetch { pc, ghr, pred, latency }
+            ),
+            1 => any::<bool>().prop_map(|mispredicted| Op::Resolve { mispredicted }),
+            // Mostly correct, as committed predictions are, so counters climb.
+            2 => (0u32..32, 0u32..64, prediction(), 0u8..10).prop_map(
+                |(pc, ghr, pred, roll)| Op::Commit { pc, ghr, pred, correct: roll < 8 }
+            ),
+        ]
+    }
+
+    /// One estimator of every leaf type, then a vote whose components equal
+    /// two of them and boost a third. Tables are small and thresholds low
+    /// so the learning estimators leave their initial state within a
+    /// stream.
+    fn every_kind() -> Vec<AnyEstimator> {
+        let jrs = || Jrs::new(6, 4, 3, true);
+        vec![
+            jrs().into(),
+            SaturatingConfidence::selected().into(),
+            PatternHistory::new(6).into(),
+            StaticProfile::from_confident_pcs((0..32).step_by(3), 0.9).into(),
+            DistanceEstimator::new(3).into(),
+            Cir::new(6, 8, 5, true).into(),
+            JrsCombining::new(6, 3).into(),
+            TimingEstimator::new(4).into(),
+            AlwaysHigh.into(),
+            AlwaysLow.into(),
+            Voting::new(
+                vec![
+                    SaturatingConfidence::selected().into(),
+                    DistanceEstimator::new(3).into(),
+                    Boosted::new(AnyEstimator::from(jrs()), 2).into(),
+                ],
+                2,
+            )
+            .into(),
+        ]
+    }
+
+    fn record(
+        quadrants: &mut [EstimatorQuadrants],
+        estimates: &[Confidence],
+        correct: bool,
+        committed: bool,
+    ) {
+        for (q, &c) in quadrants.iter_mut().zip(estimates) {
+            q.all.record(correct, c);
+            if committed {
+                q.committed.record(correct, c);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The roster gives every row and quadrant that the same estimators
+        /// give standalone, driven through all four methods.
+        #[test]
+        fn roster_matches_standalone_estimators(ops in prop::collection::vec(op(), 1..400)) {
+            const WINDOW: usize = 4;
+            let mut roster = Roster::new(WINDOW);
+            for e in every_kind() {
+                roster.add(e);
+            }
+            // The vote's satctr, distance and the boost's jrs share leaf
+            // columns; only the boost gets a hidden one.
+            prop_assert_eq!(shape(&mut roster), (10, 2, 12));
+            let mut standalone = every_kind();
+            let mut quadrants = vec![EstimatorQuadrants::default(); standalone.len()];
+            // In-flight rows, oldest first, with the estimates each holds.
+            let mut inflight: VecDeque<(u32, Vec<Confidence>)> = VecDeque::new();
+            let mut next = 0;
+            for op in &ops {
+                match *op {
+                    Op::Fetch { pc, ghr, ref pred, latency } => {
+                        if inflight.len() == WINDOW {
+                            // A full window squashes its oldest row.
+                            let (slot, expect) = inflight.pop_front().unwrap();
+                            record(&mut quadrants, &expect, true, false);
+                            prop_assert_eq!(roster.record(slot, true, false), &expect[..]);
+                        }
+                        let slot = next;
+                        next = (next + 1) % WINDOW as u32;
+                        let low = roster.estimate(slot, pc, ghr, pred, latency);
+                        let expect: Vec<Confidence> = standalone
+                            .iter_mut()
+                            .map(|e| {
+                                e.note_resolve_latency(latency);
+                                e.estimate(pc, ghr, pred)
+                            })
+                            .collect();
+                        prop_assert_eq!(roster.row(slot), &expect[..]);
+                        prop_assert_eq!(low, expect[0].is_low());
+                        inflight.push_back((slot, expect));
+                    }
+                    Op::Resolve { mispredicted } => {
+                        roster.resolved(mispredicted);
+                        for e in &mut standalone {
+                            e.on_branch_resolved(mispredicted);
+                        }
+                    }
+                    Op::Commit { pc, ghr, ref pred, correct } => {
+                        roster.train(pc, ghr, pred, correct);
+                        for e in &mut standalone {
+                            e.update(pc, ghr, pred, correct);
+                        }
+                        if let Some((slot, expect)) = inflight.pop_front() {
+                            record(&mut quadrants, &expect, correct, true);
+                            prop_assert_eq!(roster.record(slot, correct, true), &expect[..]);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(roster.quadrants(), &quadrants[..]);
+        }
     }
 }

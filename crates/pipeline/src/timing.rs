@@ -572,8 +572,8 @@ impl Core {
         let ghr_val = self.ghr.value();
         let pred = self.predictor.predict(pc, ghr_val);
         // Resolution timing is known at fetch from the scoreboard (branches
-        // write no registers). The roster feeds the modeled latency to the
-        // estimators that take it before they estimate.
+        // write no registers). The roster feeds the modeled latency to each
+        // estimator just before it estimates.
         let resolve_at =
             self.operands_ready(peeked.s1, peeked.s2) + self.cfg.branch_resolve_latency;
         let resolve_latency = resolve_at - self.now;

@@ -69,7 +69,8 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> T {
     })
 }
 
-fn parse_args() -> Args {
+/// Parses the command line after the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
     let mut args = Args {
         addr: None,
         spawn: false,
@@ -81,7 +82,7 @@ fn parse_args() -> Args {
         serve_cfg: ServeConfig::default(),
         prom_out: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
             it.next().unwrap_or_else(|| {
@@ -123,6 +124,12 @@ fn parse_args() -> Args {
     args
 }
 
+/// Whether warm passes would hit a spawned server that has no result
+/// cache, so their hit rate reads 0 whatever the mix.
+fn warm_passes_uncached(args: &Args) -> bool {
+    args.spawn && args.passes > 1 && args.serve_cfg.cache_dir.is_none()
+}
+
 fn pass_name(index: usize) -> String {
     match index {
         0 => "cold".to_string(),
@@ -154,7 +161,13 @@ fn print_pass(report: &PassReport) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args(std::env::args().skip(1));
+    if warm_passes_uncached(&args) {
+        eprintln!(
+            "serve-load: warning: --spawn without --cache-dir runs a server with no \
+             result cache, so warm passes read hit_rate 0; pass --cache-dir DIR"
+        );
+    }
     let mix = build_mix(&args.load);
     let unique: std::collections::HashSet<String> = mix
         .iter()
@@ -293,4 +306,29 @@ fn write_prom(path: &str, registry: &Registry) -> std::io::Result<()> {
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
     cestim_obs::export::write_prometheus(&registry.snapshot(), &mut w)?;
     w.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(argv: &[&str]) -> Args {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn only_a_spawned_multi_pass_run_without_a_cache_dir_is_warned() {
+        assert!(
+            warm_passes_uncached(&args(&["--spawn"])),
+            "two passes by default"
+        );
+        assert!(warm_passes_uncached(&args(&["--spawn", "--passes", "3"])));
+        assert!(!warm_passes_uncached(&args(&["--spawn", "--passes", "1"])));
+        assert!(!warm_passes_uncached(&args(&[
+            "--spawn",
+            "--cache-dir",
+            "c"
+        ])));
+        assert!(!warm_passes_uncached(&args(&["--addr", "127.0.0.1:1"])));
+    }
 }

@@ -813,8 +813,8 @@ fn read_line_bounded<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Resul
 }
 
 /// An in-process client: submits requests straight into the scheduler
-/// and reads responses from a private channel. Used by tests and the
-/// load harness's in-process mode.
+/// and reads responses from a private channel. Used by tests (the load
+/// harness's `--spawn` drives its in-process server over loopback TCP).
 pub struct InProcClient {
     inner: Arc<Inner>,
     tx: Sender<Response>,
