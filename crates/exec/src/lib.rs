@@ -16,6 +16,9 @@
 //! * [`Executor`] — a fixed-size worker pool (`std::thread::scope` +
 //!   `mpsc`) that runs a batch out of order but merges outputs back into
 //!   submission order: callers see bit-for-bit the serial answer.
+//! * [`Executor::run_one`] — the same probe / run / journal / store
+//!   policy for a single job on the calling thread, which is how the
+//!   server executes requests.
 //! * [`DiskCache`] — a content-addressed JSON store (atomic rename
 //!   writes) replaying previously computed outputs across process runs,
 //!   governed by a [`CachePolicy`].
@@ -26,8 +29,8 @@
 //!   becomes a structured [`JobError`] instead of a pool crash;
 //! * a deterministic [`RetryPolicy`] re-runs failed attempts with
 //!   key-derived exponential backoff;
-//! * a watchdog enforces an optional per-job deadline
-//!   ([`JobErrorKind::TimedOut`]);
+//! * an optional per-job deadline cancels cooperative job bodies and
+//!   discards results that finish late ([`JobErrorKind::TimedOut`]);
 //! * a [`FaultPlan`] chaos matrix (`CESTIM_EXEC_FAULT`) deterministically
 //!   injects panics, slow jobs, and cache I/O errors for testing;
 //! * a [`RunJournal`] records per-job outcomes append-only (JSONL) so a
@@ -57,6 +60,6 @@ pub use journal::{JournalEntry, RunJournal, JOURNAL_FILE, JOURNAL_PREV_FILE};
 pub use key::{canonical_string, content_hash, fnv1a, schema_salt, CacheKey};
 pub use pool::{
     default_workers, install_quiet_panic_hook, payload_message, BatchFailure, ExecReport, Executor,
-    Job, JobError, JobErrorKind,
+    Job, JobError, JobErrorKind, Ran,
 };
 pub use retry::RetryPolicy;

@@ -15,9 +15,12 @@
 //! keeps its infallible signature by panicking with a [`BatchFailure`]
 //! payload that error-aware callers (`cestim-sim`'s checked suite driver)
 //! catch and downcast. A [`RetryPolicy`] re-runs failed attempts with
-//! deterministic backoff, a per-job deadline is enforced by a watchdog
-//! thread, and queue locks recover from poisoning — one bad job can no
-//! longer take the batch down with it.
+//! deterministic backoff, a per-job deadline cancels cooperative job
+//! bodies and discards late results, and queue locks recover from
+//! poisoning — one bad job can no longer take the batch down with it.
+//!
+//! [`Executor::run_one`] runs a single job under the same policy on the
+//! calling thread; the server executes every request through it.
 
 use crate::cache::{CachePolicy, DiskCache};
 use crate::fault::FaultPlan;
@@ -34,7 +37,7 @@ use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -238,49 +241,24 @@ pub struct ExecReport {
     pub cache_policy: String,
 }
 
-/// Per-job watchdog state for the parallel path.
-struct WatchSlot {
-    /// Nanoseconds from the batch epoch at which the job started, +1
-    /// (0 = not started).
-    started: AtomicU64,
-    timed_out: AtomicBool,
-    done: AtomicBool,
+/// How [`Executor::run_one`] answered a job that did not fail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Ran<T> {
+    /// Served from the cache. `resumed` is true when the attached journal
+    /// says an earlier run already completed the key.
+    Hit {
+        /// The cached output.
+        output: T,
+        /// Whether a resumed journal had already completed this key.
+        resumed: bool,
+    },
+    /// Executed (and stored, when the cache takes writes).
+    Executed(T),
 }
 
-impl WatchSlot {
-    fn new() -> WatchSlot {
-        WatchSlot {
-            started: AtomicU64::new(0),
-            timed_out: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Executes batches of [`Job`]s on a fixed-size worker pool, merging
-/// results back into submission order.
-pub struct Executor {
-    workers: usize,
-    cache: Option<DiskCache>,
-    policy: CachePolicy,
-    retry: RetryPolicy,
-    deadline: Option<Duration>,
-    /// Poll interval (in simulator cycles) for cooperative cancellation
-    /// of overdue jobs; 0 disables arming the token.
-    cancel_every: u64,
-    fault: FaultPlan,
-    journal: Option<Arc<RunJournal>>,
-    /// Executor-lifetime submission sequence: assigned on the calling
-    /// thread in submission order, so fault targeting is deterministic
-    /// regardless of worker interleaving.
-    fault_seq: AtomicU64,
+/// The executor's telemetry handles, registered once in one registry.
+struct ExecMetrics {
     registry: Registry,
-    /// Causal span sink (disabled by default): when enabled via
-    /// [`Executor::with_spans`], every batch emits a root span with
-    /// per-job / queue-wait / attempt / cache / journal / watchdog
-    /// children, and job bodies run under an ambient span context so
-    /// simulator-level spans nest underneath their attempt.
-    spans: SpanCollector,
     submitted: Counter,
     hits: Counter,
     executed: Counter,
@@ -295,6 +273,49 @@ pub struct Executor {
     attempts_hist: Histogram,
 }
 
+impl ExecMetrics {
+    fn new(registry: &Registry) -> ExecMetrics {
+        ExecMetrics {
+            submitted: registry.counter("exec.jobs.submitted", &[]),
+            hits: registry.counter("exec.jobs.cache_hits", &[]),
+            executed: registry.counter("exec.jobs.executed", &[]),
+            retries: registry.counter("exec.retries", &[]),
+            panics_caught: registry.counter("exec.panics_caught", &[]),
+            timeouts: registry.counter("exec.timeouts", &[]),
+            jobs_resumed: registry.counter("exec.jobs_resumed", &[]),
+            store_errors: registry.counter("exec.cache.store_errors", &[]),
+            queue_depth: registry.gauge("exec.queue.depth", &[]),
+            inflight: registry.gauge("exec.jobs.inflight", &[]),
+            job_nanos: registry.histogram("exec.job.nanos", &[]),
+            attempts_hist: registry.histogram("exec.job.attempts", &[]),
+            registry: registry.clone(),
+        }
+    }
+}
+
+/// Executes batches of [`Job`]s on a fixed-size worker pool, merging
+/// results back into submission order.
+pub struct Executor {
+    workers: usize,
+    cache: Option<DiskCache>,
+    policy: CachePolicy,
+    retry: RetryPolicy,
+    deadline: Option<Duration>,
+    fault: FaultPlan,
+    journal: Option<Arc<RunJournal>>,
+    /// Executor-lifetime submission sequence: assigned on the calling
+    /// thread in submission order, so fault targeting is deterministic
+    /// regardless of worker interleaving.
+    fault_seq: AtomicU64,
+    /// Causal span sink (disabled by default): when enabled via
+    /// [`Executor::with_spans`], every batch emits a root span with
+    /// per-job / queue-wait / attempt / cache / journal children, and
+    /// job bodies run under an ambient span context so simulator-level
+    /// spans nest underneath their attempt.
+    spans: SpanCollector,
+    m: ExecMetrics,
+}
+
 impl Executor {
     /// A single-worker executor with no cache: the in-process sequential
     /// path libraries use when no parallelism was asked for.
@@ -305,12 +326,18 @@ impl Executor {
     /// An executor with `workers` threads (clamped to at least 1) and no
     /// cache, reporting into a fresh metrics registry.
     pub fn new(workers: usize) -> Executor {
-        Executor::build(
-            workers.max(1),
-            None,
-            CachePolicy::ReadWrite,
-            Registry::new(),
-        )
+        Executor {
+            workers: workers.max(1),
+            cache: None,
+            policy: CachePolicy::ReadWrite,
+            retry: RetryPolicy::default(),
+            deadline: None,
+            fault: FaultPlan::none(),
+            journal: None,
+            fault_seq: AtomicU64::new(0),
+            spans: SpanCollector::disabled(),
+            m: ExecMetrics::new(&Registry::new()),
+        }
     }
 
     /// Attaches a disk cache rooted at `dir` with the given policy.
@@ -318,32 +345,24 @@ impl Executor {
     /// # Errors
     ///
     /// Returns any I/O error from creating the cache directory.
-    pub fn with_cache(self, dir: impl Into<PathBuf>, policy: CachePolicy) -> io::Result<Executor> {
-        let cache = if policy == CachePolicy::Disabled {
+    pub fn with_cache(
+        mut self,
+        dir: impl Into<PathBuf>,
+        policy: CachePolicy,
+    ) -> io::Result<Executor> {
+        self.cache = if policy == CachePolicy::Disabled {
             None
         } else {
             Some(DiskCache::open(dir)?)
         };
-        let mut e = Executor::build(self.workers, cache, policy, self.registry);
-        e.retry = self.retry;
-        e.deadline = self.deadline;
-        e.cancel_every = self.cancel_every;
-        e.fault = self.fault;
-        e.journal = self.journal;
-        e.spans = self.spans;
-        Ok(e)
+        self.policy = policy;
+        Ok(self)
     }
 
     /// Reports telemetry into `registry` instead of the executor's own.
-    pub fn with_registry(self, registry: &Registry) -> Executor {
-        let mut e = Executor::build(self.workers, self.cache, self.policy, registry.clone());
-        e.retry = self.retry;
-        e.deadline = self.deadline;
-        e.cancel_every = self.cancel_every;
-        e.fault = self.fault;
-        e.journal = self.journal;
-        e.spans = self.spans;
-        e
+    pub fn with_registry(mut self, registry: &Registry) -> Executor {
+        self.m = ExecMetrics::new(registry);
+        self
     }
 
     /// Records causal spans into `spans` (pass an enabled
@@ -366,21 +385,11 @@ impl Executor {
         self
     }
 
-    /// Sets (or clears) the per-job wall-clock deadline. The budget spans
-    /// all of a job's attempts, including backoff sleeps.
+    /// Sets (or clears) the per-job wall-clock deadline of batch jobs,
+    /// measured from when a worker starts the job. The budget spans all
+    /// of a job's attempts, including backoff sleeps.
     pub fn with_deadline(mut self, deadline: Option<Duration>) -> Executor {
         self.deadline = deadline;
-        self
-    }
-
-    /// Sets the cooperative-cancellation poll interval: when a deadline
-    /// is configured, each attempt runs with an armed
-    /// [`cestim_obs::cancel`] token that cancellation-aware job bodies
-    /// (the pipeline simulator hot loop) poll every `every` iterations,
-    /// abandoning the run — and releasing the worker — once overdue.
-    /// 0 disables arming (the watchdog then only *flags* overdue jobs).
-    pub fn with_cancel_every(mut self, every: u64) -> Executor {
-        self.cancel_every = every;
         self
     }
 
@@ -397,37 +406,9 @@ impl Executor {
         self
     }
 
-    fn build(
-        workers: usize,
-        cache: Option<DiskCache>,
-        policy: CachePolicy,
-        registry: Registry,
-    ) -> Executor {
-        Executor {
-            workers,
-            cache,
-            policy,
-            retry: RetryPolicy::default(),
-            deadline: None,
-            cancel_every: cancel::DEFAULT_CHECK_EVERY,
-            fault: FaultPlan::none(),
-            journal: None,
-            fault_seq: AtomicU64::new(0),
-            spans: SpanCollector::disabled(),
-            submitted: registry.counter("exec.jobs.submitted", &[]),
-            hits: registry.counter("exec.jobs.cache_hits", &[]),
-            executed: registry.counter("exec.jobs.executed", &[]),
-            retries: registry.counter("exec.retries", &[]),
-            panics_caught: registry.counter("exec.panics_caught", &[]),
-            timeouts: registry.counter("exec.timeouts", &[]),
-            jobs_resumed: registry.counter("exec.jobs_resumed", &[]),
-            store_errors: registry.counter("exec.cache.store_errors", &[]),
-            queue_depth: registry.gauge("exec.queue.depth", &[]),
-            inflight: registry.gauge("exec.jobs.inflight", &[]),
-            job_nanos: registry.histogram("exec.job.nanos", &[]),
-            attempts_hist: registry.histogram("exec.job.attempts", &[]),
-            registry,
-        }
+    /// The attached run journal, if any.
+    pub fn journal(&self) -> Option<&RunJournal> {
+        self.journal.as_deref()
     }
 
     /// Configured worker count.
@@ -437,21 +418,21 @@ impl Executor {
 
     /// The registry this executor's telemetry lands in.
     pub fn registry(&self) -> &Registry {
-        &self.registry
+        &self.m.registry
     }
 
     /// Snapshot of the executor's counters.
     pub fn report(&self) -> ExecReport {
         ExecReport {
             workers: self.workers as u64,
-            submitted: self.submitted.get(),
-            cache_hits: self.hits.get(),
-            executed: self.executed.get(),
-            retries: self.retries.get(),
-            panics_caught: self.panics_caught.get(),
-            timeouts: self.timeouts.get(),
-            jobs_resumed: self.jobs_resumed.get(),
-            cache_store_errors: self.store_errors.get(),
+            submitted: self.m.submitted.get(),
+            cache_hits: self.m.hits.get(),
+            executed: self.m.executed.get(),
+            retries: self.m.retries.get(),
+            panics_caught: self.m.panics_caught.get(),
+            timeouts: self.m.timeouts.get(),
+            jobs_resumed: self.m.jobs_resumed.get(),
+            cache_store_errors: self.m.store_errors.get(),
             cache_policy: match (&self.cache, self.policy) {
                 (None, _) => "none".to_string(),
                 (Some(_), CachePolicy::ReadWrite) => "read-write".to_string(),
@@ -499,24 +480,24 @@ impl Executor {
     ///
     /// Cache lookups happen up front on the calling thread; only misses
     /// are queued to the pool. With one worker (or one pending job) the
-    /// batch runs inline without spawning threads. A panicking job is
-    /// isolated into [`JobErrorKind::Panicked`] (after exhausting the
-    /// retry policy); a job overrunning the deadline is recorded as
-    /// [`JobErrorKind::TimedOut`] while the remaining queue is drained by
-    /// the surviving workers.
+    /// calling thread drains the queue itself without spawning threads.
+    /// A panicking job is isolated into [`JobErrorKind::Panicked`] (after
+    /// exhausting the retry policy); a job overrunning the deadline is
+    /// recorded as [`JobErrorKind::TimedOut`] while the remaining queue
+    /// is drained by the surviving workers.
     pub fn run_all_checked<J: Job>(&self, jobs: &[J]) -> Vec<Result<J::Output, JobError>> {
-        self.submitted.add(jobs.len() as u64);
+        self.m.submitted.add(jobs.len() as u64);
+        // Each key is a canonical serialization plus a hash: derive it
+        // once per job and hand it to every step that needs it.
+        let keys: Vec<CacheKey> = jobs.iter().map(Job::cache_key).collect();
         // Submission sequence numbers: the deterministic axis fault plans
         // key off, assigned before any worker runs.
-        let seqs: Vec<u64> = jobs
-            .iter()
-            .map(|_| self.fault_seq.fetch_add(1, Ordering::Relaxed))
-            .collect();
+        let seqs: Vec<u64> = jobs.iter().map(|_| self.next_seq()).collect();
 
         // Batch root span; per-job spans open at submission on the
         // calling thread and are closed by whichever thread finishes the
-        // job (handed over through `job_spans`). All of this is inert
-        // when the collector is disabled.
+        // job (they travel with the job through the queue). All of this
+        // is inert when the collector is disabled.
         let mut mbuf = self.spans.buffer("main");
         // If the caller installed an ambient context over this collector,
         // nest the batch under its current span; else it is a root.
@@ -530,163 +511,80 @@ impl Executor {
             batch_span.label("jobs", &jobs.len().to_string());
         }
         let batch_id = batch_span.id();
-        let job_spans: Vec<Mutex<Option<OpenSpan>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
 
         let mut slots: Vec<Option<Result<J::Output, JobError>>> =
             jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = Vec::new();
+        let mut pending: VecDeque<(usize, OpenSpan)> = VecDeque::new();
         for (i, job) in jobs.iter().enumerate() {
             let mut jspan = mbuf.open("exec.job", batch_id, &[]);
             if jspan.id().is_some() {
-                jspan.label("key", &job.cache_key().id());
+                jspan.label("key", &keys[i].id());
                 jspan.label("label", &job.label());
                 jspan.label("seq", &seqs[i].to_string());
             }
-            let io_fault = self.fault.io_fires(seqs[i]);
-            let mut probe = self
-                .cache
-                .as_ref()
-                .map(|_| mbuf.open("exec.cache.probe", jspan.id(), &[]));
-            let hit = if self.policy.reads() && !io_fault {
-                self.cache
-                    .as_ref()
-                    .and_then(|c| c.load::<J::Output>(&job.cache_key()))
-            } else {
-                None
-            };
-            if let Some(mut p) = probe.take() {
-                p.label("hit", if hit.is_some() { "true" } else { "false" });
-                mbuf.close(p);
-            }
-            match hit {
-                Some(out) => {
-                    self.hits.inc();
-                    if let Some(journal) = &self.journal {
-                        let jrn = mbuf.open("exec.journal.append", jspan.id(), &[]);
-                        let key = job.cache_key().id();
-                        if journal.was_job_completed(&key) {
-                            self.jobs_resumed.inc();
-                        }
-                        journal.record_job(&key, &job.label(), 0, "cached");
-                        mbuf.close(jrn);
-                    }
+            match self.probe(job, &keys[i], seqs[i], &mut mbuf, jspan.id()) {
+                Some((out, _)) => {
                     jspan.label("outcome", "cached");
                     mbuf.close(jspan);
                     slots[i] = Some(Ok(out));
                 }
-                None => {
-                    pending.push(i);
-                    *job_spans[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(jspan);
-                }
+                None => pending.push_back((i, jspan)),
             }
         }
 
-        self.queue_depth.set(pending.len() as i64);
-        if self.workers <= 1 || pending.len() <= 1 {
-            for &i in &pending {
-                let jspan = job_spans[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take();
-                let jid = jspan.as_ref().map_or(SpanId::NONE, OpenSpan::id);
-                let res = self.run_job(&jobs[i], seqs[i], None, &mut mbuf, jid);
-                if let Some(mut js) = jspan {
-                    js.label("outcome", job_outcome(&res));
-                    mbuf.close(js);
-                }
+        self.m.queue_depth.set(pending.len() as i64);
+        let inline = self.workers <= 1 || pending.len() <= 1;
+        let workers = self.workers.min(pending.len());
+        let queue = Mutex::new(pending);
+        // The one loop body every draining thread runs: pop a job, run
+        // it, close its span. Workers also record the job's queue wait.
+        let run_next = |sbuf: &mut SpanBuffer, worker: bool| {
+            let (i, mut jspan) = queue
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .pop_front()?;
+            self.m.queue_depth.add(-1);
+            if worker {
+                sbuf.record_closed(
+                    "exec.queue_wait",
+                    jspan.id(),
+                    &[],
+                    jspan.start_nanos(),
+                    sbuf.now_nanos(),
+                );
+            }
+            let due = self.deadline.map(|d| Instant::now() + d);
+            let res = self.run_job(&jobs[i], &keys[i], seqs[i], due, sbuf, jspan.id());
+            jspan.label("outcome", job_outcome(&res));
+            sbuf.close(jspan);
+            Some((i, res))
+        };
+        if inline {
+            while let Some((i, res)) = run_next(&mut mbuf, false) {
                 slots[i] = Some(res);
-                self.queue_depth.add(-1);
             }
         } else {
-            let workers = self.workers.min(pending.len());
-            let queue = Mutex::new(VecDeque::from(pending));
-            let watch: Vec<WatchSlot> = jobs.iter().map(|_| WatchSlot::new()).collect();
-            let epoch = Instant::now();
-            let merging_done = AtomicBool::new(false);
             let (tx, rx) = mpsc::channel::<(usize, Result<J::Output, JobError>)>();
             std::thread::scope(|scope| {
                 for w in 0..workers {
                     let tx = tx.clone();
-                    let queue = &queue;
-                    let watch = &watch;
-                    let seqs = &seqs;
-                    let job_spans = &job_spans;
+                    let run_next = &run_next;
                     scope.spawn(move || {
                         let mut sbuf = self.spans.buffer(&format!("worker-{w}"));
-                        loop {
-                            let next = queue.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
-                            let Some(i) = next else { break };
-                            self.queue_depth.add(-1);
-                            // Take over the job span opened at submission;
-                            // the gap between its start and now is the
-                            // queue wait.
-                            let jspan = job_spans[i]
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .take();
-                            if let Some(js) = &jspan {
-                                sbuf.record_closed(
-                                    "exec.queue_wait",
-                                    js.id(),
-                                    &[],
-                                    js.start_nanos(),
-                                    sbuf.now_nanos(),
-                                );
-                            }
-                            let slot = &watch[i];
-                            slot.started
-                                .store(epoch.elapsed().as_nanos() as u64 + 1, Ordering::Relaxed);
-                            let jid = jspan.as_ref().map_or(SpanId::NONE, OpenSpan::id);
-                            let res = self.run_job(&jobs[i], seqs[i], Some(slot), &mut sbuf, jid);
-                            slot.done.store(true, Ordering::Relaxed);
-                            if let Some(mut js) = jspan {
-                                js.label("outcome", job_outcome(&res));
-                                sbuf.close(js);
-                            }
-                            if tx.send((i, res)).is_err() {
+                        while let Some(done) = run_next(&mut sbuf, true) {
+                            if tx.send(done).is_err() {
                                 break;
                             }
                         }
-                    });
-                }
-                if let Some(deadline) = self.deadline {
-                    // Watchdog: flags overdue jobs so their eventual result
-                    // is discarded as TimedOut. It cannot preempt a
-                    // non-cooperative job — the straggler's thread runs its
-                    // current job to completion while survivors drain the
-                    // queue — but the merged result is deterministic.
-                    let watch = &watch;
-                    let merging_done = &merging_done;
-                    scope.spawn(move || {
-                        let mut wbuf = self.spans.buffer("watchdog");
-                        let wspan = wbuf.open("exec.watchdog", batch_id, &[]);
-                        let budget = deadline.as_nanos() as u64;
-                        while !merging_done.load(Ordering::Relaxed) {
-                            let now = epoch.elapsed().as_nanos() as u64;
-                            for slot in watch {
-                                let started = slot.started.load(Ordering::Relaxed);
-                                if started > 0
-                                    && !slot.done.load(Ordering::Relaxed)
-                                    && now.saturating_sub(started - 1) > budget
-                                    && !slot.timed_out.swap(true, Ordering::Relaxed)
-                                {
-                                    self.timeouts.inc();
-                                }
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        wbuf.close(wspan);
                     });
                 }
                 drop(tx);
                 for (i, res) in rx {
                     slots[i] = Some(res);
                 }
-                merging_done.store(true, Ordering::Relaxed);
             });
         }
-        self.queue_depth.set(0);
+        self.m.queue_depth.set(0);
         mbuf.close(batch_span);
         mbuf.flush();
 
@@ -698,7 +596,7 @@ impl Executor {
                 // never a pool-crashing expect.
                 s.unwrap_or_else(|| {
                     Err(JobError {
-                        key: jobs[i].cache_key().id(),
+                        key: keys[i].id(),
                         label: jobs[i].label(),
                         attempts: 0,
                         kind: JobErrorKind::Panicked,
@@ -709,30 +607,106 @@ impl Executor {
             .collect()
     }
 
+    /// Runs one job on the calling thread under the same policy as a
+    /// batch job: the cache probe, then (on a miss) the attempt loop,
+    /// journaling and the cache store. `key` must be `job.cache_key()`;
+    /// `due` is the deadline, measured however the caller chooses (a
+    /// batch starts it when a worker picks the job up). Spans nest under
+    /// `parent` in `sbuf`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the job's [`JobError`] when it panicked on its final
+    /// attempt or finished past `due`.
+    pub fn run_one<J: Job>(
+        &self,
+        job: &J,
+        key: &CacheKey,
+        due: Option<Instant>,
+        sbuf: &mut SpanBuffer,
+        parent: SpanId,
+    ) -> Result<Ran<J::Output>, JobError> {
+        self.m.submitted.inc();
+        let seq = self.next_seq();
+        if let Some((output, resumed)) = self.probe(job, key, seq, sbuf, parent) {
+            return Ok(Ran::Hit { output, resumed });
+        }
+        self.run_job(job, key, seq, due, sbuf, parent)
+            .map(Ran::Executed)
+    }
+
+    /// The next fault-plan sequence number.
+    fn next_seq(&self) -> u64 {
+        self.fault_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Probes the cache for `job` (skipped when the policy does not read
+    /// or an io fault fires for `seq`). A hit is counted and journaled,
+    /// and comes back with whether a resumed journal had already
+    /// completed the key.
+    fn probe<J: Job>(
+        &self,
+        job: &J,
+        key: &CacheKey,
+        seq: u64,
+        sbuf: &mut SpanBuffer,
+        parent: SpanId,
+    ) -> Option<(J::Output, bool)> {
+        let cache = self.cache.as_ref()?;
+        let mut probe = sbuf.open("exec.cache.probe", parent, &[]);
+        let hit = if self.policy.reads() && !self.fault.io_fires(seq) {
+            cache.load::<J::Output>(key)
+        } else {
+            None
+        };
+        probe.label("hit", if hit.is_some() { "true" } else { "false" });
+        sbuf.close(probe);
+        let out = hit?;
+        self.m.hits.inc();
+        let mut resumed = false;
+        if let Some(journal) = &self.journal {
+            let jrn = sbuf.open("exec.journal.append", parent, &[]);
+            let id = key.id();
+            resumed = journal.was_job_completed(&id);
+            if resumed {
+                self.m.jobs_resumed.inc();
+            }
+            journal.record_job(&id, &job.label(), 0, "cached");
+            sbuf.close(jrn);
+        }
+        Some((out, resumed))
+    }
+
     /// Runs one job to completion: the attempt/retry loop, deadline
     /// accounting, journaling, and (on success) the cache store. Emits
     /// attempt / journal / cache-store child spans under `parent` (the
     /// job span) into `sbuf`.
+    ///
+    /// The deadline is enforced one way: an armed [`cestim_obs::cancel`]
+    /// token lets a cancellation-aware job body abandon itself once
+    /// `due` passes, and a job that finishes (or fails) past `due` is a
+    /// [`JobErrorKind::TimedOut`] whose result is discarded.
     fn run_job<J: Job>(
         &self,
         job: &J,
+        key: &CacheKey,
         seq: u64,
-        watch: Option<&WatchSlot>,
+        due: Option<Instant>,
         sbuf: &mut SpanBuffer,
         parent: SpanId,
     ) -> Result<J::Output, JobError> {
-        let key = job.cache_key();
         let label = job.label();
-        let start = Instant::now();
-        // Cooperative cancellation: arm the ambient deadline token so a
-        // cancellation-aware job body abandons itself (releasing this
-        // worker) instead of merely being flagged by the watchdog.
-        let _cancel_guard = match (self.deadline, self.cancel_every) {
-            (Some(d), every) if every > 0 => Some(cancel::arm(start + d, every)),
-            _ => None,
+        let _cancel_guard = due.map(|due| cancel::arm(due, cancel::DEFAULT_CHECK_EVERY));
+        let overdue = || due.is_some_and(|due| Instant::now() > due);
+        let failed = |attempts, kind, message| JobError {
+            key: key.id(),
+            label: label.clone(),
+            attempts,
+            kind,
+            message,
         };
         let tag = sbuf.tag().to_string();
-        self.inflight.add(1);
+        self.m.inflight.add(1);
         let mut attempt = 1u32;
         let mut result = loop {
             let mut aspan = sbuf.open("exec.attempt", parent, &[]);
@@ -745,31 +719,15 @@ impl Executor {
                     sbuf.close(aspan);
                     break Ok(out);
                 }
+                Err(message) if cancel::is_cancel_panic(&message) => {
+                    // The cooperative deadline fired inside the job body:
+                    // a timeout, not a crash — never retried.
+                    aspan.label("outcome", "cancelled");
+                    sbuf.close(aspan);
+                    break Err(failed(attempt, JobErrorKind::TimedOut, message));
+                }
                 Err(message) => {
-                    if cancel::is_cancel_panic(&message) {
-                        // The cooperative deadline fired inside the job
-                        // body: a timeout, not a crash — never retried.
-                        // Flag the watch slot ourselves (counting the
-                        // timeout if the watchdog hasn't yet) so the
-                        // overdue check below reports deterministically.
-                        if aspan.id().is_some() {
-                            aspan.label("outcome", "cancelled");
-                        }
-                        sbuf.close(aspan);
-                        if let Some(slot) = watch {
-                            if !slot.timed_out.swap(true, Ordering::Relaxed) {
-                                self.timeouts.inc();
-                            }
-                        }
-                        break Err(JobError {
-                            key: key.id(),
-                            label: label.clone(),
-                            attempts: attempt,
-                            kind: JobErrorKind::TimedOut,
-                            message,
-                        });
-                    }
-                    self.panics_caught.inc();
+                    self.m.panics_caught.inc();
                     // Fault provenance rides on the attempt span: the
                     // panic message, and whether it was chaos-injected.
                     if aspan.id().is_some() {
@@ -779,10 +737,9 @@ impl Executor {
                             aspan.label("injected", "true");
                         }
                     }
-                    let overdue = self.is_overdue(watch, start);
-                    if !overdue && self.retry.allows_retry(attempt) {
-                        self.retries.inc();
-                        let backoff = self.retry.backoff(attempt, &key);
+                    if !overdue() && self.retry.allows_retry(attempt) {
+                        self.m.retries.inc();
+                        let backoff = self.retry.backoff(attempt, key);
                         if aspan.id().is_some() {
                             aspan.label("backoff_ms", &backoff.as_millis().to_string());
                         }
@@ -791,42 +748,27 @@ impl Executor {
                         attempt += 1;
                     } else {
                         sbuf.close(aspan);
-                        break Err(JobError {
-                            key: key.id(),
-                            label: label.clone(),
-                            attempts: attempt,
-                            kind: JobErrorKind::Panicked,
-                            message,
-                        });
+                        break Err(failed(attempt, JobErrorKind::Panicked, message));
                     }
                 }
             }
         };
 
-        if self.is_overdue(watch, start) {
-            // Inline path counts here; the watchdog already counted for
-            // the parallel path when it flagged the slot.
-            if watch.is_none() {
-                self.timeouts.inc();
-            }
-            let deadline_ms = self.deadline.map(|d| d.as_millis()).unwrap_or(0);
-            result = Err(JobError {
-                key: key.id(),
-                label: label.clone(),
-                attempts: attempt,
-                kind: JobErrorKind::TimedOut,
-                message: format!("exceeded {deadline_ms}ms deadline"),
-            });
+        let cancelled = matches!(&result, Err(e) if e.kind == JobErrorKind::TimedOut);
+        let late = !cancelled && overdue();
+        if late {
+            let by = due.map_or(Duration::ZERO, |due| due.elapsed());
+            let message = format!("finished {}ms past its deadline", by.as_millis());
+            result = Err(failed(attempt, JobErrorKind::TimedOut, message));
+        }
+        if cancelled || late {
+            self.m.timeouts.inc();
         }
 
-        self.attempts_hist.record(attempt as u64);
+        self.m.attempts_hist.record(attempt as u64);
         if let Some(journal) = &self.journal {
             let jrn = sbuf.open("exec.journal.append", parent, &[]);
-            let outcome = match &result {
-                Ok(_) => "ok",
-                Err(e) => e.kind.outcome(),
-            };
-            journal.record_job(&key.id(), &label, attempt, outcome);
+            journal.record_job(&key.id(), &label, attempt, job_outcome(&result));
             sbuf.close(jrn);
         }
         if let Ok(out) = &result {
@@ -836,17 +778,17 @@ impl Executor {
                     // future re-execution, not correctness; count it and
                     // move on.
                     let mut ssp = sbuf.open("exec.cache.store", parent, &[]);
-                    let failed =
-                        self.fault.io_fires(seq) || cache.store(&key, &label, out).is_err();
-                    if failed {
-                        self.store_errors.inc();
+                    let store_failed =
+                        self.fault.io_fires(seq) || cache.store(key, &label, out).is_err();
+                    if store_failed {
+                        self.m.store_errors.inc();
                         ssp.label("error", "true");
                     }
                     sbuf.close(ssp);
                 }
             }
         }
-        self.inflight.add(-1);
+        self.m.inflight.add(-1);
         result
     }
 
@@ -879,22 +821,13 @@ impl Executor {
             job.execute()
         }));
         IN_JOB.with(|f| f.set(false));
-        self.job_nanos.record(start.elapsed().as_nanos() as u64);
+        self.m.job_nanos.record(start.elapsed().as_nanos() as u64);
         match outcome {
             Ok(out) => {
-                self.executed.inc();
+                self.m.executed.inc();
                 Ok(out)
             }
             Err(payload) => Err(payload_message(payload.as_ref())),
-        }
-    }
-
-    /// Whether this job has exceeded the deadline (watchdog flag in the
-    /// parallel path, a post-hoc elapsed check inline).
-    fn is_overdue(&self, watch: Option<&WatchSlot>, start: Instant) -> bool {
-        match watch {
-            Some(slot) => slot.timed_out.load(Ordering::Relaxed),
-            None => self.deadline.is_some_and(|d| start.elapsed() > d),
         }
     }
 }

@@ -256,7 +256,8 @@ fn injected_panics_fire_deterministically_and_converge_under_retry() {
 #[test]
 fn slow_jobs_past_the_deadline_time_out_in_both_paths() {
     install_quiet_panic_hook();
-    // Parallel path: watchdog flags the slow job, survivors drain the rest.
+    // Parallel path: the slow job finishes past its deadline and its
+    // result is discarded; survivors drain the rest.
     let jobs = Square::batch(6);
     let exec = Executor::new(3)
         .with_fault_plan(FaultPlan::parse("slow:4:300").unwrap())
@@ -334,9 +335,7 @@ impl Job for Spin {
 fn cooperative_cancel_releases_the_worker() {
     install_quiet_panic_hook();
     let jobs: Vec<Spin> = (0..4).map(|seed| Spin { seed }).collect();
-    let exec = Executor::new(2)
-        .with_deadline(Some(Duration::from_millis(40)))
-        .with_cancel_every(1 << 12);
+    let exec = Executor::new(2).with_deadline(Some(Duration::from_millis(40)));
     let start = std::time::Instant::now();
     let results = exec.run_all_checked(&jobs);
     assert!(

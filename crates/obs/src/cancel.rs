@@ -1,18 +1,17 @@
 //! Cooperative cancellation: an ambient per-thread deadline that long
 //! loops can poll cheaply.
 //!
-//! The exec watchdog can *flag* an overdue job but cannot preempt its
-//! thread, so a runaway simulation used to hold its worker until it
-//! returned on its own (the documented caveat in docs/RESILIENCE.md).
-//! This module closes that gap cooperatively: the code that *owns* a
-//! deadline ([`arm`]s a [`CancelToken`] on the worker thread before
-//! invoking the job, and the simulator hot loop polls the token every
-//! `check_every` iterations — one thread-local read at loop entry, one
-//! `Instant::now()` per check window, zero allocations. When the
-//! deadline has passed the loop calls [`fire`], which panics with a
-//! recognizable sentinel message; the caller's existing `catch_unwind`
-//! isolation converts that panic into a structured timeout and the
-//! worker thread is released immediately.
+//! Rust threads cannot be preempted, so a deadline checked only after a
+//! job returns would let a runaway simulation hold its worker until it
+//! finished on its own. This module closes that gap cooperatively: the
+//! code that *owns* a deadline (the executor) [`arm`]s a [`CancelToken`]
+//! on the worker thread before invoking the job, and the simulator hot
+//! loop polls the token every `check_every` iterations — one
+//! thread-local read at loop entry, one `Instant::now()` per check
+//! window, zero allocations. When the deadline has passed the loop calls
+//! [`fire`], which panics with a recognizable sentinel message; the
+//! caller's existing `catch_unwind` isolation converts that panic into a
+//! structured timeout and the worker thread is released immediately.
 //!
 //! The token is carried in a thread-local so deeply nested code (the
 //! pipeline simulator, several crates below the executor) needs no

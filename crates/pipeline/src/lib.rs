@@ -21,7 +21,7 @@
 //! too many low-confidence branches are outstanding — the speculation
 //! control application the paper motivates) and an observer interface
 //! ([`SimObserver`]) that `cestim-trace` uses for distance/clustering
-//! analyses. A `cestim-obs` `Tracer` is one more observer; [`replay`]
+//! analyses. A `cestim-obs` `Tracer` is one more observer; [`replay`](fn@replay)
 //! feeds its recorded events back through any other.
 //!
 //! The timing model exists once, as a private core (predictor, estimators,

@@ -10,11 +10,11 @@
 //!   all four [`ConfidenceEstimator`] methods: a method an estimator type
 //!   leaves empty inlines away, so the type alone decides which calls cost
 //!   anything.
-//! * **Combiners**: every [`Voting`](cestim_core::Voting) and
-//!   [`Boosted`](cestim_core::Boosted) composite, reduced to its rule
-//!   ([`Quorum`] or [`KRun`]) over the slots of its components. A component
-//!   equal (same state, not same name) to an existing leaf reads that
-//!   leaf's slot; any other component gets a hidden column of its own.
+//! * **Combiners**: every [`Voting`] and [`Boosted`] composite, reduced to
+//!   its rule ([`Quorum`] or [`KRun`]) over the slots of its components.
+//!   A component equal (same state, not same name) to an existing leaf
+//!   reads that leaf's slot; any other component gets a hidden column of
+//!   its own.
 //!   Combiners run after the leaves, inner before outer.
 //!
 //! Attached estimator `i` writes slot `i`, so a row starts with the

@@ -211,7 +211,7 @@ fn check_timeout() -> Result<(), OracleFailure> {
     }
     for i in [0usize, 2, 3] {
         if results[i].is_err() {
-            return Err(fail(format!("fast job {i} was not spared by the watchdog")));
+            return Err(fail(format!("fast job {i} was not spared by the deadline")));
         }
     }
     if exec.report().timeouts < 1 {

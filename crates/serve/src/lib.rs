@@ -13,9 +13,9 @@
 //! * [`sched`] — admission control: cache-key-range sharding across
 //!   worker groups, and per-client weighted fair queuing (deficit
 //!   round-robin) with bounded depth and explicit backpressure.
-//! * [`server`] — the engine front end: shard workers, warm-result
-//!   serving from the content-addressed [`cestim_exec::DiskCache`],
-//!   `catch_unwind` job isolation, journaling, `serve.*` metrics and
+//! * [`server`] — the engine front end: shard workers that run each
+//!   job through one [`cestim_exec::Executor`] (warm-cache serving,
+//!   isolation, faults, deadlines, journaling), `serve.*` metrics and
 //!   spans, scheduled stale-cache sweeps, and the TCP / in-process
 //!   client surfaces.
 //! * [`overload`] — overload control: load-shedding hysteresis over

@@ -2,7 +2,9 @@
 //! with direct execution, backpressure, GC sweeps, journaling, and the
 //! TCP front end.
 
-use cestim_exec::{canonical_string, CacheKey, DiskCache, Job};
+use cestim_exec::{canonical_string, CacheKey, DiskCache, FaultPlan, Job};
+use cestim_obs::span::{SpanCollector, SpanRecord};
+use cestim_obs::Registry;
 use cestim_serve::ServeClient;
 use cestim_serve::{Request, RequestLimits, Response, ServeConfig, Server, ShedConfig};
 use cestim_sim::{EstimatorSpec, ExecJob, PredictorKind, RunConfig};
@@ -101,6 +103,111 @@ fn cold_then_warm_run_matches_direct_execution() {
     assert_eq!(canonical_string(&cold_payload), canonical_string(&direct));
     assert_eq!(canonical_string(&warm_payload), canonical_string(&direct));
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn io_fault_skips_the_warm_entry_and_books_the_failed_store() {
+    // `serve --fault io:N` reaches the cache: the faulted request skips
+    // its pre-warmed entry, re-executes, and its store is counted as a
+    // failure.
+    let cache_dir = temp_dir("io-fault");
+    let job = quick_job();
+    let output = job.execute();
+    DiskCache::open(&cache_dir)
+        .unwrap()
+        .store(&job.cache_key(), &job.label(), &output)
+        .unwrap();
+    let server = Server::start(ServeConfig {
+        cache_dir: Some(cache_dir.clone()),
+        fault: FaultPlan {
+            io_every: 1,
+            ..FaultPlan::none()
+        },
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let client = server.client();
+    client.send(run_request("io", "t", 1, job));
+    match await_terminal(&client, "io") {
+        Response::Result {
+            cached, payload, ..
+        } => {
+            assert!(!cached, "an io fault must skip the warm entry");
+            assert_eq!(
+                canonical_string(&payload),
+                canonical_string(&serde::to_value(&output))
+            );
+        }
+        other => panic!("expected result, got {other:?}"),
+    }
+    let snap = server.registry().snapshot();
+    assert_eq!(snap.counter_value("serve.executed"), Some(1));
+    assert_eq!(snap.counter_value("serve.cache_hits"), Some(0));
+    assert_eq!(snap.counter_value("exec.cache.store_errors"), Some(1));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn request_spans_parent_the_executor_stages() {
+    let cache_dir = temp_dir("spans");
+    let spans = SpanCollector::new();
+    let server = Server::start_with(
+        ServeConfig {
+            groups: 1,
+            cache_dir: Some(cache_dir.clone()),
+            ..ServeConfig::default()
+        },
+        Registry::new(),
+        spans.clone(),
+    )
+    .unwrap();
+    let client = server.client();
+    for id in ["cold", "warm"] {
+        client.send(run_request(id, "t", 1, quick_job()));
+        match await_terminal(&client, id) {
+            Response::Result { .. } => {}
+            other => panic!("expected result, got {other:?}"),
+        }
+    }
+    // Shutdown joins the worker, which flushes its span buffer.
+    server.shutdown();
+    let recs = spans.drain();
+    let children = |parent: &SpanRecord| -> Vec<&SpanRecord> {
+        recs.iter().filter(|r| r.parent == parent.id).collect()
+    };
+    let has = |r: &SpanRecord, k: &str, v: &str| r.labels.contains(&(k.into(), v.into()));
+    let request = |cached: &str| {
+        recs.iter()
+            .find(|r| r.name == "serve.request" && has(r, "cached", cached))
+            .unwrap_or_else(|| panic!("no serve.request with cached={cached}"))
+    };
+
+    // Warm: the request span parents a hitting probe and no attempt.
+    let warm = children(request("true"));
+    assert!(warm
+        .iter()
+        .any(|r| r.name == "exec.cache.probe" && has(r, "hit", "true")));
+    assert!(!warm.iter().any(|r| r.name == "exec.attempt"));
+
+    // Cold: a missing probe, then the attempt (parenting the simulation),
+    // then the store.
+    let cold = children(request("false"));
+    let named = |name: &str| {
+        *cold
+            .iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("cold request has no {name} child"))
+    };
+    let probe = named("exec.cache.probe");
+    let attempt = named("exec.attempt");
+    let store = named("exec.cache.store");
+    assert!(has(probe, "hit", "false"));
+    assert!(has(attempt, "outcome", "ok"));
+    assert!(children(attempt).iter().any(|r| r.name == "sim.job"));
+    assert!(probe.end_nanos <= attempt.start_nanos);
+    assert!(attempt.end_nanos <= store.start_nanos);
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
