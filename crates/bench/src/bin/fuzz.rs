@@ -154,8 +154,9 @@ fn main() -> ExitCode {
     span_buf.close(root_span);
     span_buf.flush();
     if let Some(path) = &args.trace_perfetto {
-        match cestim_bench::write_perfetto(path, &spans.drain()) {
-            Ok(n) => println!("[perfetto: {n} spans -> {}]", path.display()),
+        let records = spans.drain();
+        match cestim_obs::export::write_perfetto(path, &records) {
+            Ok(()) => println!("[perfetto: {} spans -> {}]", records.len(), path.display()),
             Err(e) => {
                 eprintln!("error: failed to write perfetto trace: {e}");
                 return ExitCode::FAILURE;
@@ -163,7 +164,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &args.prom_out {
-        match cestim_bench::write_prometheus(path, &registry.snapshot()) {
+        match cestim_obs::export::write_prometheus(path, &registry.snapshot()) {
             Ok(()) => println!("[prometheus -> {}]", path.display()),
             Err(e) => {
                 eprintln!("error: failed to write prometheus exposition: {e}");
@@ -211,7 +212,7 @@ fn main() -> ExitCode {
             "metrics": registry.snapshot(),
         },
     });
-    if let Err(e) = cestim_bench::write_telemetry(&args.out, &telemetry) {
+    if let Err(e) = cestim_bench::write_json(&args.out.join("telemetry.json"), &telemetry) {
         eprintln!("error: failed to write telemetry: {e}");
         return ExitCode::FAILURE;
     }

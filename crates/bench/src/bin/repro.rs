@@ -10,9 +10,10 @@
 //! repro [--retries N] [--deadline-ms N] [--fault SPEC] [--resume] ...
 //! ```
 //!
-//! Experiments: `fig1 table1 table2 fig3 fig4 fig5 table3 fig6 fig7 fig8
-//! fig9 table4 cluster boost`. Each prints its table/series to stdout and
-//! writes `<out>/<id>.txt` and `<out>/<id>.json` (default `results/`).
+//! `repro --list` prints the experiment ids, the paper's tables and
+//! figures followed by the extensions. Each experiment prints its
+//! table/series to stdout and writes `<out>/<id>.txt` and `<out>/<id>.json`
+//! (default `results/`).
 //!
 //! Every experiment is decomposed into jobs and submitted to a shared
 //! `cestim-exec` executor:
@@ -88,9 +89,13 @@
 //! * `--obs-summary` — print the run's wall-clock time and key derived
 //!   rates.
 //!
-//! Every invocation also writes `<out>/telemetry.json` with per-experiment
-//! wall-clock seconds, the executor's job/cache counters and metrics, and
-//! the instrumented run's stats.
+//! Every invocation also writes two run records. `<out>/telemetry.json`
+//! holds what the run did and nothing that depends on the clock (the
+//! experiments run, the executor's counters, the instrumented run's stats,
+//! the failure manifest), so two runs of one command write the same bytes,
+//! whatever `--jobs` says but for `executor.workers`. `<out>/timings.json`
+//! holds each experiment's and the instrumented run's wall-clock seconds
+//! and the executor's metrics registry with its job-latency histogram.
 
 use cestim_exec::{
     default_workers, install_quiet_panic_hook, CachePolicy, DiskCache, Executor, FaultPlan,
@@ -360,20 +365,11 @@ fn open_journal(args: &Args) -> std::io::Result<RunJournal> {
     let dir = args.out.join("journal");
     if args.resume {
         let journal = RunJournal::resume(&dir)?;
+        let (jobs, experiments) = (journal.prior_job_count(), journal.prior_experiment_count());
         println!(
-            "[resume: journal replayed {} job{} and {} experiment{}]",
-            journal.prior_job_count(),
-            if journal.prior_job_count() == 1 {
-                ""
-            } else {
-                "s"
-            },
-            journal.prior_experiment_count(),
-            if journal.prior_experiment_count() == 1 {
-                ""
-            } else {
-                "s"
-            },
+            "[resume: journal replayed {jobs} job{} and {experiments} experiment{}]",
+            plural_s(jobs),
+            plural_s(experiments),
         );
         Ok(journal)
     } else {
@@ -386,6 +382,14 @@ fn artifacts_exist(out: &Path, id: &str) -> bool {
     out.join(format!("{id}.txt")).exists() && out.join(format!("{id}.json")).exists()
 }
 
+fn plural_s(n: usize) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
+}
+
 fn plural_y(n: usize) -> &'static str {
     if n == 1 {
         "y"
@@ -396,7 +400,8 @@ fn plural_y(n: usize) -> &'static str {
 
 /// One instrumented pass: the selected predictor + its paper estimator
 /// set on the chosen workload, with tracing (if requested) and metrics.
-fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
+/// Returns the telemetry block and the pass's wall-clock seconds.
+fn run_instrumented_pass(args: &Args) -> std::io::Result<(serde_json::Value, f64)> {
     let cfg = RunConfig::paper(args.workload, args.scale, args.predictor);
     let specs = EstimatorSpec::paper_set(args.predictor);
     let mut tracer = if args.trace_out.is_some() {
@@ -411,7 +416,7 @@ fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
         println!("[trace: {n} events -> {}]", path.display());
     }
     if let Some(path) = &args.metrics_out {
-        cestim_bench::write_metrics(path, &inst.metrics)?;
+        cestim_bench::write_json(path, &inst.metrics)?;
         println!("[metrics -> {}]", path.display());
     }
     if args.obs_summary {
@@ -434,14 +439,14 @@ fn run_instrumented_pass(args: &Args) -> std::io::Result<serde_json::Value> {
         }
     }
 
-    Ok(serde_json::json!({
+    let telemetry = serde_json::json!({
         "workload": args.workload.name(),
         "predictor": args.predictor.name(),
         "scale": args.scale,
-        "wall_seconds": inst.wall_seconds,
         "trace_events": tracer.len(),
         "stats": inst.outcome.stats,
-    }))
+    });
+    Ok((telemetry, inst.wall_seconds))
 }
 
 /// Exports the configured workload's architectural branch trace to
@@ -665,17 +670,14 @@ fn main() -> ExitCode {
 
     let mut failed_ids = Vec::new();
     let mut failures: Vec<suite::ExperimentFailure> = Vec::new();
-    let mut experiment_spans = Vec::new();
-    // The modern-families table is mirrored into telemetry so automation
-    // can assert on its rows without parsing the per-experiment artifact.
-    let mut modern = serde_json::Value::Null;
+    let mut experiments = Vec::new();
+    let mut experiment_seconds = Vec::new();
     for id in &args.ids {
         if args.resume {
             if let Some(j) = &journal {
                 if j.was_experiment_done(id) && artifacts_exist(&args.out, id) {
                     println!("[{id}: complete in journal, skipped]\n");
-                    experiment_spans
-                        .push(serde_json::json!({ "id": id, "seconds": 0.0, "resumed": true }));
+                    experiments.push(serde_json::json!({ "id": id, "resumed": true }));
                     continue;
                 }
             }
@@ -685,12 +687,10 @@ fn main() -> ExitCode {
         match suite::run_experiment_checked(&exec, id, args.scale) {
             Some(Ok(r)) => {
                 println!("{}\n{}", r.title, r.text);
-                if r.id == "ext-modern" {
-                    modern = r.json.clone();
-                }
                 let seconds = started.elapsed().as_secs_f64();
                 println!("[{id} done in {seconds:.1}s]\n");
-                experiment_spans.push(serde_json::json!({ "id": id, "seconds": seconds }));
+                experiments.push(serde_json::json!({ "id": id }));
+                experiment_seconds.push(serde_json::json!({ "id": id, "seconds": seconds }));
                 match cestim_bench::write_artifacts(&args.out, id, &r.text, &r.json) {
                     Ok(()) => {
                         if let Some(j) = &journal {
@@ -726,11 +726,11 @@ fn main() -> ExitCode {
         println!(
             "[executor: {} worker{}, {} job{} ({} cache hit{}, {} executed), cache {}]",
             report.workers,
-            if report.workers == 1 { "" } else { "s" },
+            plural_s(report.workers as usize),
             report.submitted,
-            if report.submitted == 1 { "" } else { "s" },
+            plural_s(report.submitted as usize),
             report.cache_hits,
-            if report.cache_hits == 1 { "" } else { "s" },
+            plural_s(report.cache_hits as usize),
             report.executed,
             report.cache_policy,
         );
@@ -789,10 +789,10 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut instrumented = serde_json::Value::Null;
+    let (mut instrumented, mut instrumented_seconds) = (serde_json::Value::Null, None);
     if args.instrumented() {
         match run_instrumented_pass(&args) {
-            Ok(v) => instrumented = v,
+            Ok((v, seconds)) => (instrumented, instrumented_seconds) = (v, Some(seconds)),
             Err(e) => {
                 eprintln!("error: instrumented run failed: {e}");
                 failed_ids.push("<instrumented>".to_string());
@@ -806,28 +806,34 @@ fn main() -> ExitCode {
     }
 
     let telemetry = serde_json::json!({
-        "experiments": experiment_spans,
+        "experiments": experiments,
         "executor": report,
-        "executor_metrics": exec.registry().snapshot(),
         "instrumented": instrumented,
-        "modern": modern,
         "trace_artifacts": trace_ids,
         "qa": qa,
         "fault_plan": args.fault.to_string(),
         "resumed": args.resume,
         "failures": failures,
     });
-    if let Err(e) = cestim_bench::write_telemetry(&args.out, &telemetry) {
-        eprintln!("error: failed to write telemetry: {e}");
-        failed_ids.push("<telemetry>".to_string());
+    let timings = serde_json::json!({
+        "experiments": experiment_seconds,
+        "instrumented_wall_seconds": instrumented_seconds,
+        "executor_metrics": exec.registry().snapshot(),
+    });
+    for (name, value) in [("telemetry.json", &telemetry), ("timings.json", &timings)] {
+        if let Err(e) = cestim_bench::write_json(&args.out.join(name), value) {
+            eprintln!("error: failed to write {name}: {e}");
+            failed_ids.push(format!("<{name}>"));
+        }
     }
 
     drop(ambient);
     root_buf.close(root_span);
     root_buf.flush();
     if let Some(path) = &args.trace_perfetto {
-        match cestim_bench::write_perfetto(path, &spans.drain()) {
-            Ok(n) => println!("[perfetto: {n} spans -> {}]", path.display()),
+        let records = spans.drain();
+        match cestim_obs::export::write_perfetto(path, &records) {
+            Ok(()) => println!("[perfetto: {} spans -> {}]", records.len(), path.display()),
             Err(e) => {
                 eprintln!("error: failed to write perfetto trace: {e}");
                 failed_ids.push("<perfetto>".to_string());
@@ -835,7 +841,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &args.prom_out {
-        match cestim_bench::write_prometheus(path, &exec.registry().snapshot()) {
+        match cestim_obs::export::write_prometheus(path, &exec.registry().snapshot()) {
             Ok(()) => println!("[prometheus -> {}]", path.display()),
             Err(e) => {
                 eprintln!("error: failed to write prometheus exposition: {e}");
@@ -856,7 +862,7 @@ fn main() -> ExitCode {
         eprintln!(
             "error: {} step{} failed: {}",
             failed_ids.len(),
-            if failed_ids.len() == 1 { "" } else { "s" },
+            plural_s(failed_ids.len()),
             failed_ids.join(" ")
         );
         ExitCode::FAILURE

@@ -15,10 +15,18 @@
 
 #![warn(missing_docs)]
 
-use cestim_obs::{MetricsSnapshot, Tracer};
+use cestim_obs::Tracer;
 use cestim_pipeline::PipelineStats;
 use std::io::Write;
 use std::path::Path;
+
+/// Creates the parent directory of `path`, if it names one.
+fn create_parent(path: &Path) -> std::io::Result<()> {
+    match path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        Some(dir) => std::fs::create_dir_all(dir),
+        None => Ok(()),
+    }
+}
 
 /// Writes an experiment's text and JSON artifacts under `dir`.
 ///
@@ -33,11 +41,19 @@ pub fn write_artifacts(
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join(format!("{id}.txt")), text)?;
-    std::fs::write(
-        dir.join(format!("{id}.json")),
-        serde_json::to_string_pretty(json)?,
-    )?;
-    Ok(())
+    write_json(&dir.join(format!("{id}.json")), json)
+}
+
+/// Writes `value` as pretty-printed JSON to `path`. Every JSON file the
+/// binaries write goes through here: the artifacts, `telemetry.json`,
+/// `timings.json` and the `--metrics-out` snapshot.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating the directory or writing the file.
+pub fn write_json<T: serde::Serialize + ?Sized>(path: &Path, value: &T) -> std::io::Result<()> {
+    create_parent(path)?;
+    std::fs::write(path, serde_json::to_string_pretty(value)?)
 }
 
 /// Writes a recorded trace as JSONL to `path`; returns the event count.
@@ -46,72 +62,11 @@ pub fn write_artifacts(
 ///
 /// Returns any I/O error from creating or writing the file.
 pub fn write_trace(path: &Path, tracer: &Tracer) -> std::io::Result<u64> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
+    create_parent(path)?;
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
     let n = tracer.export_jsonl(&mut w)?;
     w.flush()?;
     Ok(n)
-}
-
-/// Writes a metrics snapshot as pretty-printed JSON to `path`.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_metrics(path: &Path, snapshot: &MetricsSnapshot) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, serde_json::to_string_pretty(snapshot)?)
-}
-
-/// Writes `telemetry.json` (experiment spans + instrumented-run detail)
-/// under `dir`.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating the directory or writing the file.
-pub fn write_telemetry(dir: &Path, telemetry: &serde_json::Value) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    std::fs::write(
-        dir.join("telemetry.json"),
-        serde_json::to_string_pretty(telemetry)?,
-    )
-}
-
-/// Writes drained span records as a Perfetto-loadable Chrome
-/// `trace_event` JSON file; returns the span count.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_perfetto(
-    path: &Path,
-    spans: &[cestim_obs::span::SpanRecord],
-) -> std::io::Result<usize> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    cestim_obs::export::write_perfetto(spans, &mut w)?;
-    w.flush()?;
-    Ok(spans.len())
-}
-
-/// Writes a metrics snapshot in Prometheus text exposition format.
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn write_prometheus(path: &Path, snapshot: &MetricsSnapshot) -> std::io::Result<()> {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    cestim_obs::export::write_prometheus(snapshot, &mut w)?;
-    w.flush()
 }
 
 /// Renders the key derived rates of one run as an aligned text block,
@@ -173,21 +128,16 @@ mod tests {
 
         let reg = cestim_obs::Registry::new();
         reg.counter("x", &[]).add(3);
-        write_metrics(&dir.join("m.json"), &reg.snapshot()).unwrap();
+        write_json(&dir.join("m.json"), &reg.snapshot()).unwrap();
         let m: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(dir.join("m.json")).unwrap()).unwrap();
         assert!(m.to_string().contains('x'));
-
-        write_telemetry(&dir, &serde_json::json!({ "experiments": [] })).unwrap();
-        let t: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(dir.join("telemetry.json")).unwrap())
-                .unwrap();
-        assert!(t["experiments"].as_array().is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn telemetry_writers_land_on_disk() {
+        use cestim_obs::export::{write_perfetto, write_prometheus};
         let dir = std::env::temp_dir().join("cestim-bench-telemetry-test");
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -197,7 +147,7 @@ mod tests {
         buf.close(span);
         buf.flush();
         let spans = collector.drain();
-        assert_eq!(write_perfetto(&dir.join("trace.json"), &spans).unwrap(), 1);
+        write_perfetto(dir.join("trace.json"), &spans).unwrap();
         let j: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(dir.join("trace.json")).unwrap())
                 .unwrap();
@@ -205,7 +155,7 @@ mod tests {
 
         let reg = cestim_obs::Registry::new();
         reg.counter("exec.jobs.submitted", &[]).add(2);
-        write_prometheus(&dir.join("metrics.prom"), &reg.snapshot()).unwrap();
+        write_prometheus(dir.join("metrics.prom"), &reg.snapshot()).unwrap();
         let text = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
         assert!(text.contains("# TYPE exec_jobs_submitted counter"));
 
@@ -216,7 +166,7 @@ mod tests {
             cestim_sim::PredictorKind::Gshare,
         );
         let inst = cestim_sim::run_instrumented(&cfg, &[], &mut cestim_pipeline::NullObserver);
-        write_prometheus(&dir.join("pipeline.prom"), &inst.metrics).unwrap();
+        write_prometheus(dir.join("pipeline.prom"), &inst.metrics).unwrap();
         let text = std::fs::read_to_string(dir.join("pipeline.prom")).unwrap();
         assert!(text.contains("# TYPE pipeline_cycles counter"), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,11 +1,13 @@
 //! End-to-end checks of the resilience surface of the `repro` bin:
 //! a chaos run must fail partially (non-zero exit, failure manifest in
 //! `telemetry.json`, survivors completed), a transient fault plan plus
-//! retries must converge to byte-identical artifacts and exit zero, and
-//! an interrupted run resumed with `--resume` must reproduce the
-//! uninterrupted artifacts without re-executing journaled jobs.
+//! retries must converge to byte-identical artifacts and exit zero, an
+//! interrupted run resumed with `--resume` must reproduce the
+//! uninterrupted artifacts without re-executing journaled jobs, and the
+//! whole output tree bar `timings.json` must not depend on `--jobs`.
 
 use serde::Value;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -40,16 +42,74 @@ fn executor_stat(t: &Value, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("executor.{name} missing from telemetry"))
 }
 
-fn artifacts(out: &Path) -> Vec<(String, Vec<u8>)> {
-    ["table1.txt", "table1.json"]
-        .iter()
-        .map(|f| {
-            (
-                f.to_string(),
-                std::fs::read(out.join(f)).unwrap_or_else(|e| panic!("read {f}: {e}")),
-            )
-        })
-        .collect()
+/// Every file under `out`, keyed by its `/`-separated relative path.
+fn tree(out: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = BTreeMap::new();
+    let mut dirs = vec![out.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read output dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let name = path.strip_prefix(out).unwrap().to_string_lossy();
+                let name = name.replace(std::path::MAIN_SEPARATOR, "/");
+                files.insert(name, std::fs::read(&path).expect("read output file"));
+            }
+        }
+    }
+    files
+}
+
+/// A run's artifacts: its output tree without the run records (cache,
+/// journal, telemetry, timings), the files CI's `diff -r` compares.
+fn artifacts(out: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut files = tree(out);
+    files.retain(|name, _| {
+        !["cache/", "journal/", "telemetry.json", "timings.json"]
+            .iter()
+            .any(|record| name.starts_with(record))
+    });
+    files
+}
+
+fn sorted_lines(bytes: &[u8]) -> Vec<&[u8]> {
+    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    lines.sort_unstable();
+    lines
+}
+
+#[test]
+fn output_tree_does_not_depend_on_the_worker_count() {
+    let [serial, parallel] = ["1", "4"].map(|jobs| {
+        let out = temp_dir(&format!("jobs{jobs}"));
+        // The later `--jobs` wins over the helper's.
+        assert!(repro(&out, &["--no-cache", "--jobs", jobs]).success());
+        let files = tree(&out);
+        std::fs::remove_dir_all(&out).unwrap();
+        files
+    });
+    assert!(serial.contains_key("timings.json"));
+    assert_eq!(
+        serial.keys().collect::<Vec<_>>(),
+        parallel.keys().collect::<Vec<_>>()
+    );
+    for (name, a) in &serial {
+        let b = &parallel[name];
+        match name.as_str() {
+            // The one home of wall-clock figures.
+            "timings.json" => {}
+            // Completion order follows the workers; the set of lines does not.
+            "journal/run.jsonl" => assert_eq!(sorted_lines(a), sorted_lines(b)),
+            // Byte-equal once `executor.workers` reads the same.
+            "telemetry.json" => {
+                let serial =
+                    String::from_utf8_lossy(a).replacen(r#""workers": 1,"#, r#""workers": 4,"#, 1);
+                assert_eq!(serial, String::from_utf8_lossy(b));
+            }
+            _ => assert!(a == b, "{name} differs between --jobs 1 and --jobs 4"),
+        }
+    }
 }
 
 #[test]

@@ -244,14 +244,9 @@ pub struct ExecReport {
 /// How [`Executor::run_one`] answered a job that did not fail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ran<T> {
-    /// Served from the cache. `resumed` is true when the attached journal
-    /// says an earlier run already completed the key.
-    Hit {
-        /// The cached output.
-        output: T,
-        /// Whether a resumed journal had already completed this key.
-        resumed: bool,
-    },
+    /// Served from the cache (counted in `exec.jobs.cache_hits`, and in
+    /// `exec.jobs_resumed` when a resumed journal had completed the key).
+    Hit(T),
     /// Executed (and stored, when the cache takes writes).
     Executed(T),
 }
@@ -523,7 +518,7 @@ impl Executor {
                 jspan.label("seq", &seqs[i].to_string());
             }
             match self.probe(job, &keys[i], seqs[i], &mut mbuf, jspan.id()) {
-                Some((out, _)) => {
+                Some(out) => {
                     jspan.label("outcome", "cached");
                     mbuf.close(jspan);
                     slots[i] = Some(Ok(out));
@@ -628,8 +623,8 @@ impl Executor {
     ) -> Result<Ran<J::Output>, JobError> {
         self.m.submitted.inc();
         let seq = self.next_seq();
-        if let Some((output, resumed)) = self.probe(job, key, seq, sbuf, parent) {
-            return Ok(Ran::Hit { output, resumed });
+        if let Some(output) = self.probe(job, key, seq, sbuf, parent) {
+            return Ok(Ran::Hit(output));
         }
         self.run_job(job, key, seq, due, sbuf, parent)
             .map(Ran::Executed)
@@ -641,9 +636,9 @@ impl Executor {
     }
 
     /// Probes the cache for `job` (skipped when the policy does not read
-    /// or an io fault fires for `seq`). A hit is counted and journaled,
-    /// and comes back with whether a resumed journal had already
-    /// completed the key.
+    /// or an io fault fires for `seq`). A hit is counted and journaled;
+    /// one for a key a resumed journal had already completed is also
+    /// counted as resumed.
     fn probe<J: Job>(
         &self,
         job: &J,
@@ -651,7 +646,7 @@ impl Executor {
         seq: u64,
         sbuf: &mut SpanBuffer,
         parent: SpanId,
-    ) -> Option<(J::Output, bool)> {
+    ) -> Option<J::Output> {
         let cache = self.cache.as_ref()?;
         let mut probe = sbuf.open("exec.cache.probe", parent, &[]);
         let hit = if self.policy.reads() && !self.fault.io_fires(seq) {
@@ -663,18 +658,16 @@ impl Executor {
         sbuf.close(probe);
         let out = hit?;
         self.m.hits.inc();
-        let mut resumed = false;
         if let Some(journal) = &self.journal {
             let jrn = sbuf.open("exec.journal.append", parent, &[]);
             let id = key.id();
-            resumed = journal.was_job_completed(&id);
-            if resumed {
+            if journal.was_job_completed(&id) {
                 self.m.jobs_resumed.inc();
             }
             journal.record_job(&id, &job.label(), 0, "cached");
             sbuf.close(jrn);
         }
-        Some((out, resumed))
+        Some(out)
     }
 
     /// Runs one job to completion: the attempt/retry loop, deadline

@@ -11,6 +11,7 @@ use crate::metrics::{MetricValue, MetricsSnapshot};
 use crate::span::SpanRecord;
 use std::fmt::Write as _;
 use std::io;
+use std::path::Path;
 
 // ---------------------------------------------------------------------------
 // Perfetto / Chrome trace_event JSON.
@@ -79,9 +80,21 @@ pub fn render_perfetto(records: &[SpanRecord]) -> String {
     out
 }
 
-/// [`render_perfetto`] straight to a writer.
-pub fn write_perfetto<W: io::Write>(records: &[SpanRecord], mut w: W) -> io::Result<()> {
-    w.write_all(render_perfetto(records).as_bytes())
+/// Writes [`render_perfetto`] to the file at `path`.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating the parent directory or the file.
+pub fn write_perfetto(path: impl AsRef<Path>, records: &[SpanRecord]) -> io::Result<()> {
+    write_file(path.as_ref(), &render_perfetto(records))
+}
+
+/// Writes `text` to `path`, creating the parent directory first.
+fn write_file(path: &Path, text: &str) -> io::Result<()> {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, text)
 }
 
 /// Microseconds with fixed 3-decimal formatting (nanosecond resolution),
@@ -192,9 +205,13 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     out
 }
 
-/// [`render_prometheus`] straight to a writer.
-pub fn write_prometheus<W: io::Write>(snapshot: &MetricsSnapshot, mut w: W) -> io::Result<()> {
-    w.write_all(render_prometheus(snapshot).as_bytes())
+/// Writes [`render_prometheus`] to the file at `path`.
+///
+/// # Errors
+///
+/// Returns any I/O error from creating the parent directory or the file.
+pub fn write_prometheus(path: impl AsRef<Path>, snapshot: &MetricsSnapshot) -> io::Result<()> {
+    write_file(path.as_ref(), &render_prometheus(snapshot))
 }
 
 /// Maps a dotted metric name onto the Prometheus name grammar

@@ -184,7 +184,7 @@ fn main() {
         eprintln!("serve: accept loop failed: {e}");
     }
     let requests = registry.counter("serve.requests", &[]).get();
-    let hits = registry.counter("serve.cache_hits", &[]).get();
+    let hits = registry.counter("exec.jobs.cache_hits", &[]).get();
     let executed = registry.counter("serve.executed", &[]).get();
     // The watcher thread drops its handle once it sees the shutdown
     // flag (set by whatever ended serve_tcp), so the Arc drains fast.
@@ -200,40 +200,17 @@ fn main() {
     };
     server.shutdown();
     if let Some(path) = &args.prom_out {
-        match write_prom(path, &registry) {
+        match cestim_obs::export::write_prometheus(path, &registry.snapshot()) {
             Ok(()) => println!("[serve] wrote {path}"),
             Err(e) => eprintln!("serve: writing {path} failed: {e}"),
         }
     }
     if let Some(path) = &args.trace_perfetto {
-        match write_trace(path, &spans) {
-            Ok(n) => println!("[serve] wrote {path} ({n} spans)"),
+        let records = spans.drain();
+        match cestim_obs::export::write_perfetto(path, &records) {
+            Ok(()) => println!("[serve] wrote {path} ({} spans)", records.len()),
             Err(e) => eprintln!("serve: writing {path} failed: {e}"),
         }
     }
     println!("[serve] done: {requests} requests ({hits} cache hits, {executed} executed)");
-}
-
-fn write_prom(path: &str, registry: &Registry) -> std::io::Result<()> {
-    use std::io::Write;
-    let path = std::path::Path::new(path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    cestim_obs::export::write_prometheus(&registry.snapshot(), &mut w)?;
-    w.flush()
-}
-
-fn write_trace(path: &str, spans: &SpanCollector) -> std::io::Result<usize> {
-    use std::io::Write;
-    let path = std::path::Path::new(path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    let records = spans.drain();
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    cestim_obs::export::write_perfetto(&records, &mut w)?;
-    w.flush()?;
-    Ok(records.len())
 }

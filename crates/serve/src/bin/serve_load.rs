@@ -289,23 +289,12 @@ fn drive_spawned(args: &Args, mix: &[MixItem]) -> bool {
     });
     server.shutdown();
     if let Some(path) = &args.prom_out {
-        if let Err(e) = write_prom(path, &registry) {
+        if let Err(e) = cestim_obs::export::write_prometheus(path, &registry.snapshot()) {
             eprintln!("serve-load: writing {path} failed: {e}");
             failed = true;
         }
     }
     failed
-}
-
-fn write_prom(path: &str, registry: &Registry) -> std::io::Result<()> {
-    use std::io::Write;
-    let path = std::path::Path::new(path);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-    cestim_obs::export::write_prometheus(&registry.snapshot(), &mut w)?;
-    w.flush()
 }
 
 #[cfg(test)]

@@ -86,23 +86,28 @@ impl Default for ServeConfig {
     }
 }
 
-/// `serve.*` metric handles, registered once at startup.
+/// `serve.*` metric handles, registered once at startup. What the
+/// executor already books (cache hits, deadline overruns, resumed work)
+/// is read from its `exec.*` counters, in the same registry, not kept
+/// twice.
 struct Metrics {
+    /// Every `run` that reaches admission, rejected and invalid ones
+    /// included; `exec.jobs.submitted` counts only those a worker hands
+    /// to the executor.
     requests: Counter,
     accepted: Counter,
     rejected: Counter,
     parse_errors: Counter,
-    cache_hits: Counter,
+    /// Fresh `result` answers; `exec.jobs.executed` also counts runs that
+    /// finished past their deadline and were answered `deadline-exceeded`.
     executed: Counter,
     failures: Counter,
     gc_sweeps: Counter,
     gc_removed: Counter,
     shed: Counter,
     deadline_rejected: Counter,
-    deadline_cancelled: Counter,
     breaker_opened: Counter,
     breaker_rejected: Counter,
-    recovered: Counter,
     journal_rotations: Counter,
     degraded: Gauge,
     queue_depth: Gauge,
@@ -117,17 +122,14 @@ impl Metrics {
             accepted: reg.counter("serve.accepted", &[]),
             rejected: reg.counter("serve.rejected", &[]),
             parse_errors: reg.counter("serve.parse_errors", &[]),
-            cache_hits: reg.counter("serve.cache_hits", &[]),
             executed: reg.counter("serve.executed", &[]),
             failures: reg.counter("serve.failures", &[]),
             gc_sweeps: reg.counter("serve.gc.sweeps", &[]),
             gc_removed: reg.counter("serve.gc.removed", &[]),
             shed: reg.counter("serve.shed", &[]),
             deadline_rejected: reg.counter("serve.deadline.rejected", &[]),
-            deadline_cancelled: reg.counter("serve.deadline.cancelled", &[]),
             breaker_opened: reg.counter("serve.breaker.opened", &[]),
             breaker_rejected: reg.counter("serve.breaker.rejected", &[]),
-            recovered: reg.counter("serve.recovered", &[]),
             journal_rotations: reg.counter("serve.journal.rotations", &[]),
             degraded: reg.gauge("serve.degraded", &[]),
             queue_depth: reg.gauge("serve.queue.depth", &[]),
@@ -354,12 +356,13 @@ impl Inner {
     }
 
     fn stats_value(&self) -> Value {
+        let exec = self.exec.report();
         serde_json::json!({
             "requests": self.m.requests.get(),
             "accepted": self.m.accepted.get(),
             "rejected": self.m.rejected.get(),
             "parse_errors": self.m.parse_errors.get(),
-            "cache_hits": self.m.cache_hits.get(),
+            "cache_hits": exec.cache_hits,
             "executed": self.m.executed.get(),
             "failures": self.m.failures.get(),
             "gc_sweeps": self.m.gc_sweeps.get(),
@@ -367,11 +370,11 @@ impl Inner {
             "queue_depth": self.m.queue_depth.get(),
             "shed": self.m.shed.get(),
             "deadline_rejected": self.m.deadline_rejected.get(),
-            "deadline_cancelled": self.m.deadline_cancelled.get(),
+            "deadline_cancelled": exec.timeouts,
             "breaker_opened": self.m.breaker_opened.get(),
             "breaker_rejected": self.m.breaker_rejected.get(),
             "breakers_open": self.breakers.open_count() as u64,
-            "recovered": self.m.recovered.get(),
+            "recovered": exec.jobs_resumed,
             "journal_prior_jobs": self.exec.journal().map_or(0, |j| j.prior_job_count() as u64),
             "journal_rotations": self.m.journal_rotations.get(),
             "degraded": self.m.degraded.get(),
@@ -436,15 +439,9 @@ impl Inner {
         let run = self
             .exec
             .run_one(&ticket.job, &ticket.key, due, sbuf, span.id());
-        let cached = matches!(run, Ok(Ran::Hit { .. }));
-        // Crash recovery: a warm hit for a key the resumed journal
-        // already completed is work a previous incarnation did — count
-        // it as recovered rather than merely cached.
-        if let Ok(Ran::Hit { resumed: true, .. }) = &run {
-            self.m.recovered.inc();
-        }
+        let cached = matches!(run, Ok(Ran::Hit(_)));
         let outcome = run.map(|ran| match ran {
-            Ran::Hit { output, .. } | Ran::Executed(output) => serde::to_value(&output),
+            Ran::Hit(output) | Ran::Executed(output) => serde::to_value(&output),
         });
         span.label("cached", if cached { "true" } else { "false" });
         span.label(
@@ -471,9 +468,7 @@ impl Inner {
         self.m.request_nanos.record(elapsed_nanos);
         match outcome {
             Ok(payload) => {
-                if cached {
-                    self.m.cache_hits.inc();
-                } else {
+                if !cached {
                     self.m.executed.inc();
                 }
                 self.breakers.record_success(&ticket.client);
@@ -488,7 +483,6 @@ impl Inner {
                 // A deadline overrun is the client's budget expiring,
                 // not a faulty job: it does not trip the breaker.
                 self.m.failures.inc();
-                self.m.deadline_cancelled.inc();
                 let _ = ticket.reply.send(Response::Error {
                     id: Some(ticket.id),
                     code: ErrorCode::Deadline.as_str().to_string(),

@@ -143,7 +143,15 @@ fn io_fault_skips_the_warm_entry_and_books_the_failed_store() {
     }
     let snap = server.registry().snapshot();
     assert_eq!(snap.counter_value("serve.executed"), Some(1));
-    assert_eq!(snap.counter_value("serve.cache_hits"), Some(0));
+    assert_eq!(snap.counter_value("exec.jobs.cache_hits"), Some(0));
+    // The executor's counters are the one copy; the server shadows none.
+    for shadow in [
+        "serve.cache_hits",
+        "serve.deadline.cancelled",
+        "serve.recovered",
+    ] {
+        assert_eq!(snap.counter_value(shadow), None, "{shadow} is registered");
+    }
     assert_eq!(snap.counter_value("exec.cache.store_errors"), Some(1));
     server.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
