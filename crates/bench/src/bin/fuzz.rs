@@ -10,7 +10,7 @@
 //! Each iteration draws a valid-by-construction random program from the
 //! seed's child stream and runs it through the selected `cestim-qa`
 //! differential oracles (`arch`, `replay`, `exec`, `quadrant`, `trace`,
-//! or `all`).
+//! `composition`, or `all`).
 //! The opt-in `resilience` oracle (not part of `all` — it sleeps and
 //! touches disk) additionally chaos-tests the executor's fault handling:
 //! `fuzz --oracle resilience --iters 5`.

@@ -533,9 +533,9 @@ fn run_trace_in(args: &Args, exec: &Executor, path: &Path) -> std::io::Result<St
         specs: cestim_sim::conformance_specs(),
     };
     let outcome = exec
-        .run_all(std::slice::from_ref(&job))
-        .pop()
-        .expect("one job in, one output out")
+        .run_all_checked(std::slice::from_ref(&job))
+        .remove(0)
+        .map_err(std::io::Error::other)?
         .into_run();
     write_trace_artifacts(args, &hash, predictor, count, &outcome)
 }

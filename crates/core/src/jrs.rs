@@ -84,11 +84,6 @@ impl Jrs {
         self.threshold
     }
 
-    /// `true` for the enhanced (prediction-indexed) variant.
-    pub fn is_enhanced(&self) -> bool {
-        self.enhanced
-    }
-
     /// Number of MDC entries.
     pub fn len(&self) -> usize {
         self.table.len()

@@ -14,8 +14,10 @@
 //!   crate-version/schema salt ([`schema_salt`]), so equal configurations
 //!   share results and code changes invalidate them.
 //! * [`Executor`] — a fixed-size worker pool (`std::thread::scope` +
-//!   `mpsc`) that runs a batch out of order but merges outputs back into
-//!   submission order: callers see bit-for-bit the serial answer.
+//!   `mpsc`) that runs a batch out of order but merges results back into
+//!   submission order: callers see bit-for-bit the serial answer. Its one
+//!   batch method, [`Executor::run_all_checked`], returns a `Result` per
+//!   job, so a failed job is a value, never a panic.
 //! * [`Executor::run_one`] — the same probe / run / journal / store
 //!   policy for a single job on the calling thread, which is how the
 //!   server executes requests.
@@ -26,7 +28,8 @@
 //! Failure handling (the resilience layer, see `docs/RESILIENCE.md`):
 //!
 //! * every job attempt runs under `catch_unwind`, so a panicking job
-//!   becomes a structured [`JobError`] instead of a pool crash;
+//!   becomes a structured [`JobError`] in its result slot instead of a
+//!   pool crash;
 //! * a deterministic [`RetryPolicy`] re-runs failed attempts with
 //!   key-derived exponential backoff;
 //! * an optional per-job deadline cancels cooperative job bodies and
@@ -59,7 +62,7 @@ pub use fault::{FaultPlan, FaultPlanError, INJECTED_PANIC_PREFIX};
 pub use journal::{JournalEntry, RunJournal, JOURNAL_FILE, JOURNAL_PREV_FILE};
 pub use key::{canonical_string, content_hash, fnv1a, schema_salt, CacheKey};
 pub use pool::{
-    default_workers, install_quiet_panic_hook, payload_message, BatchFailure, ExecReport, Executor,
-    Job, JobError, JobErrorKind, Ran,
+    default_workers, install_quiet_panic_hook, ExecReport, Executor, Job, JobError, JobErrorKind,
+    Ran,
 };
 pub use retry::RetryPolicy;

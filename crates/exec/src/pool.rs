@@ -3,21 +3,20 @@
 //! cache.
 //!
 //! Jobs in a batch execute out of submission order (workers pull from a
-//! shared queue), but [`Executor::run_all`] returns outputs **in
+//! shared queue), but [`Executor::run_all_checked`] returns results **in
 //! submission order**, so callers observe output bit-for-bit identical to
 //! a serial loop regardless of worker count.
 //!
 //! Failure handling: every job attempt runs under `catch_unwind`, so a
 //! panicking job becomes a structured [`JobError`] carrying the panic
 //! message and the job's cache-key provenance instead of crashing the
-//! pool. [`Executor::run_all_checked`] surfaces per-job
-//! `Result<Output, JobError>` slots; the legacy [`Executor::run_all`]
-//! keeps its infallible signature by panicking with a [`BatchFailure`]
-//! payload that error-aware callers (`cestim-sim`'s checked suite driver)
-//! catch and downcast. A [`RetryPolicy`] re-runs failed attempts with
-//! deterministic backoff, a per-job deadline cancels cooperative job
-//! bodies and discards late results, and queue locks recover from
-//! poisoning — one bad job can no longer take the batch down with it.
+//! pool. The one batch method, [`Executor::run_all_checked`], returns a
+//! `Result<Output, JobError>` per job: a failure is a value the caller
+//! inspects, never a panic it has to catch. A [`RetryPolicy`] re-runs
+//! failed attempts with deterministic backoff, a per-job deadline cancels
+//! cooperative job bodies and discards late results, and queue locks
+//! recover from poisoning — one bad job can no longer take the batch
+//! down with it.
 //!
 //! [`Executor::run_one`] runs a single job under the same policy on the
 //! calling thread; the server executes every request through it.
@@ -27,7 +26,7 @@ use crate::fault::FaultPlan;
 use crate::journal::RunJournal;
 use crate::key::CacheKey;
 use crate::retry::RetryPolicy;
-use cestim_obs::cancel;
+use cestim_obs::cancel::{self, payload_message};
 use cestim_obs::span::{self, OpenSpan, SpanBuffer, SpanCollector, SpanId};
 use cestim_obs::{Counter, Gauge, Histogram, Registry};
 use serde::{Deserialize, Serialize, Value};
@@ -134,26 +133,7 @@ impl fmt::Display for JobError {
     }
 }
 
-/// The panic payload [`Executor::run_all`] raises when a batch has failed
-/// jobs: error-aware callers `catch_unwind` and downcast to recover the
-/// structured per-job errors.
-#[derive(Debug, Clone)]
-pub struct BatchFailure {
-    /// Every failed job, in submission order.
-    pub errors: Vec<JobError>,
-    /// Batch size (failed + succeeded).
-    pub total: usize,
-}
-
-impl fmt::Display for BatchFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}/{} jobs failed:", self.errors.len(), self.total)?;
-        for e in &self.errors {
-            writeln!(f, "  - {e}")?;
-        }
-        Ok(())
-    }
-}
+impl std::error::Error for JobError {}
 
 thread_local! {
     /// True while a job body runs under `catch_unwind`: its panics are
@@ -163,8 +143,8 @@ thread_local! {
 }
 
 /// Installs a process-wide panic hook that silences panics the executor
-/// catches and structures (job-body panics and [`BatchFailure`]
-/// payloads), delegating everything else to the previous hook.
+/// catches and structures (panics raised inside a job body), delegating
+/// everything else to the previous hook.
 /// Idempotent; binaries running chaos plans call this once at startup so
 /// injected faults do not flood stderr with backtraces.
 pub fn install_quiet_panic_hook() {
@@ -173,7 +153,7 @@ pub fn install_quiet_panic_hook() {
     ONCE.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if IN_JOB.with(Cell::get) || info.payload().downcast_ref::<BatchFailure>().is_some() {
+            if IN_JOB.with(Cell::get) {
                 return;
             }
             prev(info);
@@ -201,18 +181,6 @@ fn truncate_message(msg: &str) -> String {
         .find(|&i| msg.is_char_boundary(i))
         .unwrap_or(0);
     format!("{}…", &msg[..cut])
-}
-
-/// Extracts a readable message from a caught panic payload: the payload
-/// itself when it is a string, otherwise "non-string panic payload".
-pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Serializable end-of-run summary of an [`Executor`]'s counters.
@@ -444,30 +412,6 @@ impl Executor {
             .as_ref()
             .and_then(|c| c.evict_stale(schema).ok())
             .unwrap_or(0)
-    }
-
-    /// Runs a batch, returning outputs in submission order.
-    ///
-    /// Infallible signature for the common all-success case. When any job
-    /// fails, panics with a [`BatchFailure`] payload carrying every
-    /// [`JobError`] — error-aware callers use [`Executor::run_all_checked`]
-    /// directly or `catch_unwind` + downcast the payload.
-    pub fn run_all<J: Job>(&self, jobs: &[J]) -> Vec<J::Output> {
-        let results = self.run_all_checked(jobs);
-        let total = results.len();
-        let mut outs = Vec::with_capacity(total);
-        let mut errors = Vec::new();
-        for r in results {
-            match r {
-                Ok(v) => outs.push(v),
-                Err(e) => errors.push(e),
-            }
-        }
-        if errors.is_empty() {
-            outs
-        } else {
-            std::panic::panic_any(BatchFailure { errors, total })
-        }
     }
 
     /// Runs a batch, returning one `Result` per job in submission order:
@@ -873,11 +817,11 @@ mod tests {
     #[test]
     fn parallel_results_match_serial_in_submission_order() {
         let jobs = batch(64);
-        let serial = Executor::sequential().run_all(&jobs);
-        let parallel = Executor::new(4).run_all(&jobs);
+        let serial = Executor::sequential().run_all_checked(&jobs);
+        let parallel = Executor::new(4).run_all_checked(&jobs);
         assert_eq!(serial, parallel);
-        assert_eq!(serial[0], vec![1]);
-        assert_eq!(serial[2], vec![3, 10, 5, 16, 8, 4, 2, 1]);
+        assert_eq!(serial[0], Ok(vec![1]));
+        assert_eq!(serial[2], Ok(vec![3, 10, 5, 16, 8, 4, 2, 1]));
     }
 
     #[test]
@@ -889,14 +833,14 @@ mod tests {
         let cold = Executor::new(2)
             .with_cache(&dir, CachePolicy::ReadWrite)
             .unwrap();
-        let first = cold.run_all(&jobs);
+        let first = cold.run_all_checked(&jobs);
         assert_eq!(cold.report().executed, 8);
         assert_eq!(cold.report().cache_hits, 0);
 
         let warm = Executor::new(2)
             .with_cache(&dir, CachePolicy::ReadWrite)
             .unwrap();
-        let second = warm.run_all(&jobs);
+        let second = warm.run_all_checked(&jobs);
         assert_eq!(first, second);
         assert_eq!(warm.report().executed, 0);
         assert_eq!(warm.report().cache_hits, 8);
@@ -905,7 +849,7 @@ mod tests {
         let refresh = Executor::new(2)
             .with_cache(&dir, CachePolicy::Refresh)
             .unwrap();
-        assert_eq!(refresh.run_all(&jobs), first);
+        assert_eq!(refresh.run_all_checked(&jobs), first);
         assert_eq!(refresh.report().executed, 8);
         assert_eq!(refresh.report().cache_hits, 0);
 
@@ -915,7 +859,7 @@ mod tests {
     #[test]
     fn report_counts_and_policy_names() {
         let exec = Executor::new(3);
-        exec.run_all(&batch(5));
+        exec.run_all_checked(&batch(5));
         let r = exec.report();
         assert_eq!(r.workers, 3);
         assert_eq!(r.submitted, 5);
@@ -957,7 +901,7 @@ mod tests {
     fn batch_emits_causal_span_tree() {
         let spans = SpanCollector::new();
         let exec = Executor::new(4).with_spans(&spans);
-        exec.run_all(&batch(8));
+        exec.run_all_checked(&batch(8));
         let recs = spans.drain();
 
         let root = recs.iter().find(|r| r.name == "exec.batch").unwrap();
@@ -1010,8 +954,7 @@ mod tests {
             })
             .with_spans(&spans);
         let jobs = batch(4);
-        let out = exec.run_all(&jobs);
-        assert_eq!(out.len(), 4);
+        assert!(exec.run_all_checked(&jobs).iter().all(Result::is_ok));
         let recs = spans.drain();
 
         // Fault plan panic:2 hits seqs 1 and 3 (first attempt only).
@@ -1068,7 +1011,7 @@ mod tests {
             .with_cache(&dir, CachePolicy::ReadWrite)
             .unwrap()
             .with_spans(&spans);
-        exec.run_all(&jobs);
+        exec.run_all_checked(&jobs);
         let cold = spans.drain();
         let probes: Vec<_> = cold
             .iter()
@@ -1089,7 +1032,7 @@ mod tests {
             .with_cache(&dir, CachePolicy::ReadWrite)
             .unwrap()
             .with_spans(&spans);
-        warm.run_all(&jobs);
+        warm.run_all_checked(&jobs);
         let recs = spans.drain();
         let probes: Vec<_> = recs
             .iter()
@@ -1111,7 +1054,7 @@ mod tests {
     #[test]
     fn disabled_spans_record_nothing() {
         let exec = Executor::new(2);
-        exec.run_all(&batch(8));
+        exec.run_all_checked(&batch(8));
         assert!(!exec.spans().enabled());
         assert!(exec.spans().drain().is_empty());
     }

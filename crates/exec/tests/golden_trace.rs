@@ -70,8 +70,8 @@ fn chaos_trace_matches_golden_snapshot() {
             max_ms: 1,
         })
         .with_spans(&spans);
-    let out = exec.run_all(&[SquareJob(3), SquareJob(5)]);
-    assert_eq!(out, vec![9, 25]);
+    let out = exec.run_all_checked(&[SquareJob(3), SquareJob(5)]);
+    assert_eq!(out, vec![Ok(9), Ok(25)]);
 
     let rendered = render_perfetto(&normalise(spans.drain()));
 

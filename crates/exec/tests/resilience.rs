@@ -2,8 +2,8 @@
 //! coverage for the executor (ISSUE 4 satellite: pool edge cases).
 
 use cestim_exec::{
-    install_quiet_panic_hook, BatchFailure, CachePolicy, Executor, FaultPlan, Job, JobErrorKind,
-    RetryPolicy, RunJournal,
+    install_quiet_panic_hook, CachePolicy, Executor, FaultPlan, Job, JobErrorKind, RetryPolicy,
+    RunJournal,
 };
 use serde::{Map, Value};
 use std::path::PathBuf;
@@ -102,8 +102,6 @@ fn zero_jobs_is_an_empty_batch() {
     let out = exec.run_all_checked(&Square::batch(0));
     assert!(out.is_empty());
     assert_eq!(exec.report().submitted, 0);
-    let out = exec.run_all(&Square::batch(0));
-    assert!(out.is_empty());
 }
 
 #[test]
@@ -139,24 +137,6 @@ fn all_jobs_panicking_still_returns_every_slot() {
     assert_eq!(results.len(), 6);
     assert!(results.iter().all(|r| r.is_err()));
     assert_eq!(exec.report().panics_caught, 6);
-}
-
-#[test]
-fn run_all_panics_with_a_structured_batch_failure() {
-    install_quiet_panic_hook();
-    let jobs = Square::batch_with_bombs(5, &[2, 4]);
-    let exec = Executor::new(2);
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exec.run_all(&jobs)))
-        .expect_err("batch with failures must not return normally");
-    let failure = payload
-        .downcast_ref::<BatchFailure>()
-        .expect("payload is a BatchFailure");
-    assert_eq!(failure.total, 5);
-    assert_eq!(failure.errors.len(), 2);
-    // Submission order is preserved in the error list.
-    assert_eq!(failure.errors[0].label, "square-2");
-    assert_eq!(failure.errors[1].label, "square-4");
-    assert!(failure.to_string().contains("2/5 jobs failed"));
 }
 
 #[test]
@@ -222,7 +202,7 @@ fn exhausted_retries_surface_the_final_error() {
 fn injected_panics_fire_deterministically_and_converge_under_retry() {
     install_quiet_panic_hook();
     let jobs = Square::batch(10);
-    let clean: Vec<u64> = Executor::sequential().run_all(&jobs);
+    let clean = Executor::sequential().run_all_checked(&jobs);
 
     // Without retries every 3rd submitted job fails...
     let chaotic = Executor::new(4).with_fault_plan(FaultPlan::parse("panic:3").unwrap());
@@ -234,7 +214,7 @@ fn injected_panics_fire_deterministically_and_converge_under_retry() {
         .collect();
     assert_eq!(failed, vec![2, 5, 8]);
     for i in [0usize, 1, 3, 4, 6, 7, 9] {
-        assert_eq!(results[i].as_ref().unwrap(), &clean[i], "isolation");
+        assert_eq!(results[i], clean[i], "isolation");
     }
     let err = results[2].as_ref().unwrap_err();
     assert!(err.message.contains("injected fault"), "{}", err.message);
@@ -247,8 +227,7 @@ fn injected_panics_fire_deterministically_and_converge_under_retry() {
             base_ms: 1,
             max_ms: 5,
         });
-    let healed = retried.run_all(&jobs);
-    assert_eq!(healed, clean);
+    assert_eq!(retried.run_all_checked(&jobs), clean);
     assert_eq!(retried.report().retries, 3);
     assert_eq!(retried.report().panics_caught, 3);
 }
@@ -392,8 +371,8 @@ fn cache_store_failures_are_counted_not_fatal() {
     // Pull the directory out from under the cache: every store now fails
     // with ENOENT (works even as root, unlike permission bits).
     std::fs::remove_dir_all(&dir).unwrap();
-    let out = exec.run_all(&Square::batch(4));
-    assert_eq!(out, vec![1, 4, 9, 16], "results unaffected");
+    let out = exec.run_all_checked(&Square::batch(4));
+    assert_eq!(out, [1, 4, 9, 16].map(Ok), "results unaffected");
     assert_eq!(exec.report().cache_store_errors, 4);
     let snap = exec.registry().snapshot();
     assert_eq!(snap.counter_value("exec.cache.store_errors"), Some(4));
@@ -407,15 +386,14 @@ fn io_faults_skip_the_cache_and_count_store_errors() {
     let warm = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    warm.run_all(&jobs);
+    warm.run_all_checked(&jobs);
 
     // Every 2nd job's cache I/O "fails": reads miss, writes are dropped.
     let exec = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap()
         .with_fault_plan(FaultPlan::parse("io:2").unwrap());
-    let out = exec.run_all(&jobs);
-    assert_eq!(out, vec![1, 4, 9, 16]);
+    assert_eq!(exec.run_all_checked(&jobs), [1, 4, 9, 16].map(Ok));
     let report = exec.report();
     assert_eq!(report.cache_hits, 2, "odd seqs still hit");
     assert_eq!(report.executed, 2, "even seqs re-execute");
@@ -436,8 +414,7 @@ fn journal_resume_skips_completed_jobs() {
             .with_cache(&cache_dir, CachePolicy::ReadWrite)
             .unwrap()
             .with_journal(journal);
-        let out = exec.run_all(&all[..4]);
-        assert_eq!(out, vec![1, 4, 9, 16]);
+        assert_eq!(exec.run_all_checked(&all[..4]), [1, 4, 9, 16].map(Ok));
         // Executor dropped here: simulated kill before the second half.
     }
 
@@ -449,8 +426,8 @@ fn journal_resume_skips_completed_jobs() {
         .with_cache(&cache_dir, CachePolicy::ReadWrite)
         .unwrap()
         .with_journal(journal);
-    let out = exec.run_all(&all);
-    assert_eq!(out, vec![1, 4, 9, 16, 25, 36, 49, 64]);
+    let out = exec.run_all_checked(&all);
+    assert_eq!(out, [1, 4, 9, 16, 25, 36, 49, 64].map(Ok));
     let report = exec.report();
     assert_eq!(report.cache_hits, 4);
     assert_eq!(report.jobs_resumed, 4);

@@ -83,6 +83,18 @@ pub fn is_cancel_panic(message: &str) -> bool {
     message.starts_with(CANCEL_PANIC_PREFIX)
 }
 
+/// Extracts a readable message from a caught panic payload: the payload
+/// itself when it is a string, otherwise "non-string panic payload".
+pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// RAII guard returned by [`arm`]; restores the prior token on drop.
 #[derive(Debug)]
 pub struct CancelGuard {
@@ -127,11 +139,7 @@ mod tests {
     fn fire_panics_with_the_sentinel_and_guard_survives_unwind() {
         let _g = arm(Instant::now(), 1);
         let caught = std::panic::catch_unwind(|| fire()).unwrap_err();
-        let msg = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| caught.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap();
+        let msg = payload_message(caught.as_ref());
         assert!(is_cancel_panic(&msg), "{msg}");
         assert!(!is_cancel_panic("some other panic"));
         // Token is still armed here (guard not yet dropped).

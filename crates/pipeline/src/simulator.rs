@@ -954,11 +954,7 @@ mod tests {
         let caught =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.run_to_completion()))
                 .unwrap_err();
-        let msg = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| caught.downcast_ref::<&str>().map(|m| m.to_string()))
-            .unwrap();
+        let msg = cestim_obs::cancel::payload_message(caught.as_ref());
         assert!(cestim_obs::cancel::is_cancel_panic(&msg), "{msg}");
         assert!(
             t0.elapsed() < Duration::from_secs(10),

@@ -6,7 +6,7 @@
 //! The simulator reproduces the measurement machinery of "Confidence
 //! Estimation for Speculation Control" (Klauser, Grunwald, Morrey, Paithankar;
 //! ISCA 1998); this crate stresses it end to end with randomly generated —
-//! but valid-by-construction — programs and four independent *differential
+//! but valid-by-construction — programs and six independent *differential
 //! oracles*:
 //!
 //! 1. [`OracleKind::Arch`] — the architectural interpreter and the pipeline
@@ -16,9 +16,14 @@
 //! 3. [`OracleKind::Exec`] — serial and multi-worker `cestim-exec` batches
 //!    must produce bit-identical output;
 //! 4. [`OracleKind::Quadrant`] — estimator quadrant counts must satisfy the
-//!    paper's closed-form SENS/SPEC/PVP/PVN identities (§2, Fig. 1).
+//!    paper's closed-form SENS/SPEC/PVP/PVN identities (§2, Fig. 1);
+//! 5. [`OracleKind::Trace`] — the branch-trace exporters, both encodings
+//!    and trace-driven replay must agree with the live run;
+//! 6. [`OracleKind::Composition`] — attaching a roster of estimators must
+//!    leave the pipeline statistics unchanged and give every entry the
+//!    quadrants it gets alone.
 //!
-//! A fifth, opt-in [resilience oracle](resilience::check_resilience)
+//! A seventh, opt-in [resilience oracle](resilience::check_resilience)
 //! (`--oracle resilience`) chaos-tests the executor's fault handling —
 //! isolation, retry convergence, timeouts, and journal resume — against
 //! the same predictor-sweep batches.

@@ -1,4 +1,4 @@
-//! The five differential oracles.
+//! The six differential oracles.
 //!
 //! Every generated program is pushed through several independent
 //! implementations of the same semantics, which must agree bit-for-bit:
@@ -14,15 +14,19 @@
 //! 5. **trace** — the two independent branch-trace exporters
 //!    (interpreter-driven and simulator-hooked) agree record-for-record,
 //!    both `cestim-trace-io` encodings round-trip bit-exactly, and a
-//!    trace-driven replay reproduces the live replay-mode run.
+//!    trace-driven replay reproduces the live replay-mode run,
+//! 6. **composition** — attaching a roster of estimators (leaves plus a
+//!    nested vote or boost) leaves the pipeline statistics unchanged, and
+//!    each entry gets the quadrants it gets alone.
 
 use crate::gen::{assemble, QaProgram};
+use crate::rng::XorShift64Star;
 use cestim_bpred::{AnyPredictor, Bimodal, Gshare, McFarling, Perceptron, SAg, Tage};
 use cestim_core::{
-    AlwaysHigh, AlwaysLow, AnyEstimator, DistanceEstimator, Jrs, Quadrant, SaturatingConfidence,
-    TimingEstimator, Voting,
+    AlwaysHigh, AlwaysLow, AnyEstimator, Boosted, Cir, ConfidenceEstimator, DistanceEstimator, Jrs,
+    PatternHistory, Quadrant, SaturatingConfidence, TimingEstimator, Voting,
 };
-use cestim_exec::{Executor, Job};
+use cestim_exec::{fnv1a, Executor, Job};
 use cestim_isa::{Machine, Program, Step};
 use cestim_obs::{read_trace_jsonl, Tracer};
 use cestim_pipeline::{
@@ -50,22 +54,25 @@ pub enum OracleKind {
     Quadrant,
     /// Branch-trace export/import/replay equivalence.
     Trace,
+    /// Roster composition leaves timing and every entry's quadrants alone.
+    Composition,
     /// Executor fault handling: isolation, retry convergence, timeouts,
     /// and journal resume (see [`crate::resilience`]).
     Resilience,
 }
 
 impl OracleKind {
-    /// The five differential oracles, in canonical order. The resilience
+    /// The six differential oracles, in canonical order. The resilience
     /// oracle is deliberately excluded — it sleeps (timeout sub-check) and
     /// touches disk, so it is opt-in via `--oracle resilience` rather than
     /// part of every fuzz iteration.
-    pub const ALL: [OracleKind; 5] = [
+    pub const ALL: [OracleKind; 6] = [
         OracleKind::Arch,
         OracleKind::Replay,
         OracleKind::Exec,
         OracleKind::Quadrant,
         OracleKind::Trace,
+        OracleKind::Composition,
     ];
 
     /// Stable CLI/metrics name.
@@ -76,6 +83,7 @@ impl OracleKind {
             OracleKind::Exec => "exec",
             OracleKind::Quadrant => "quadrant",
             OracleKind::Trace => "trace",
+            OracleKind::Composition => "composition",
             OracleKind::Resilience => "resilience",
         }
     }
@@ -175,6 +183,7 @@ pub fn check(kind: OracleKind, p: &QaProgram, fault: FaultSpec) -> Result<(), Or
         OracleKind::Exec => check_exec(p),
         OracleKind::Quadrant => check_quadrant(p),
         OracleKind::Trace => check_trace(p),
+        OracleKind::Composition => check_composition(p),
         OracleKind::Resilience => crate::resilience::check_resilience(p),
     }
 }
@@ -392,33 +401,46 @@ impl Job for QaJob {
     }
 }
 
-fn check_exec(p: &QaProgram) -> Result<(), OracleFailure> {
-    let kind = OracleKind::Exec;
-    let jobs: Vec<QaJob> = EXEC_PREDICTORS
+/// The exec oracle's batch (and the resilience oracle's): the program
+/// under every predictor of [`EXEC_PREDICTORS`].
+pub(crate) fn sweep_jobs(p: &QaProgram) -> Vec<QaJob> {
+    EXEC_PREDICTORS
         .iter()
         .map(|&predictor| QaJob {
             program: p.clone(),
             predictor,
         })
-        .collect();
-    let serial = Executor::sequential().run_all(&jobs);
-    let parallel = Executor::new(4).run_all(&jobs);
-    for (i, (s, par)) in serial.iter().zip(&parallel).enumerate() {
-        // Compare the serialized form: that is the bit-identity contract
-        // cached and merged results are held to.
-        let s_text = serde_json::to_string(s).unwrap_or_default();
-        let p_text = serde_json::to_string(par).unwrap_or_default();
-        if s_text != p_text {
-            return Err(fail(
-                kind,
-                format!(
-                    "job {i} ({}) differs between serial and 4-worker runs",
-                    jobs[i].predictor
-                ),
-            ));
-        }
+        .collect()
+}
+
+/// Runs `jobs` on `exec`: every output in serialized form (the
+/// bit-identity contract cached and merged results are held to), or the
+/// first failed job.
+pub(crate) fn run_texts(exec: &Executor, jobs: &[QaJob]) -> Result<Vec<String>, String> {
+    let results = exec.run_all_checked(jobs).into_iter().enumerate();
+    results
+        .map(|(i, r)| match r {
+            Ok(out) => Ok(serde_json::to_string(&out).unwrap_or_default()),
+            Err(e) => Err(format!("job {i} failed: {e}")),
+        })
+        .collect()
+}
+
+fn check_exec(p: &QaProgram) -> Result<(), OracleFailure> {
+    let kind = OracleKind::Exec;
+    let jobs = sweep_jobs(p);
+    let serial = run_texts(&Executor::sequential(), &jobs).map_err(|e| fail(kind, e))?;
+    let parallel = run_texts(&Executor::new(4), &jobs).map_err(|e| fail(kind, e))?;
+    match serial.iter().zip(&parallel).position(|(s, par)| s != par) {
+        Some(i) => Err(fail(
+            kind,
+            format!(
+                "job {i} ({}) differs between serial and 4-worker runs",
+                jobs[i].predictor
+            ),
+        )),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 // ---- oracle 5: trace export / import / replay ----------------------------
@@ -649,6 +671,92 @@ fn check_quadrant(p: &QaProgram) -> Result<(), OracleFailure> {
     Ok(())
 }
 
+// ---- oracle 6: roster composition ----------------------------------------
+
+/// The composition oracle's roster for `seed`: 1..=4 leaves, then one vote
+/// or boost over them (nesting allowed). A pure function of the seed, so
+/// any entry can be rebuilt fresh (estimators own their tables) to run
+/// alone.
+fn roster(seed: u64) -> Vec<AnyEstimator> {
+    let mut rng = XorShift64Star::new(seed);
+    let draws: Vec<u64> = (0..1 + rng.below(4)).map(|_| rng.next_u64()).collect();
+    let mut roster: Vec<AnyEstimator> = draws.iter().map(|&d| leaf(d)).collect();
+    roster.push(composite(&mut rng, &draws, 2));
+    roster
+}
+
+/// One leaf estimator: `draw % 10` picks the kind, the rest its
+/// threshold (1..=15).
+fn leaf(draw: u64) -> AnyEstimator {
+    let t = 1 + (draw / 10) % 15;
+    match draw % 10 {
+        0 => Jrs::new(10, 4, t as u8, true).into(),
+        1 => Jrs::new(6, 4, t as u8, false).into(),
+        2 => SaturatingConfidence::selected().into(),
+        3 => SaturatingConfidence::both_strong().into(),
+        4 => SaturatingConfidence::either_strong().into(),
+        5 => DistanceEstimator::new(t).into(),
+        6 => TimingEstimator::new(t).into(),
+        7 => Cir::new(8, 16, t as u32, t.is_multiple_of(2)).into(),
+        8 => PatternHistory::new(1 + t as u32).into(),
+        _ if t.is_multiple_of(2) => AlwaysHigh.into(),
+        _ => AlwaysLow.into(),
+    }
+}
+
+/// A vote or boost over leaves drawn from `draws`, nesting composites up
+/// to `depth` more levels.
+fn composite(rng: &mut XorShift64Star, draws: &[u64], depth: u32) -> AnyEstimator {
+    let part = |rng: &mut XorShift64Star| {
+        if depth > 0 && rng.chance(1, 4) {
+            composite(rng, draws, depth - 1)
+        } else {
+            leaf(draws[rng.below(draws.len() as u64) as usize])
+        }
+    };
+    if rng.chance(1, 2) {
+        let inner = part(rng);
+        Boosted::new(inner, 1 + rng.below(4) as u32).into()
+    } else {
+        let n = 1 + rng.below(3);
+        let parts: Vec<AnyEstimator> = (0..n).map(|_| part(rng)).collect();
+        Voting::new(parts, 1 + rng.below(n) as u32).into()
+    }
+}
+
+fn check_composition(p: &QaProgram) -> Result<(), OracleFailure> {
+    let kind = OracleKind::Composition;
+    // Seeded from the program, so a shrunk corpus entry reproduces its
+    // failure on its own.
+    let seed = fnv1a(serde_json::to_string(p).unwrap_or_default().as_bytes());
+    let predictor = EXEC_PREDICTORS[(seed % EXEC_PREDICTORS.len() as u64) as usize];
+    let prog = assemble(p);
+    let run = |roster: Vec<AnyEstimator>| {
+        let mut sim = Simulator::new(&prog, pipeline_config(), build_predictor(predictor));
+        for e in roster {
+            sim.add_estimator(e);
+        }
+        let stats = sim.run_to_completion();
+        (stats, sim.estimator_quadrants().to_vec())
+    };
+    let names: Vec<String> = roster(seed).iter().map(AnyEstimator::name).collect();
+    let (stats, quads) = run(roster(seed));
+    if stats != run(Vec::new()).0 {
+        let detail = format!("[{}] on {predictor} changed the stats", names.join(", "));
+        return Err(fail(kind, detail));
+    }
+    for (i, (q, name)) in quads.iter().zip(&names).enumerate() {
+        let (_, alone) = run(vec![roster(seed).swap_remove(i)]);
+        if alone[0] != *q {
+            return Err(fail(
+                kind,
+                format!("{name} on {predictor}: quadrants in the roster differ from alone"),
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Checks the §2/Fig. 1 closed-form identities on one table. Guards every
 /// metric whose denominator is empty (the paper's metrics are undefined
 /// there).
@@ -688,7 +796,6 @@ fn quadrant_identities(q: &Quadrant) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};
-    use crate::rng::XorShift64Star;
 
     fn sample(seed: u64) -> QaProgram {
         let mut rng = XorShift64Star::new(seed);

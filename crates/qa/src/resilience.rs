@@ -1,6 +1,6 @@
 //! The resilience oracle: chaos-tests the executor's fault handling.
 //!
-//! Where the four differential oracles check that independent
+//! Where the differential oracles check that independent
 //! *implementations* agree, this oracle checks that the executor's
 //! *failure paths* preserve the differential contract. For each generated
 //! program it asserts four properties over the same predictor-sweep batch
@@ -23,7 +23,7 @@
 //! [`crate::oracle::OracleKind::ALL`].
 
 use crate::gen::QaProgram;
-use crate::oracle::{OracleFailure, OracleKind, QaJob, EXEC_PREDICTORS};
+use crate::oracle::{run_texts, sweep_jobs, OracleFailure, OracleKind, QaJob};
 use cestim_exec::{
     install_quiet_panic_hook, CachePolicy, Executor, FaultPlan, Job, JobErrorKind, RetryPolicy,
     RunJournal,
@@ -78,22 +78,6 @@ impl Job for SleepJob {
     }
 }
 
-fn sweep_jobs(p: &QaProgram) -> Vec<QaJob> {
-    EXEC_PREDICTORS
-        .iter()
-        .map(|&predictor| QaJob {
-            program: p.clone(),
-            predictor,
-        })
-        .collect()
-}
-
-fn serialize_outputs<T: serde::Serialize>(outs: &[T]) -> Vec<String> {
-    outs.iter()
-        .map(|o| serde_json::to_string(o).unwrap_or_default())
-        .collect()
-}
-
 /// A unique scratch directory per check, cleaned up by the caller.
 fn scratch_dir(tag: &str) -> PathBuf {
     static NONCE: AtomicU64 = AtomicU64::new(0);
@@ -108,8 +92,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
 pub fn check_resilience(p: &QaProgram) -> Result<(), OracleFailure> {
     install_quiet_panic_hook();
     let jobs = sweep_jobs(p);
-    let clean = Executor::sequential().run_all(&jobs);
-    let clean_text = serialize_outputs(&clean);
+    let clean_text = run_texts(&Executor::sequential(), &jobs)
+        .map_err(|e| fail(format!("fault-free sweep: {e}")))?;
 
     check_isolation(&jobs, &clean_text)?;
     check_convergence(&jobs, &clean_text)?;
@@ -168,19 +152,11 @@ fn check_convergence(jobs: &[QaJob], clean_text: &[String]) -> Result<(), Oracle
             base_ms: 1,
             max_ms: 5,
         });
-    let results = exec.run_all_checked(jobs);
-    for (i, r) in results.iter().enumerate() {
-        match r {
-            Ok(out) => {
-                let text = serde_json::to_string(out).unwrap_or_default();
-                if text != clean_text[i] {
-                    return Err(fail(format!(
-                        "job {i}: retried output differs from fault-free run"
-                    )));
-                }
-            }
-            Err(e) => return Err(fail(format!("job {i}: retry did not converge: {e}"))),
-        }
+    let texts = run_texts(&exec, jobs).map_err(|e| fail(format!("retry did not converge: {e}")))?;
+    if let Some(i) = texts.iter().zip(clean_text).position(|(t, c)| t != c) {
+        return Err(fail(format!(
+            "job {i}: retried output differs from fault-free run"
+        )));
     }
     let report = exec.report();
     let expected = jobs.len() as u64 / 2;
@@ -235,10 +211,8 @@ fn check_resume(jobs: &[QaJob], clean_text: &[String]) -> Result<(), OracleFailu
                 .with_cache(&cache_dir, CachePolicy::ReadWrite)
                 .map_err(|e| fail(format!("cache: {e}")))?
                 .with_journal(journal);
-            let partial = exec.run_all_checked(&jobs[..2]);
-            if partial.iter().any(Result::is_err) {
-                return Err(fail("fault-free partial run failed"));
-            }
+            run_texts(&exec, &jobs[..2])
+                .map_err(|e| fail(format!("fault-free partial run: {e}")))?;
         }
         // Resume: prior jobs must come back from cache, counted as resumed.
         let journal = Arc::new(
@@ -254,19 +228,11 @@ fn check_resume(jobs: &[QaJob], clean_text: &[String]) -> Result<(), OracleFailu
             .with_cache(&cache_dir, CachePolicy::ReadWrite)
             .map_err(|e| fail(format!("cache: {e}")))?
             .with_journal(journal);
-        let resumed = exec.run_all_checked(jobs);
-        for (i, r) in resumed.iter().enumerate() {
-            match r {
-                Ok(out) => {
-                    let text = serde_json::to_string(out).unwrap_or_default();
-                    if text != clean_text[i] {
-                        return Err(fail(format!(
-                            "job {i}: resumed output differs from uninterrupted run"
-                        )));
-                    }
-                }
-                Err(e) => return Err(fail(format!("job {i}: resumed run failed: {e}"))),
-            }
+        let texts = run_texts(&exec, jobs).map_err(|e| fail(format!("resumed run: {e}")))?;
+        if let Some(i) = texts.iter().zip(clean_text).position(|(t, c)| t != c) {
+            return Err(fail(format!(
+                "job {i}: resumed output differs from uninterrupted run"
+            )));
         }
         let report = exec.report();
         if report.jobs_resumed != 2 {

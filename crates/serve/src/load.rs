@@ -8,15 +8,13 @@
 //! cold→warm cache transition exactly, and replaying it against two
 //! different servers produces byte-identical payload streams.
 //!
-//! [`PassReport`] captures throughput, hit-rate, latency quantiles
-//! (via [`cestim_obs::HistogramSnapshot::quantile`]), and per-client
-//! completion statistics; [`verify_against_direct`] re-executes every
+//! [`PassReport`] captures throughput, hit-rate, exact nearest-rank
+//! latency quantiles, and per-client completion statistics; [`verify_against_direct`] re-executes every
 //! unique job and compares its payload with the served one.
 
 use crate::client::ServeClient;
 use crate::protocol::{Request, Response, REASON_BREAKER_OPEN, REASON_DEADLINE, REASON_SHEDDING};
 use cestim_exec::{canonical_string, Job};
-use cestim_obs::Registry;
 use cestim_qa::XorShift64Star;
 use cestim_sim::{EstimatorSpec, ExecJob, PredictorKind, RunConfig};
 use cestim_workloads::WorkloadKind;
@@ -157,7 +155,8 @@ pub struct PassReport {
     /// Share of completed results served from the warm cache (0 when
     /// nothing completed).
     pub hit_rate: f64,
-    /// Median latency (upper-bound log2-bucket estimate), nanoseconds.
+    /// Median latency (exact nearest rank over the pass's completed
+    /// requests), nanoseconds.
     pub p50_nanos: u64,
     /// 95th-percentile latency, nanoseconds.
     pub p95_nanos: u64,
@@ -194,8 +193,8 @@ pub fn run_pass(
     const RECV_TIMEOUT: Duration = Duration::from_secs(120);
     const MAX_RETRIES: usize = 1000;
 
-    let registry = Registry::new();
-    let latency = registry.histogram("load.latency.nanos", &[]);
+    // One latency per completed request: at most one per mix item.
+    let mut latencies: Vec<u64> = Vec::with_capacity(mix.len());
     let clients = cfg.clients.max(1);
     let mut completed_per_client = vec![0usize; clients];
     let mut completion_index_sums = vec![0f64; clients];
@@ -250,7 +249,7 @@ pub fn run_pass(
                     continue;
                 };
                 let nanos = u64::try_from(p.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                latency.record(nanos);
+                latencies.push(nanos);
                 completion_index_sums[p.client_idx] += completed as f64;
                 completed_per_client[p.client_idx] += 1;
                 completed += 1;
@@ -300,7 +299,7 @@ pub fn run_pass(
     }
 
     let wall_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let snap = latency.snapshot();
+    latencies.sort_unstable();
     // Mean position of each client's results in the completion order.
     let means: Vec<f64> = completed_per_client
         .iter()
@@ -334,11 +333,18 @@ pub fn run_pass(
         } else {
             cache_hits as f64 / completed as f64
         },
-        p50_nanos: snap.quantile(0.50),
-        p95_nanos: snap.quantile(0.95),
-        p99_nanos: snap.quantile(0.99),
+        p50_nanos: nearest_rank(&latencies, 0.50),
+        p95_nanos: nearest_rank(&latencies, 0.95),
+        p99_nanos: nearest_rank(&latencies, 0.99),
         completion_spread,
     })
+}
+
+/// The nearest-rank `q`-quantile of `sorted`: the smallest value with at
+/// least a `q` share of the values at or below it (0 when empty).
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted.get(rank.max(1) - 1).copied().unwrap_or(0)
 }
 
 /// Outcome of [`verify_against_direct`].
@@ -372,6 +378,18 @@ pub fn verify_against_direct(payloads: &HashMap<String, (ExecJob, Value)>) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pass_quantiles_are_exact_nearest_ranks() {
+        // 1..=100 ms: log2-bucket bounds would read 67.1 ms for the
+        // median and 134.2 ms for p95 and p99.
+        let sorted: Vec<u64> = (1..=100).map(|ms| ms * 1_000_000).collect();
+        assert_eq!(nearest_rank(&sorted, 0.50), 50_000_000);
+        assert_eq!(nearest_rank(&sorted, 0.95), 95_000_000);
+        assert_eq!(nearest_rank(&sorted, 0.99), 99_000_000);
+        assert_eq!(nearest_rank(&[7], 0.99), 7);
+        assert_eq!(nearest_rank(&[], 0.5), 0);
+    }
 
     #[test]
     fn mix_is_deterministic_and_skewed() {

@@ -3,11 +3,12 @@
 //! Each function returns an [`ExperimentResult`] holding the experiment id
 //! (the paper's table/figure number), a formatted text rendition of the
 //! same rows/series the paper reports, and a JSON value for machine
-//! consumption. Every experiment submits its simulation units to the
-//! [`Executor`] it is given (pass [`Executor::sequential`] for a plain
-//! in-process run). One ordered table names the suite: [`all_ids`] lists
-//! it and [`run_experiment_with`] dispatches by id. The `repro` binary in
-//! `cestim-bench` is a thin CLI over this module.
+//! consumption — or an [`ExperimentFailure`] naming the failed jobs of
+//! the batch that stopped it. Every experiment submits its simulation
+//! units to the [`Executor`] it is given (pass [`Executor::sequential`]
+//! for a plain in-process run). One ordered table names the suite:
+//! [`all_ids`] lists it and [`run_experiment_with`] dispatches by id. The
+//! `repro` binary in `cestim-bench` is a thin CLI over this module.
 //!
 //! Absolute numbers will not match the paper (the workloads are synthetic
 //! analogs and the pipeline is a reimplementation); the *shapes* — metric
@@ -15,14 +16,14 @@
 //! enhanced-JRS win — are the reproduction targets, recorded in
 //! `EXPERIMENTS.md`.
 
-use crate::jobs::{DistanceBundle, ExecJob};
+use crate::jobs::{DistanceBundle, ExecJob, JobOutput};
 use crate::spec::{SatVariantSpec, TuneTargetSpec};
 use crate::PredictorKind::{Gshare, McFarling};
 use crate::{pct, EstimatorSpec, PredictorKind, RunConfig, Table};
 use cestim_core::diagnostic::ParametricCurve;
 use cestim_core::{mean_quadrant, KRun, MetricSummary, Quadrant};
-use cestim_exec::{payload_message, BatchFailure, Executor, JobError};
-use cestim_pipeline::PipelineStats;
+use cestim_exec::{Executor, JobError};
+use cestim_obs::cancel::payload_message;
 use cestim_trace::{BoostAnalysis, ClusterAnalysis, DistanceHistogram, DistanceSeries};
 use cestim_workloads::WorkloadKind;
 use serde_json::{json, Value};
@@ -40,15 +41,19 @@ pub struct ExperimentResult {
     pub json: Value,
 }
 
+/// What an experiment yields: its result, or the manifest of the failure
+/// that stopped it (whose `id` [`run_experiment_checked`] fills in).
+pub type Outcome = Result<ExperimentResult, ExperimentFailure>;
+
 /// One experiment: runs at a workload scale, submitting every simulation
 /// unit to the executor.
-type Experiment = fn(&Executor, u32) -> ExperimentResult;
+type Experiment = fn(&Executor, u32) -> Outcome;
 
 /// The full suite, in `repro all` order: the paper's tables/figures,
 /// followed by the extension experiments (`ext-*`) implementing the
 /// paper's §5 future work and adjacent design-space completions.
 const EXPERIMENTS: &[(&str, Experiment)] = &[
-    ("fig1", |_, _| fig1()),
+    ("fig1", |_, _| Ok(fig1())),
     ("table1", |x, s| table1_on(x, s, ALL)),
     ("table2", |x, s| table2_on(x, s, ALL)),
     ("table2-detail", |x, s| table2_detail_on(x, s, ALL)),
@@ -111,8 +116,13 @@ fn lookup(id: &str) -> Option<Experiment> {
 /// Output is identical regardless of worker count or cache state (jobs
 /// merge in submission order and cache bit-exact payloads); pass
 /// [`Executor::sequential`] for a plain in-process run.
+///
+/// # Panics
+///
+/// Panics with the failure manifest when the experiment fails; callers
+/// that carry on past a failure use [`run_experiment_checked`].
 pub fn run_experiment_with(exec: &Executor, id: &str, scale: u32) -> Option<ExperimentResult> {
-    lookup(id).map(|run| run(exec, scale))
+    run_experiment_checked(exec, id, scale).map(|r| r.unwrap_or_else(|f| panic!("{f}")))
 }
 
 /// Structured failure manifest for one experiment: which jobs failed (with
@@ -121,8 +131,8 @@ pub fn run_experiment_with(exec: &Executor, id: &str, scale: u32) -> Option<Expe
 pub struct ExperimentFailure {
     /// The experiment id that failed ("table2", "fig6", ...).
     pub id: String,
-    /// One-line summary ("3/24 jobs failed", or a panic message for
-    /// non-batch failures).
+    /// One-line summary ("3/24 jobs failed", or what went wrong outside
+    /// the executor).
     pub message: String,
     /// Per-job structured errors, in submission order (empty when the
     /// experiment failed outside the executor).
@@ -139,39 +149,59 @@ impl std::fmt::Display for ExperimentFailure {
     }
 }
 
-/// Error-aware variant of [`run_experiment_with`]: a failed batch becomes
-/// a structured [`ExperimentFailure`] manifest instead of a propagating
-/// panic, so a suite run completes its remaining experiments.
+/// A failure raised outside the executor: a message, no job errors.
+fn failed(message: String) -> ExperimentFailure {
+    ExperimentFailure {
+        id: String::new(),
+        message,
+        errors: Vec::new(),
+    }
+}
+
+/// Error-aware variant of [`run_experiment_with`]: a failed batch comes
+/// back as a structured [`ExperimentFailure`] manifest, so a suite run
+/// completes its remaining experiments. A panic outside the executor (a
+/// bug in an experiment body) is caught and reported the same way.
 ///
 /// Returns `None` for unknown ids. The executor still completes and
 /// caches every non-faulted job inside a failed experiment, so a retried
 /// or resumed run only re-executes the failures.
-pub fn run_experiment_checked(
-    exec: &Executor,
-    id: &str,
-    scale: u32,
-) -> Option<Result<ExperimentResult, ExperimentFailure>> {
+pub fn run_experiment_checked(exec: &Executor, id: &str, scale: u32) -> Option<Outcome> {
     let run = lookup(id)?;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(exec, scale)));
-    Some(
-        outcome.map_err(|payload| match payload.downcast::<BatchFailure>() {
-            Ok(batch) => ExperimentFailure {
-                id: id.to_string(),
-                message: format!("{}/{} jobs failed", batch.errors.len(), batch.total),
-                errors: batch.errors,
-            },
-            Err(other) => ExperimentFailure {
-                id: id.to_string(),
-                message: payload_message(other.as_ref()),
-                errors: Vec::new(),
-            },
-        }),
-    )
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(exec, scale)))
+        .unwrap_or_else(|payload| Err(failed(payload_message(payload.as_ref()))));
+    Some(outcome.map_err(|f| ExperimentFailure {
+        id: id.to_string(),
+        ..f
+    }))
 }
 
 // ---------------------------------------------------------------------------
 // shared plumbing
 // ---------------------------------------------------------------------------
+
+/// Runs one batch: every output, unpacked by `unpack`, in submission
+/// order — or the manifest ("k/n jobs failed", the errors in submission
+/// order) if any job failed.
+fn run_batch<T>(
+    exec: &Executor,
+    jobs: &[ExecJob],
+    unpack: impl Fn(JobOutput) -> T,
+) -> Result<Vec<T>, ExperimentFailure> {
+    let results = exec.run_all_checked(jobs);
+    let errors: Vec<JobError> = results
+        .iter()
+        .filter_map(|r| r.as_ref().err().cloned())
+        .collect();
+    if errors.is_empty() {
+        return Ok(results.into_iter().flatten().map(unpack).collect());
+    }
+    let message = format!("{}/{} jobs failed", errors.len(), jobs.len());
+    Err(ExperimentFailure {
+        errors,
+        ..failed(message)
+    })
+}
 
 /// Per-estimator committed quadrants for one predictor over many workloads.
 struct Matrix {
@@ -186,7 +216,7 @@ fn run_matrix(
     specs: &[EstimatorSpec],
     workloads: &[WorkloadKind],
     scale: u32,
-) -> Matrix {
+) -> Result<Matrix, ExperimentFailure> {
     let jobs: Vec<ExecJob> = workloads
         .iter()
         .map(|&w| ExecJob::Run {
@@ -195,15 +225,15 @@ fn run_matrix(
         })
         .collect();
     let mut committed = vec![Vec::new(); specs.len()];
-    for out in exec.run_all(&jobs) {
-        for (i, e) in out.into_run().estimators.iter().enumerate() {
+    for out in run_batch(exec, &jobs, JobOutput::into_run)? {
+        for (i, e) in out.estimators.iter().enumerate() {
             committed[i].push(e.quadrants.committed);
         }
     }
-    Matrix {
+    Ok(Matrix {
         names: specs.iter().map(EstimatorSpec::label).collect(),
         committed,
-    }
+    })
 }
 
 /// One row per estimator of `m` with its committed metrics averaged over
@@ -213,9 +243,7 @@ fn mean_rows(title: impl Into<String>, m: &Matrix) -> (Table, Vec<Value>) {
     let mut jrows = Vec::new();
     for (name, quads) in m.names.iter().zip(&m.committed) {
         let s = mean_quadrant(quads);
-        let mut cells = vec![name.clone()];
-        cells.extend(metric_cells(&s));
-        t.row(cells);
+        metric_row(&mut t, vec![name.clone()], &[&s]);
         jrows.push(json!({ "estimator": name, "metrics": summary_json(&s) }));
     }
     (t, jrows)
@@ -230,6 +258,14 @@ fn summary_json(m: &MetricSummary) -> Value {
 
 fn metric_cells(m: &MetricSummary) -> Vec<String> {
     vec![pct(m.sens), pct(m.spec), pct(m.pvp), pct(m.pvn)]
+}
+
+/// A table row: the `lead` cells, then each summary's four metrics.
+fn metric_row(t: &mut Table, mut lead: Vec<String>, summaries: &[&MetricSummary]) {
+    for s in summaries {
+        lead.extend(metric_cells(s));
+    }
+    t.row(lead);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,8 +293,7 @@ pub fn fig1() -> ExperimentResult {
         for p in c.points.iter().filter(|p| p.decile) {
             t.row(vec![format!("{:.1}", p.param), pct(p.pvp), pct(p.pvn)]);
         }
-        text.push_str(&t.to_string());
-        text.push('\n');
+        text.push_str(&format!("{t}\n"));
         jcurves.push(json!({
             "label": label,
             "points": c.points.iter().map(|p| json!([p.param, p.pvp, p.pvn])).collect::<Vec<_>>(),
@@ -277,7 +312,7 @@ pub fn fig1() -> ExperimentResult {
 // ---------------------------------------------------------------------------
 
 /// Table 1: program characteristics of each workload.
-pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let mut t = Table::new(
         "Table 1: program characteristics",
         vec![
@@ -304,12 +339,8 @@ pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
             })
         })
         .collect();
-    let mut outs = exec.run_all(&jobs).into_iter();
-    for &w in workloads {
-        let by_pred: Vec<PipelineStats> = preds
-            .iter()
-            .map(|_| outs.next().expect("one output per job").into_run().stats)
-            .collect();
+    let stats = run_batch(exec, &jobs, |out| out.into_run().stats)?;
+    for (&w, by_pred) in workloads.iter().zip(stats.chunks_exact(preds.len())) {
         let g = &by_pred[0];
         let accs: Vec<f64> = by_pred.iter().map(|s| s.accuracy_committed()).collect();
         for (a, &v) in acc_sums.iter_mut().zip(&accs) {
@@ -346,12 +377,12 @@ pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
         "".into(),
         format!("{:.2}", ratio_sum / n),
     ]);
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "table1".into(),
         title: "Table 1: program characteristics".into(),
         text: t.to_string(),
         json: json!({ "rows": rows_json }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -359,23 +390,22 @@ pub fn table1_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // ---------------------------------------------------------------------------
 
 /// Table 2: the paper's four estimators on each of its three predictors.
-pub fn table2_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn table2_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let mut text = String::new();
     let mut jpred = Vec::new();
     for p in PredictorKind::paper_three() {
         let specs = EstimatorSpec::paper_set(p);
-        let m = run_matrix(exec, p, &specs, workloads, scale);
+        let m = run_matrix(exec, p, &specs, workloads, scale)?;
         let (t, jrows) = mean_rows(format!("Table 2 ({p} predictor)"), &m);
-        text.push_str(&t.to_string());
-        text.push('\n');
+        text.push_str(&format!("{t}\n"));
         jpred.push(json!({ "predictor": p.name(), "rows": jrows }));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "table2".into(),
         title: "Table 2: confidence estimators across branch predictors".into(),
         text,
         json: json!({ "predictors": jpred }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -383,7 +413,7 @@ pub fn table2_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // ---------------------------------------------------------------------------
 
 /// Figure 3: enhanced vs base JRS indexing across thresholds.
-pub fn fig3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn fig3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let thresholds: Vec<u8> = (1..=16).collect();
     let mut specs = Vec::new();
     for &enhanced in &[false, true] {
@@ -395,32 +425,30 @@ pub fn fig3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exper
             });
         }
     }
-    let m = run_matrix(exec, PredictorKind::Gshare, &specs, workloads, scale);
+    let m = run_matrix(exec, PredictorKind::Gshare, &specs, workloads, scale)?;
     let mut text = String::new();
     let mut jvariants = Vec::new();
-    for (vi, label) in ["base", "enhanced"].iter().enumerate() {
+    let by_variant = m.committed.chunks_exact(thresholds.len());
+    for (label, by_threshold) in ["base", "enhanced"].iter().zip(by_variant) {
         let mut t = Table::new(
             format!("Figure 3: JRS {label} indexing (gshare)"),
             vec!["threshold", "sens", "spec", "pvp", "pvn"],
         );
         let mut jpoints = Vec::new();
-        for (ti, &thr) in thresholds.iter().enumerate() {
-            let s = mean_quadrant(&m.committed[vi * thresholds.len() + ti]);
-            let mut cells = vec![thr.to_string()];
-            cells.extend(metric_cells(&s));
-            t.row(cells);
+        for (&thr, quads) in thresholds.iter().zip(by_threshold) {
+            let s = mean_quadrant(quads);
+            metric_row(&mut t, vec![thr.to_string()], &[&s]);
             jpoints.push(json!({ "threshold": thr, "metrics": summary_json(&s) }));
         }
-        text.push_str(&t.to_string());
-        text.push('\n');
+        text.push_str(&format!("{t}\n"));
         jvariants.push(json!({ "variant": label, "points": jpoints }));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "fig3".into(),
         title: "Figure 3: enhanced vs base JRS indexing".into(),
         text,
         json: json!({ "variants": jvariants }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -435,7 +463,7 @@ pub fn fig45_on(
     workloads: &[WorkloadKind],
     predictor: PredictorKind,
     id: &str,
-) -> ExperimentResult {
+) -> Outcome {
     let sizes: [u32; 4] = [6, 8, 10, 12]; // 64 .. 4096 entries
     let thresholds: Vec<u8> = (1..=16).collect();
     let mut specs = Vec::new();
@@ -448,30 +476,29 @@ pub fn fig45_on(
             });
         }
     }
-    let m = run_matrix(exec, predictor, &specs, workloads, scale);
+    let m = run_matrix(exec, predictor, &specs, workloads, scale)?;
     let mut text = String::new();
     let mut jsizes = Vec::new();
-    for (si, &bits) in sizes.iter().enumerate() {
+    for (&bits, by_threshold) in sizes.iter().zip(m.committed.chunks_exact(thresholds.len())) {
         let mut t = Table::new(
             format!("{id}: JRS {} entries ({predictor})", 1u32 << bits),
             vec!["threshold", "pvp", "pvn"],
         );
         let mut jpoints = Vec::new();
-        for (ti, &thr) in thresholds.iter().enumerate() {
-            let s = mean_quadrant(&m.committed[si * thresholds.len() + ti]);
+        for (&thr, quads) in thresholds.iter().zip(by_threshold) {
+            let s = mean_quadrant(quads);
             t.row(vec![thr.to_string(), pct(s.pvp), pct(s.pvn)]);
             jpoints.push(json!({ "threshold": thr, "pvp": s.pvp, "pvn": s.pvn }));
         }
-        text.push_str(&t.to_string());
-        text.push('\n');
+        text.push_str(&format!("{t}\n"));
         jsizes.push(json!({ "entries": 1u32 << bits, "points": jpoints }));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: id.into(),
         title: format!("{id}: JRS design space on {predictor}"),
         text,
         json: json!({ "predictor": predictor.name(), "sizes": jsizes }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +506,7 @@ pub fn fig45_on(
 // ---------------------------------------------------------------------------
 
 /// Table 3: the BothStrong and EitherStrong saturating-counter variants.
-pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let specs = [
         EstimatorSpec::SatCtr {
             variant: SatVariantSpec::BothStrong,
@@ -488,7 +515,7 @@ pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
             variant: SatVariantSpec::EitherStrong,
         },
     ];
-    let m = run_matrix(exec, PredictorKind::McFarling, &specs, workloads, scale);
+    let m = run_matrix(exec, PredictorKind::McFarling, &specs, workloads, scale)?;
     let mut t = Table::new(
         "Table 3: saturating-counter variants on McFarling",
         vec![
@@ -507,10 +534,7 @@ pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
     for (wi, &w) in workloads.iter().enumerate() {
         let bs = MetricSummary::from_quadrant(&m.committed[0][wi]);
         let es = MetricSummary::from_quadrant(&m.committed[1][wi]);
-        let mut cells = vec![w.name().to_string()];
-        cells.extend(metric_cells(&bs));
-        cells.extend(metric_cells(&es));
-        t.row(cells);
+        metric_row(&mut t, vec![w.name().to_string()], &[&bs, &es]);
         jrows.push(json!({
             "workload": w.name(),
             "both_strong": summary_json(&bs),
@@ -519,11 +543,8 @@ pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
     }
     let bs = mean_quadrant(&m.committed[0]);
     let es = mean_quadrant(&m.committed[1]);
-    let mut cells = vec!["mean".to_string()];
-    cells.extend(metric_cells(&bs));
-    cells.extend(metric_cells(&es));
-    t.row(cells);
-    ExperimentResult {
+    metric_row(&mut t, vec!["mean".to_string()], &[&bs, &es]);
+    Ok(ExperimentResult {
         id: "table3".into(),
         title: "Table 3: Both-Strong vs Either-Strong".into(),
         text: t.to_string(),
@@ -531,7 +552,7 @@ pub fn table3_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
             "rows": jrows,
             "mean": { "both_strong": summary_json(&bs), "either_strong": summary_json(&es) },
         }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -545,7 +566,7 @@ fn merged_distance(
     scale: u32,
     workloads: &[WorkloadKind],
     predictor: PredictorKind,
-) -> DistanceBundle {
+) -> Result<DistanceBundle, ExperimentFailure> {
     let jobs: Vec<ExecJob> = workloads
         .iter()
         .map(|&w| ExecJob::Distance {
@@ -553,15 +574,12 @@ fn merged_distance(
             buckets: DIST_BUCKETS,
         })
         .collect();
-    let mut merged: Option<DistanceBundle> = None;
-    for out in exec.run_all(&jobs) {
-        let b = out.into_distance();
-        match &mut merged {
-            None => merged = Some(b),
-            Some(acc) => acc.merge(&b),
-        }
-    }
-    merged.expect("at least one workload")
+    let bundles = run_batch(exec, &jobs, JobOutput::into_distance)?;
+    let merged = bundles.into_iter().reduce(|mut acc, b| {
+        acc.merge(&b);
+        acc
+    });
+    Ok(merged.expect("at least one workload"))
 }
 
 /// Figures 6–9: misprediction rate vs distance on `predictor`,
@@ -574,8 +592,8 @@ pub fn distance_fig_on(
     predictor: PredictorKind,
     perceived: bool,
     id: &str,
-) -> ExperimentResult {
-    let analysis = merged_distance(exec, scale, workloads, predictor);
+) -> Outcome {
+    let analysis = merged_distance(exec, scale, workloads, predictor)?;
     let (all_series, committed_series) = if perceived {
         (
             analysis.series(DistanceSeries::PerceivedAll),
@@ -620,7 +638,7 @@ pub fn distance_fig_on(
         pct(avg_a),
         pct(avg_c)
     ));
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: id.into(),
         title: format!("{id}: {kind} misprediction distance on {predictor}"),
         text,
@@ -630,7 +648,7 @@ pub fn distance_fig_on(
             "all": { "series": rows_a, "average": avg_a },
             "committed": { "series": rows_c, "average": avg_c },
         }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -638,7 +656,7 @@ pub fn distance_fig_on(
 // ---------------------------------------------------------------------------
 
 /// Table 4: the distance estimator vs the table-based estimators.
-pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let mut t = Table::new(
         "Table 4: misprediction distance as a confidence estimator",
         vec!["estimator", "predictor", "sens", "spec", "pvp", "pvn"],
@@ -659,12 +677,10 @@ pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
         for d in 1..=7 {
             specs.push(EstimatorSpec::Distance { threshold: d });
         }
-        let m = run_matrix(exec, p, &specs, workloads, scale);
+        let m = run_matrix(exec, p, &specs, workloads, scale)?;
         for (name, quads) in m.names.iter().zip(&m.committed) {
             let s = mean_quadrant(quads);
-            let mut cells = vec![name.clone(), p.name().to_string()];
-            cells.extend(metric_cells(&s));
-            t.row(cells);
+            metric_row(&mut t, vec![name.clone(), p.name().to_string()], &[&s]);
             jrows.push(json!({
                 "estimator": name, "predictor": p.name(), "metrics": summary_json(&s),
             }));
@@ -677,21 +693,19 @@ pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
         &[EstimatorSpec::Pattern { width: 13 }],
         workloads,
         scale,
-    );
+    )?;
     let s = mean_quadrant(&m.committed[0]);
-    let mut cells = vec![m.names[0].clone(), "sag".to_string()];
-    cells.extend(metric_cells(&s));
-    t.row(cells);
+    metric_row(&mut t, vec![m.names[0].clone(), "sag".to_string()], &[&s]);
     jrows.push(json!({
         "estimator": m.names[0], "predictor": "sag", "metrics": summary_json(&s),
     }));
 
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "table4".into(),
         title: "Table 4: distance estimator vs table-based estimators".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -699,7 +713,7 @@ pub fn table4_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Exp
 // ---------------------------------------------------------------------------
 
 /// Mis-estimation clustering (§4.1).
-pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let configs: Vec<(PredictorKind, EstimatorSpec, &str)> = vec![
         (
             PredictorKind::Gshare,
@@ -734,11 +748,11 @@ pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
             });
         }
     }
-    let mut outs = exec.run_all(&jobs).into_iter();
-    for (_, _, label) in configs {
+    let hists = run_batch(exec, &jobs, JobOutput::into_cluster)?;
+    for ((_, _, label), by_workload) in configs.iter().zip(hists.chunks_exact(workloads.len())) {
         let mut merged = DistanceHistogram::new(32);
-        for _ in workloads {
-            merged.merge(&outs.next().expect("one output per job").into_cluster());
+        for h in by_workload {
+            merged.merge(h);
         }
         let summary = ClusterAnalysis::summary_of(&merged);
         t.row(vec![
@@ -756,12 +770,12 @@ pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
             "average": summary.average,
         }));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "cluster".into(),
         title: "Mis-estimation clustering".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -772,7 +786,7 @@ pub fn cluster_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
 /// vs the Bernoulli model `1 − (1 − PVN)^k`, plus the per-branch behaviour
 /// of the [`Boosted`](cestim_core::Boosted) estimator transform (whose
 /// coverage shrinks as k rises).
-pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let base = EstimatorSpec::SatCtr {
         variant: SatVariantSpec::Selected,
     };
@@ -798,8 +812,7 @@ pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Expe
         .collect();
     let mut windows = BoostAnalysis::new(0, 4);
     let mut committed: Vec<Vec<Quadrant>> = vec![Vec::new(); specs.len()];
-    for out in exec.run_all(&jobs) {
-        let (outcome, counts) = out.into_boost();
+    for (outcome, counts) in run_batch(exec, &jobs, JobOutput::into_boost)? {
         windows.absorb_counts(&counts);
         for (i, e) in outcome.estimators.iter().enumerate() {
             committed[i].push(e.quadrants.committed);
@@ -842,12 +855,12 @@ pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Expe
             "transform_coverage": cov,
         }));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "boost".into(),
         title: "Boosting: measured vs Bernoulli model".into(),
         text: t.to_string(),
         json: json!({ "base_pvn": base_pvn, "rows": jrows }),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -856,7 +869,7 @@ pub fn boost_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Expe
 
 /// Extension: the McFarling-structured JRS (§5 future work) vs the plain
 /// enhanced JRS, on the McFarling predictor, across thresholds.
-pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let thresholds: [u8; 4] = [4, 8, 12, 15];
     let mut specs = Vec::new();
     for &t in &thresholds {
@@ -870,22 +883,22 @@ pub fn ext_jrsmcf_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
             threshold: t,
         });
     }
-    let m = run_matrix(exec, PredictorKind::McFarling, &specs, workloads, scale);
+    let m = run_matrix(exec, PredictorKind::McFarling, &specs, workloads, scale)?;
     let (t, jrows) = mean_rows(
         "Extension: structure-aware JRS on McFarling (paper §5 future work)",
         &m,
     );
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-jrsmcf".into(),
         title: "Extension: JRS specialized for the McFarling predictor".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 /// Extension: correct/incorrect registers (Jacobsen et al.'s other
 /// one-level design) vs the resetting-counter JRS, on gshare.
-pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let specs = vec![
         EstimatorSpec::jrs_paper(),
         EstimatorSpec::Cir {
@@ -907,23 +920,23 @@ pub fn ext_cir_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Ex
             enhanced: true,
         },
     ];
-    let m = run_matrix(exec, PredictorKind::Gshare, &specs, workloads, scale);
+    let m = run_matrix(exec, PredictorKind::Gshare, &specs, workloads, scale)?;
     let (t, jrows) = mean_rows(
         "Extension: resetting counters (JRS) vs correct/incorrect registers (CIR), gshare",
         &m,
     );
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-cir".into(),
         title: "Extension: CIR vs JRS one-level estimators".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 /// Extension: tuned static estimation (§5 future work) — pick thresholds
 /// meeting SPEC/PVN targets on the profile and verify the measured run
 /// lands on target.
-pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let targets = [
         ("spec>=85%", TuneTargetSpec::MinSpec(0.85)),
         ("spec>=95%", TuneTargetSpec::MinSpec(0.95)),
@@ -954,9 +967,10 @@ pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> E
             specs: specs.clone(),
         })
         .collect();
-    let mut outs = exec.run_all(&jobs).into_iter();
-    for &w in workloads {
-        let out = outs.next().expect("one output per job").into_run();
+    for (&w, out) in workloads
+        .iter()
+        .zip(run_batch(exec, &jobs, JobOutput::into_run)?)
+    {
         for ((label, target), e) in targets.iter().zip(&out.estimators) {
             let q = e.quadrants.committed;
             let met = match target {
@@ -978,22 +992,18 @@ pub fn ext_tune_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> E
             }));
         }
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-tune".into(),
         title: "Extension: tuning static estimation to SPEC/PVN targets".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 /// Extension: confidence-driven SMT fetch arbitration, measured on the real
 /// two-thread [`SmtSimulator`](cestim_pipeline::SmtSimulator) — the paper's
 /// §1 motivating application, quantified.
-pub fn ext_smt_on(
-    exec: &Executor,
-    scale: u32,
-    pairs: &[(WorkloadKind, WorkloadKind)],
-) -> ExperimentResult {
+pub fn ext_smt_on(exec: &Executor, scale: u32, pairs: &[(WorkloadKind, WorkloadKind)]) -> Outcome {
     use cestim_pipeline::FetchPolicy;
 
     let policies = [
@@ -1018,10 +1028,9 @@ pub fn ext_smt_on(
             });
         }
     }
-    let mut outs = exec.run_all(&jobs).into_iter();
-    for &(wa, wb) in pairs {
-        for policy in policies {
-            let stats = outs.next().expect("one output per job").into_smt();
+    let all_stats = run_batch(exec, &jobs, JobOutput::into_smt)?;
+    for (&(wa, wb), by_policy) in pairs.iter().zip(all_stats.chunks_exact(policies.len())) {
+        for (policy, stats) in policies.iter().zip(by_policy) {
             let fetched: u64 = stats.per_thread.iter().map(|s| s.fetched_insts).sum();
             let waste = stats.total_squashed() as f64 / fetched as f64;
             t.row(vec![
@@ -1042,18 +1051,18 @@ pub fn ext_smt_on(
             }));
         }
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-smt".into(),
         title: "Extension: SMT fetch arbitration driven by confidence".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 /// Extension: eager (dual-path) execution in the pipeline — fork both paths
 /// of a low-confidence branch; covered mispredictions skip the recovery
 /// penalty at the price of halved fetch bandwidth while forked.
-pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     use cestim_pipeline::PipelineConfig;
     let triggers = [
         (
@@ -1095,11 +1104,10 @@ pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> 
             });
         }
     }
-    let mut outs = exec.run_all(&jobs).into_iter();
-    for &w in workloads {
-        for (label, _) in &triggers {
-            let base = outs.next().expect("one output per job").into_run().stats;
-            let eager = outs.next().expect("one output per job").into_run().stats;
+    let stats = run_batch(exec, &jobs, |out| out.into_run().stats)?;
+    for (&w, by_trigger) in workloads.iter().zip(stats.chunks_exact(2 * triggers.len())) {
+        for ((label, _), pair) in triggers.iter().zip(by_trigger.chunks_exact(2)) {
+            let (base, eager) = (&pair[0], &pair[1]);
             let speedup = base.cycles as f64 / eager.cycles as f64;
             t.row(vec![
                 w.name().to_string(),
@@ -1123,12 +1131,12 @@ pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> 
             }));
         }
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-eager".into(),
         title: "Extension: eager execution gated by confidence".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 /// Extension: cross-input static estimation. The paper's static results
@@ -1136,7 +1144,7 @@ pub fn ext_eager_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> 
 /// the profile on an alternative input (salt 1) and measures on the
 /// default input, quantifying the degradation — and compares against the
 /// self-profiled upper bound and the input-independent JRS.
-pub fn ext_xinput_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn ext_xinput_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let static_spec = EstimatorSpec::Static { threshold: 0.9 };
     let mut t = Table::new(
         "Extension: static estimation off its training input (gshare)",
@@ -1166,18 +1174,17 @@ pub fn ext_xinput_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
             specs: vec![EstimatorSpec::jrs_paper()],
         });
     }
-    let mut outs = exec.run_all(&jobs).into_iter();
-    for &w in workloads {
-        let own = outs.next().expect("one output per job").into_run();
-        let cross = outs.next().expect("one output per job").into_run();
-        let jrs = outs.next().expect("one output per job").into_run();
-
-        for (variant, out) in [("self", &own), ("cross", &cross)] {
+    let outs = run_batch(exec, &jobs, JobOutput::into_run)?;
+    for (&w, trio) in workloads.iter().zip(outs.chunks_exact(3)) {
+        let (own, cross, jrs) = (&trio[0], &trio[1], &trio[2]);
+        for (variant, out) in [("self", own), ("cross", cross)] {
             let q = out.estimators[0].quadrants.committed;
             let s = MetricSummary::from_quadrant(&q);
-            let mut cells = vec![w.name().to_string(), variant.to_string()];
-            cells.extend(metric_cells(&s));
-            t.row(cells);
+            metric_row(
+                &mut t,
+                vec![w.name().to_string(), variant.to_string()],
+                &[&s],
+            );
             jrows.push(json!({
                 "workload": w.name(), "variant": variant, "metrics": summary_json(&s),
             }));
@@ -1192,17 +1199,15 @@ pub fn ext_xinput_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
         ("mean jrs (dynamic)", &jrs_q),
     ] {
         let s = mean_quadrant(quads);
-        let mut cells = vec!["".to_string(), label.to_string()];
-        cells.extend(metric_cells(&s));
-        t.row(cells);
+        metric_row(&mut t, vec!["".to_string(), label.to_string()], &[&s]);
         jrows.push(json!({ "workload": null, "variant": label, "metrics": summary_json(&s) }));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-xinput".into(),
         title: "Extension: cross-input static estimation".into(),
         text: t.to_string(),
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 /// The estimator set the modern-family extension evaluates: one
@@ -1230,7 +1235,7 @@ fn modern_estimators() -> Vec<EstimatorSpec> {
 /// Extension: modern predictor families (TAGE, hashed perceptron) under
 /// the paper's diagnostic metrics, with composite (voting) and timing
 /// confidence estimators alongside the paper's designs.
-pub fn ext_modern_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> ExperimentResult {
+pub fn ext_modern_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let predictors = [
         PredictorKind::Gshare,
         PredictorKind::Tage,
@@ -1240,40 +1245,27 @@ pub fn ext_modern_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) ->
     let mut text = String::new();
     let mut jrows = Vec::new();
     for p in predictors {
-        let m = run_matrix(exec, p, &specs, workloads, scale);
-        let mut t = Table::new(
-            format!("Extension: modern estimator families ({p} predictor)"),
-            vec!["estimator", "sens", "spec", "pvp", "pvn"],
-        );
-        for (name, quads) in m.names.iter().zip(&m.committed) {
-            let s = mean_quadrant(quads);
-            let mut cells = vec![name.clone()];
-            cells.extend(metric_cells(&s));
-            t.row(cells);
-            jrows.push(json!({
-                "predictor": p.name(), "estimator": name, "metrics": summary_json(&s),
-            }));
-        }
-        text.push_str(&t.to_string());
-        text.push('\n');
+        let m = run_matrix(exec, p, &specs, workloads, scale)?;
+        let title = format!("Extension: modern estimator families ({p} predictor)");
+        let (t, rows) = mean_rows(title, &m);
+        jrows.extend(rows.iter().map(|r| {
+            json!({ "predictor": p.name(), "estimator": r["estimator"], "metrics": r["metrics"] })
+        }));
+        text.push_str(&format!("{t}\n"));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-modern".into(),
         title: "Extension: TAGE/perceptron predictors with voting and timing estimators".into(),
         text,
         json: json!({ "rows": jrows }),
-    }
+    })
 }
 
 /// Extension: workload-predictability characterization. Every predictor
 /// family runs over every workload; each workload gets its best
 /// predictor and a predictability class, and the trace-replay path is
 /// cross-checked against the live pipeline for the modern families.
-pub fn ext_predictability_on(
-    exec: &Executor,
-    scale: u32,
-    workloads: &[WorkloadKind],
-) -> ExperimentResult {
+pub fn ext_predictability_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let preds = PredictorKind::all();
     let jobs: Vec<ExecJob> = workloads
         .iter()
@@ -1289,18 +1281,8 @@ pub fn ext_predictability_on(
     cols.extend(["best", "class"]);
     let mut t = Table::new("Extension: workload predictability by family", cols);
     let mut jrows = Vec::new();
-    let mut outs = exec.run_all(&jobs).into_iter();
-    for &w in workloads {
-        let accs: Vec<f64> = preds
-            .iter()
-            .map(|_| {
-                outs.next()
-                    .expect("one output per job")
-                    .into_run()
-                    .stats
-                    .accuracy_committed()
-            })
-            .collect();
+    let all_accs = run_batch(exec, &jobs, |out| out.into_run().stats.accuracy_committed())?;
+    for (&w, accs) in workloads.iter().zip(all_accs.chunks_exact(preds.len())) {
         let (bi, &best) = accs
             .iter()
             .enumerate()
@@ -1320,7 +1302,7 @@ pub fn ext_predictability_on(
         t.row(cells);
         jrows.push(json!({
             "workload": w.name(),
-            "accuracy": preds.iter().zip(&accs)
+            "accuracy": preds.iter().zip(accs)
                 .map(|(p, &a)| (p.name().to_string(), json!(a)))
                 .collect::<serde::Map>(),
             "best": preds[bi].name(),
@@ -1337,7 +1319,8 @@ pub fn ext_predictability_on(
     let mut text_extra = String::new();
     if let Some(&w0) = workloads.first() {
         let cfg = RunConfig::paper(w0, scale, PredictorKind::Gshare);
-        let records = crate::export_config_trace(&cfg).expect("trace export");
+        let records = crate::export_config_trace(&cfg)
+            .map_err(|e| failed(format!("trace export of {}: {e}", w0.name())))?;
         for p in PredictorKind::modern_two() {
             let job = ExecJob::Replay {
                 records: records.clone(),
@@ -1345,14 +1328,15 @@ pub fn ext_predictability_on(
                 pipeline: cfg.pipeline.clone(),
                 specs: Vec::new(),
             };
-            let mut outs = exec.run_all(&[job]).into_iter();
-            let replayed = outs.next().expect("replay output").into_run().stats;
+            let replayed = run_batch(exec, &[job], |o| o.into_run().stats)?.remove(0);
             let live = crate::run_replay_live(&RunConfig::paper(w0, scale, p), &[]).stats;
-            assert_eq!(
-                replayed.accuracy_committed(),
-                live.accuracy_committed(),
-                "trace replay diverged from live simulation for {p}"
-            );
+            if replayed.accuracy_committed() != live.accuracy_committed() {
+                return Err(failed(format!(
+                    "trace replay diverged from live simulation for {p}: replayed {} vs live {}",
+                    replayed.accuracy_committed(),
+                    live.accuracy_committed()
+                )));
+            }
             text_extra.push_str(&format!(
                 "replay check {p} on {}: {} (live == replayed)\n",
                 w0.name(),
@@ -1368,26 +1352,22 @@ pub fn ext_predictability_on(
     }
     let mut text = t.to_string();
     text.push_str(&text_extra);
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "ext-predictability".into(),
         title: "Extension: per-workload predictability across predictor families".into(),
         text,
         json: json!({ "rows": jrows, "replay_checks": jreplay }),
-    }
+    })
 }
 
 /// Per-application detail behind Table 2 (the paper reports means and
 /// points at its tech report for the full data; this regenerates it).
-pub fn table2_detail_on(
-    exec: &Executor,
-    scale: u32,
-    workloads: &[WorkloadKind],
-) -> ExperimentResult {
+pub fn table2_detail_on(exec: &Executor, scale: u32, workloads: &[WorkloadKind]) -> Outcome {
     let mut text = String::new();
     let mut jpred = Vec::new();
     for p in PredictorKind::paper_three() {
         let specs = EstimatorSpec::paper_set(p);
-        let m = run_matrix(exec, p, &specs, workloads, scale);
+        let m = run_matrix(exec, p, &specs, workloads, scale)?;
         let mut t = Table::new(
             format!("Table 2 detail ({p} predictor)"),
             vec!["application", "estimator", "sens", "spec", "pvp", "pvn"],
@@ -1396,24 +1376,21 @@ pub fn table2_detail_on(
         for (wi, &w) in workloads.iter().enumerate() {
             for (name, quads) in m.names.iter().zip(&m.committed) {
                 let s = MetricSummary::from_quadrant(&quads[wi]);
-                let mut cells = vec![w.name().to_string(), name.clone()];
-                cells.extend(metric_cells(&s));
-                t.row(cells);
+                metric_row(&mut t, vec![w.name().to_string(), name.clone()], &[&s]);
                 jrows.push(json!({
                     "workload": w.name(), "estimator": name, "metrics": summary_json(&s),
                 }));
             }
         }
-        text.push_str(&t.to_string());
-        text.push('\n');
+        text.push_str(&format!("{t}\n"));
         jpred.push(json!({ "predictor": p.name(), "rows": jrows }));
     }
-    ExperimentResult {
+    Ok(ExperimentResult {
         id: "table2-detail".into(),
         title: "Table 2 detail: per-application estimator metrics".into(),
         text,
         json: json!({ "predictors": jpred }),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1466,13 +1443,18 @@ mod tests {
             .unwrap()
             .unwrap_err();
         assert_eq!(failure.id, "table1");
-        assert!(!failure.errors.is_empty());
-        assert!(
-            failure.message.contains("jobs failed"),
-            "{}",
-            failure.message
-        );
+        assert_eq!(failure.message, "24/24 jobs failed");
+        assert_eq!(failure.errors.len(), 24);
         assert!(failure.to_string().contains("injected fault"));
+        // A failed batch ends its experiment: table2's first matrix (one
+        // job per workload) fails, and its other two are never submitted.
+        let chaotic = Executor::sequential()
+            .with_fault_plan(cestim_exec::FaultPlan::parse("panic:1").unwrap());
+        let failure = run_experiment_checked(&chaotic, "table2", 1)
+            .unwrap()
+            .unwrap_err();
+        assert_eq!(failure.message, "8/8 jobs failed");
+        assert_eq!(chaotic.report().submitted, 8);
         // The manifest serializes for telemetry.
         let text = serde_json::to_string(&failure).unwrap();
         let back: ExperimentFailure = serde_json::from_str(&text).unwrap();
@@ -1481,7 +1463,7 @@ mod tests {
 
     #[test]
     fn table2_small_has_expected_shape() {
-        let r = table2_on(&seq(), 1, SMALL);
+        let r = table2_on(&seq(), 1, SMALL).unwrap();
         let preds = r.json["predictors"].as_array().unwrap();
         assert_eq!(preds.len(), 3);
         for p in preds {
@@ -1492,7 +1474,7 @@ mod tests {
 
     #[test]
     fn fig3_enhanced_beats_base_on_pvp_at_matched_sens() {
-        let r = fig3_on(&seq(), 1, SMALL);
+        let r = fig3_on(&seq(), 1, SMALL).unwrap();
         let v = r.json["variants"].as_array().unwrap();
         assert_eq!(v[0]["variant"], "base");
         assert_eq!(v[1]["variant"], "enhanced");
@@ -1505,12 +1487,12 @@ mod tests {
     #[test]
     fn remaining_experiments_have_expected_shapes() {
         // table1: one row per workload plus the mean row.
-        let r = table1_on(&seq(), 1, SMALL);
+        let r = table1_on(&seq(), 1, SMALL).unwrap();
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 1);
         assert!(r.text.contains("mean"));
 
         // table2-detail: 4 estimator rows per workload per predictor.
-        let r = table2_detail_on(&seq(), 1, SMALL);
+        let r = table2_detail_on(&seq(), 1, SMALL).unwrap();
         for p in r.json["predictors"].as_array().unwrap() {
             assert_eq!(p["rows"].as_array().unwrap().len(), 4);
         }
@@ -1519,7 +1501,7 @@ mod tests {
         // rises at fixed size (more selective HC set... PVP *rises*; check
         // monotone trend of SENS via spec json instead: PVN at t=16 equals
         // the misprediction rate is covered by fig3; here just shape).
-        let r = fig45_on(&seq(), 1, SMALL, Gshare, "fig4");
+        let r = fig45_on(&seq(), 1, SMALL, Gshare, "fig4").unwrap();
         let sizes = r.json["sizes"].as_array().unwrap();
         assert_eq!(sizes.len(), 4);
         for sz in sizes {
@@ -1532,22 +1514,22 @@ mod tests {
         assert!(pvp_large >= pvp_small - 0.01, "{pvp_large} vs {pvp_small}");
 
         // table4: 10 rows per predictor + the SAg pattern row.
-        let r = table4_on(&seq(), 1, SMALL);
+        let r = table4_on(&seq(), 1, SMALL).unwrap();
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 21);
 
         // table3: per-workload rows + mean.
-        let r = table3_on(&seq(), 1, SMALL);
+        let r = table3_on(&seq(), 1, SMALL).unwrap();
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 1);
         assert!(r.json["mean"]["both_strong"]["spec"].as_f64().unwrap() > 0.0);
     }
 
     #[test]
     fn extension_experiments_run_on_small_inputs() {
-        let r = ext_cir_on(&seq(), 1, SMALL);
+        let r = ext_cir_on(&seq(), 1, SMALL).unwrap();
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 4);
-        let r = ext_jrsmcf_on(&seq(), 1, SMALL);
+        let r = ext_jrsmcf_on(&seq(), 1, SMALL).unwrap();
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 8);
-        let r = ext_tune_on(&seq(), 1, SMALL);
+        let r = ext_tune_on(&seq(), 1, SMALL).unwrap();
         // Every SPEC target must be met (always reachable).
         for row in r.json["rows"].as_array().unwrap() {
             if row["target"].as_str().unwrap().starts_with("spec") {
@@ -1558,13 +1540,14 @@ mod tests {
             &seq(),
             1,
             &[(WorkloadKind::Compress, WorkloadKind::Compress)],
-        );
+        )
+        .unwrap();
         assert_eq!(r.json["rows"].as_array().unwrap().len(), 4);
     }
 
     #[test]
     fn ext_modern_covers_every_family_pair() {
-        let r = ext_modern_on(&seq(), 1, SMALL);
+        let r = ext_modern_on(&seq(), 1, SMALL).unwrap();
         let rows = r.json["rows"].as_array().unwrap();
         // 3 predictors x 5 estimators.
         assert_eq!(rows.len(), 15);
@@ -1591,7 +1574,7 @@ mod tests {
 
     #[test]
     fn ext_predictability_classifies_and_cross_checks_replay() {
-        let r = ext_predictability_on(&seq(), 1, SMALL);
+        let r = ext_predictability_on(&seq(), 1, SMALL).unwrap();
         let rows = r.json["rows"].as_array().unwrap();
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
@@ -1609,7 +1592,7 @@ mod tests {
 
     #[test]
     fn distance_fig_small_runs() {
-        let r = distance_fig_on(&seq(), 1, &[WorkloadKind::Gcc], Gshare, false, "fig6");
+        let r = distance_fig_on(&seq(), 1, &[WorkloadKind::Gcc], Gshare, false, "fig6").unwrap();
         let avg = r.json["all"]["average"].as_f64().unwrap();
         assert!(avg > 0.0 && avg < 0.5);
         // Clustering: distance-1 rate above the average rate.

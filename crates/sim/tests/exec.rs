@@ -24,8 +24,8 @@ fn tmp_dir(name: &str) -> PathBuf {
 fn table2_parallel_matches_serial_bit_for_bit() {
     // A multi-workload experiment run serially and with four workers: the
     // rendered text and the JSON must agree byte-for-byte.
-    let serial = suite::table2_on(&Executor::sequential(), 1, WORKLOADS);
-    let parallel = suite::table2_on(&Executor::new(4), 1, WORKLOADS);
+    let serial = suite::table2_on(&Executor::sequential(), 1, WORKLOADS).unwrap();
+    let parallel = suite::table2_on(&Executor::new(4), 1, WORKLOADS).unwrap();
     assert_eq!(serial.text, parallel.text);
     assert_eq!(
         serial.json.to_string(),
@@ -38,8 +38,8 @@ fn table2_parallel_matches_serial_bit_for_bit() {
 fn boost_parallel_matches_serial() {
     // Boost merges per-workload window counts; merged order must not
     // depend on execution order.
-    let serial = suite::boost_on(&Executor::sequential(), 1, WORKLOADS);
-    let parallel = suite::boost_on(&Executor::new(4), 1, WORKLOADS);
+    let serial = suite::boost_on(&Executor::sequential(), 1, WORKLOADS).unwrap();
+    let parallel = suite::boost_on(&Executor::new(4), 1, WORKLOADS).unwrap();
     assert_eq!(serial.text, parallel.text);
     assert_eq!(serial.json.to_string(), parallel.json.to_string());
 }
@@ -56,13 +56,13 @@ fn run_outcome_round_trips_through_disk_cache_bit_for_bit() {
     let cold = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    let fresh = cold.run_all(jobs).remove(0);
+    let fresh = cold.run_all_checked(jobs).remove(0).unwrap();
     assert_eq!(cold.report().executed, 1);
 
     let warm = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    let cached = warm.run_all(jobs).remove(0);
+    let cached = warm.run_all_checked(jobs).remove(0).unwrap();
     assert_eq!(warm.report().cache_hits, 1);
     assert_eq!(warm.report().executed, 0, "warm run must not simulate");
     assert_eq!(cached, fresh);
@@ -86,13 +86,13 @@ fn refresh_re_executes_and_rewrites() {
     let first = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    first.run_all(jobs);
+    first.run_all_checked(jobs);
     assert_eq!(first.report().executed, 1);
 
     let refresh = Executor::sequential()
         .with_cache(&dir, CachePolicy::Refresh)
         .unwrap();
-    refresh.run_all(jobs);
+    refresh.run_all_checked(jobs);
     assert_eq!(refresh.report().cache_hits, 0, "refresh skips reads");
     assert_eq!(refresh.report().executed, 1, "refresh re-simulates");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -114,7 +114,7 @@ fn schema_salt_bump_invalidates_old_entries() {
     let exec = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    exec.run_all(std::slice::from_ref(&job));
+    exec.run_all_checked(std::slice::from_ref(&job));
     assert!(dir.join(key.file_name()).exists());
 
     // A schema bump changes the file name entirely (stale entries are
@@ -138,7 +138,7 @@ fn corrupted_cache_entry_is_a_miss_not_a_panic() {
     let exec = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    let fresh = exec.run_all(jobs).remove(0);
+    let fresh = exec.run_all_checked(jobs).remove(0).unwrap();
 
     // Truncate the entry mid-JSON.
     let path = dir.join(job.cache_key().file_name());
@@ -148,7 +148,7 @@ fn corrupted_cache_entry_is_a_miss_not_a_panic() {
     let recover = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    let redone = recover.run_all(jobs).remove(0);
+    let redone = recover.run_all_checked(jobs).remove(0).unwrap();
     assert_eq!(recover.report().cache_hits, 0, "corrupted entry is a miss");
     assert_eq!(recover.report().executed, 1);
     assert_eq!(redone, fresh);
@@ -165,11 +165,11 @@ fn cross_experiment_cache_sharing() {
     let exec = Executor::sequential()
         .with_cache(&dir, CachePolicy::ReadWrite)
         .unwrap();
-    suite::table2_on(&exec, 1, small);
+    suite::table2_on(&exec, 1, small).unwrap();
     let executed_after_first = exec.report().executed;
     assert!(executed_after_first > 0);
 
-    let detail = suite::table2_detail_on(&exec, 1, small);
+    let detail = suite::table2_detail_on(&exec, 1, small).unwrap();
     assert_eq!(
         exec.report().executed,
         executed_after_first,

@@ -245,8 +245,8 @@ fn replay_job_executes_to_the_direct_outcome() {
         specs,
     };
     let out = cestim_exec::Executor::sequential()
-        .run_all(std::slice::from_ref(&job))
-        .pop()
+        .run_all_checked(std::slice::from_ref(&job))
+        .remove(0)
         .unwrap()
         .into_run();
     assert_eq!(direct, out);
