@@ -146,16 +146,6 @@ impl Args {
     fn trace_modes(&self) -> bool {
         self.export_trace.is_some() || self.trace_in.is_some() || self.trace_live
     }
-
-    fn cache_policy(&self) -> CachePolicy {
-        if self.no_cache {
-            CachePolicy::Disabled
-        } else if self.refresh {
-            CachePolicy::Refresh
-        } else {
-            CachePolicy::ReadWrite
-        }
-    }
 }
 
 fn usage() -> ! {
@@ -333,7 +323,15 @@ fn build_executor(args: &Args) -> std::io::Result<Executor> {
         .cache_dir
         .clone()
         .unwrap_or_else(|| args.out.join("cache"));
-    let mut exec = Executor::new(workers).with_cache(cache_dir, args.cache_policy())?;
+    let mut exec = Executor::new(workers);
+    if !args.no_cache {
+        let policy = if args.refresh {
+            CachePolicy::Refresh
+        } else {
+            CachePolicy::ReadWrite
+        };
+        exec = exec.with_cache(cache_dir, policy)?;
+    }
     let stale = exec.evict_stale(cestim_sim::sim_schema_salt());
     if stale > 0 {
         println!("[cache: evicted {stale} stale entr{}]", plural_y(stale));
@@ -752,13 +750,7 @@ fn main() -> ExitCode {
         }
         if let Some(MetricValue::Histogram(h)) = exec.registry().snapshot().get("exec.job.nanos") {
             if h.count > 0 {
-                use cestim_obs::monitor::fmt_nanos;
-                println!(
-                    "[job time: p50 {}, p95 {}, p99 {}]",
-                    fmt_nanos(h.quantile(0.50)),
-                    fmt_nanos(h.quantile(0.95)),
-                    fmt_nanos(h.quantile(0.99)),
-                );
+                println!("[job time: {}]", cestim_obs::monitor::fmt_job_time(h));
             }
         }
     }

@@ -50,11 +50,6 @@ impl Gshare {
         false
     }
 
-    /// Counter state at a PHT index (for introspection and tests).
-    pub fn counter_at(&self, index: u32) -> SaturatingCounter {
-        self.table[(index & self.mask) as usize]
-    }
-
     pub(crate) fn train(&mut self, index: u32, taken: bool) {
         self.table[(index & self.mask) as usize].train(taken);
     }
@@ -120,7 +115,10 @@ mod tests {
         };
         assert_eq!(index, (0x77 ^ 0x3) & 0xFFF);
         p.update(0x77, true, &pred);
-        assert_eq!(p.counter_at(index).value(), 2);
+        match p.predict(0x77, 0x3).info {
+            PredictorInfo::Gshare { counter, .. } => assert_eq!(counter, 2),
+            _ => unreachable!(),
+        }
     }
 
     #[test]

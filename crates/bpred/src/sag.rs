@@ -58,16 +58,6 @@ impl SAg {
         pc & self.bht_mask
     }
 
-    /// Number of BHT entries.
-    pub fn bht_len(&self) -> usize {
-        self.bht.len()
-    }
-
-    /// Number of PHT entries.
-    pub fn pht_len(&self) -> usize {
-        self.pht.len()
-    }
-
     /// Local history currently recorded for `pc` (tagless: aliases share).
     pub fn local_history(&self, pc: u32) -> u32 {
         self.bht[self.bht_index(pc) as usize].value()
@@ -118,9 +108,19 @@ mod tests {
 
     #[test]
     fn paper_config_dimensions() {
-        let p = SAg::paper_config();
-        assert_eq!(p.bht_len(), 2048);
-        assert_eq!(p.pht_len(), 8192);
+        let mut p = SAg::paper_config();
+        let pred = p.predict(5, 0);
+        assert!(matches!(
+            pred.info,
+            PredictorInfo::Sag {
+                history_width: 13,
+                ..
+            }
+        ));
+        p.update(5, true, &pred);
+        // 2048 tagless BHT entries: PCs 2048 apart share one history.
+        assert_eq!(p.local_history(5 + 2048), 1);
+        assert_eq!(p.local_history(5 + 1024), 0);
     }
 
     #[test]

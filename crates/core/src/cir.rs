@@ -62,17 +62,6 @@ impl Cir {
         }
     }
 
-    /// A configuration comparable to the paper's JRS: 4096 registers of 16
-    /// outcomes, high confidence when all 16 were correct.
-    pub fn paper_like() -> Cir {
-        Cir::new(12, 16, 16, true)
-    }
-
-    /// The ones-count threshold.
-    pub fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
     /// Number of registers.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -135,7 +124,7 @@ mod tests {
 
     #[test]
     fn cold_registers_are_low_confidence() {
-        let mut c = Cir::paper_like();
+        let mut c = Cir::new(12, 16, 16, true);
         assert_eq!(c.estimate(0x10, 0, &pred(true)), Confidence::Low);
     }
 
@@ -208,7 +197,7 @@ mod tests {
 
     #[test]
     fn name_reports_configuration() {
-        assert_eq!(Cir::paper_like().name(), "cir(4096x16b,>=16,enh)");
+        assert_eq!(Cir::new(12, 16, 16, true).name(), "cir(4096x16b,>=16,enh)");
         assert_eq!(Cir::new(8, 8, 6, false).name(), "cir(256x8b,>=6)");
     }
 

@@ -38,16 +38,6 @@ impl DistanceEstimator {
             since_mispredict: 0,
         }
     }
-
-    /// The distance threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Branches fetched since the last resolved misprediction.
-    pub fn current_distance(&self) -> u64 {
-        self.since_mispredict
-    }
 }
 
 impl ConfidenceEstimator for DistanceEstimator {
@@ -114,8 +104,11 @@ mod tests {
         }
         assert_eq!(e.estimate(0, 0, &pred()), Confidence::High);
         e.on_branch_resolved(true);
-        assert_eq!(e.estimate(0, 0, &pred()), Confidence::Low);
-        assert_eq!(e.current_distance(), 1);
+        // The run restarts at distance 0: 0, 1 and 2 are low again.
+        for i in 0..3 {
+            assert_eq!(e.estimate(0, 0, &pred()), Confidence::Low, "branch {i}");
+        }
+        assert_eq!(e.estimate(0, 0, &pred()), Confidence::High);
     }
 
     #[test]

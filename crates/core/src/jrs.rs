@@ -69,21 +69,6 @@ impl Jrs {
         Jrs::new(12, 4, 15, true)
     }
 
-    /// Same table, different threshold (for threshold sweeps).
-    pub fn with_threshold(&self, threshold: u8) -> Jrs {
-        let mut j = self.clone();
-        j.threshold = threshold;
-        for c in &mut j.table {
-            c.reset();
-        }
-        j
-    }
-
-    /// The confidence threshold.
-    pub fn threshold(&self) -> u8 {
-        self.threshold
-    }
-
     /// Number of MDC entries.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -231,21 +216,6 @@ mod tests {
         }
         assert_eq!(j.estimate(pc, 0b0001, &pred(true)), Confidence::High);
         assert_eq!(j.estimate(pc, 0b0010, &pred(true)), Confidence::Low);
-    }
-
-    #[test]
-    fn with_threshold_resets_state() {
-        let mut j = Jrs::new(8, 4, 15, false);
-        for _ in 0..16 {
-            j.update(1, 0, &pred(true), true);
-        }
-        let mut j2 = j.with_threshold(1);
-        assert_eq!(j2.threshold(), 1);
-        assert_eq!(
-            j2.estimate(1, 0, &pred(true)),
-            Confidence::Low,
-            "cloned sweeps start cold"
-        );
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl JrsCombining {
         JrsCombining::new(12, 15)
     }
 
-    /// The confidence threshold.
-    pub fn threshold(&self) -> u8 {
-        self.threshold
-    }
-
     /// Number of MDC entries.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -187,7 +182,6 @@ mod tests {
     fn name_and_config() {
         let j = JrsCombining::paper_config();
         assert_eq!(j.len(), 4096);
-        assert_eq!(j.threshold(), 15);
         assert_eq!(j.name(), "jrs-mcf(4096x4b,t>=15)");
     }
 }

@@ -116,7 +116,7 @@ pub use distance::DistanceEstimator;
 pub use estimator::{AlwaysHigh, AlwaysLow, Confidence, ConfidenceEstimator};
 pub use jrs::Jrs;
 pub use jrs_combining::JrsCombining;
-pub use metrics::{geometric_mean, mean_quadrant, MetricSummary};
+pub use metrics::{mean_quadrant, MetricSummary};
 pub use pattern::PatternHistory;
 pub use quadrant::Quadrant;
 pub use saturating::{SaturatingConfidence, SaturatingVariant};

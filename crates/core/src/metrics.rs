@@ -84,23 +84,6 @@ pub fn mean_quadrant(quadrants: &[Quadrant]) -> MetricSummary {
     MetricSummary::from_fractions(acc)
 }
 
-/// Geometric mean of strictly positive values.
-///
-/// # Panics
-///
-/// Panics on an empty slice or any non-positive value.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geometric mean of nothing");
-    let log_sum: f64 = values
-        .iter()
-        .map(|&v| {
-            assert!(v > 0.0, "geometric mean requires positive values, got {v}");
-            v.ln()
-        })
-        .sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,20 +151,6 @@ mod tests {
     #[should_panic(expected = "empty quadrant")]
     fn empty_member_panics() {
         let _ = mean_quadrant(&[Quadrant::default()]);
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[4.0, 9.0]) - 6.0).abs() < 1e-12);
-        assert!((geometric_mean(&[5.0]) - 5.0).abs() < 1e-12);
-        let gm = geometric_mean(&[1.0, 2.0, 4.0]);
-        assert!((gm - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive values")]
-    fn geometric_mean_rejects_zero() {
-        let _ = geometric_mean(&[1.0, 0.0]);
     }
 
     #[test]

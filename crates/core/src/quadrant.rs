@@ -113,15 +113,6 @@ impl Quadrant {
         ratio(self.c_lc + self.i_lc, self.total())
     }
 
-    /// Jacobsen et al.'s "confidence misprediction rate": the fraction of
-    /// branches where the estimator disagreed with the eventual outcome
-    /// (`i_hc + c_lc`). The paper argues this conflates the two uses of an
-    /// estimator; it is provided for comparison with prior work. `NaN` when
-    /// the table is empty.
-    pub fn confidence_misprediction_rate(&self) -> f64 {
-        ratio(self.i_hc + self.c_lc, self.total())
-    }
-
     /// The four cells normalized to fractions of the total, in
     /// `(c_hc, i_hc, c_lc, i_lc)` order. `NaN`s when the table is empty.
     pub fn fractions(&self) -> [f64; 4] {
@@ -192,7 +183,6 @@ mod tests {
     #[test]
     fn jacobsen_metrics() {
         assert!((PAPER.coverage() - 0.37).abs() < 1e-12);
-        assert!((PAPER.confidence_misprediction_rate() - 0.21).abs() < 1e-12);
     }
 
     #[test]

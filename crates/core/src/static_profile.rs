@@ -103,11 +103,6 @@ impl StaticProfile {
     pub fn confident_sites(&self) -> usize {
         self.confident.len()
     }
-
-    /// The profiling accuracy threshold this profile was built with.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
 }
 
 impl ConfidenceEstimator for StaticProfile {
@@ -191,7 +186,6 @@ mod tests {
         let e = StaticProfile::from_confident_pcs([1, 2, 3], 0.9);
         assert_eq!(e.confident_sites(), 3);
         assert_eq!(e.name(), "static(>90%)");
-        assert!((e.threshold() - 0.9).abs() < 1e-12);
     }
 
     #[test]

@@ -33,17 +33,6 @@ impl TimingEstimator {
             latest: 0,
         }
     }
-
-    /// The threshold matched to the paper pipeline: `branch_resolve_latency`
-    /// is 3 cycles, so ≤ 4 means "operands ready within one cycle of fetch".
-    pub fn paper_pipeline() -> TimingEstimator {
-        TimingEstimator::new(4)
-    }
-
-    /// The latency threshold in cycles.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
 }
 
 impl ConfidenceEstimator for TimingEstimator {
@@ -100,7 +89,7 @@ mod tests {
 
     #[test]
     fn degenerates_to_always_high_without_a_feed() {
-        let mut e = TimingEstimator::paper_pipeline();
+        let mut e = TimingEstimator::new(4);
         for _ in 0..16 {
             assert_eq!(e.estimate(0, 0, &pred()), Confidence::High);
         }
@@ -109,6 +98,5 @@ mod tests {
     #[test]
     fn name_includes_threshold() {
         assert_eq!(TimingEstimator::new(7).name(), "timing(<=7)");
-        assert_eq!(TimingEstimator::paper_pipeline().threshold(), 4);
     }
 }

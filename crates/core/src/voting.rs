@@ -63,12 +63,6 @@ impl<E: ConfidenceEstimator> Voting<E> {
         }
     }
 
-    /// Strict-majority vote over `components`.
-    pub fn majority(components: Vec<E>) -> Voting<E> {
-        let quorum = components.len() as u32 / 2 + 1;
-        Voting::new(components, quorum)
-    }
-
     /// The required number of high votes.
     pub fn quorum(&self) -> u32 {
         self.quorum.0
@@ -155,13 +149,14 @@ mod tests {
 
     #[test]
     fn majority_quorum() {
-        let v = Voting::majority(vec![
-            AnyEstimator::from(AlwaysHigh),
-            AnyEstimator::from(AlwaysHigh),
-            AnyEstimator::from(AlwaysLow),
-        ]);
-        assert_eq!(v.quorum(), 2);
-        let mut v = v;
+        let mut v = Voting::new(
+            vec![
+                AnyEstimator::from(AlwaysHigh),
+                AnyEstimator::from(AlwaysHigh),
+                AnyEstimator::from(AlwaysLow),
+            ],
+            2,
+        );
         assert_eq!(v.estimate(0, 0, &pred()), Confidence::High);
     }
 

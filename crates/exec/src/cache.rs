@@ -14,7 +14,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How an [`Executor`](crate::Executor) uses its cache.
+/// How an [`Executor`](crate::Executor) uses its cache. Both policies
+/// write fresh results; an executor without a cache neither reads nor
+/// writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// Read hits, write misses (the default).
@@ -22,19 +24,12 @@ pub enum CachePolicy {
     ReadWrite,
     /// Ignore existing entries but write fresh results (`--refresh`).
     Refresh,
-    /// Neither read nor write (`--no-cache`).
-    Disabled,
 }
 
 impl CachePolicy {
     /// True when lookups may serve cached results.
     pub fn reads(self) -> bool {
         matches!(self, CachePolicy::ReadWrite)
-    }
-
-    /// True when fresh results should be persisted.
-    pub fn writes(self) -> bool {
-        !matches!(self, CachePolicy::Disabled)
     }
 }
 

@@ -204,7 +204,7 @@ pub struct ExecReport {
     pub jobs_resumed: u64,
     /// Cache store failures swallowed (result recomputed next run).
     pub cache_store_errors: u64,
-    /// Cache policy in effect (`read-write` / `refresh` / `disabled` /
+    /// Cache policy in effect (`read-write` / `refresh` /
     /// `none` when no cache directory is attached).
     pub cache_policy: String,
 }
@@ -313,11 +313,7 @@ impl Executor {
         dir: impl Into<PathBuf>,
         policy: CachePolicy,
     ) -> io::Result<Executor> {
-        self.cache = if policy == CachePolicy::Disabled {
-            None
-        } else {
-            Some(DiskCache::open(dir)?)
-        };
+        self.cache = Some(DiskCache::open(dir)?);
         self.policy = policy;
         Ok(self)
     }
@@ -400,7 +396,6 @@ impl Executor {
                 (None, _) => "none".to_string(),
                 (Some(_), CachePolicy::ReadWrite) => "read-write".to_string(),
                 (Some(_), CachePolicy::Refresh) => "refresh".to_string(),
-                (Some(_), CachePolicy::Disabled) => "disabled".to_string(),
             },
         }
     }
@@ -708,22 +703,16 @@ impl Executor {
             journal.record_job(&key.id(), &label, attempt, job_outcome(&result));
             sbuf.close(jrn);
         }
-        if let Ok(out) = &result {
-            if self.policy.writes() {
-                if let Some(cache) = &self.cache {
-                    // A failed (or fault-injected) cache write costs a
-                    // future re-execution, not correctness; count it and
-                    // move on.
-                    let mut ssp = sbuf.open("exec.cache.store", parent, &[]);
-                    let store_failed =
-                        self.fault.io_fires(seq) || cache.store(key, &label, out).is_err();
-                    if store_failed {
-                        self.m.store_errors.inc();
-                        ssp.label("error", "true");
-                    }
-                    sbuf.close(ssp);
-                }
+        if let (Ok(out), Some(cache)) = (&result, &self.cache) {
+            // A failed (or fault-injected) cache write costs a future
+            // re-execution, not correctness; count it and move on.
+            let mut ssp = sbuf.open("exec.cache.store", parent, &[]);
+            let store_failed = self.fault.io_fires(seq) || cache.store(key, &label, out).is_err();
+            if store_failed {
+                self.m.store_errors.inc();
+                ssp.label("error", "true");
             }
+            sbuf.close(ssp);
         }
         self.m.inflight.add(-1);
         result

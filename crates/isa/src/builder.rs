@@ -84,11 +84,6 @@ impl ProgramBuilder {
         *slot = Some(self.insts.len() as u32);
     }
 
-    /// Current instruction index (where the next instruction will land).
-    pub fn here(&self) -> u32 {
-        self.insts.len() as u32
-    }
-
     /// Allocates and initializes a block of data words, returning its base
     /// word address.
     pub fn alloc(&mut self, words: &[u32]) -> u32 {

@@ -129,20 +129,6 @@ impl Cond {
         }
     }
 
-    /// The condition that accepts exactly the complementary outcomes.
-    pub fn negate(self) -> Cond {
-        match self {
-            Cond::Eq => Cond::Ne,
-            Cond::Ne => Cond::Eq,
-            Cond::Lt => Cond::Ge,
-            Cond::Ge => Cond::Lt,
-            Cond::Le => Cond::Gt,
-            Cond::Gt => Cond::Le,
-            Cond::Ltu => Cond::Geu,
-            Cond::Geu => Cond::Ltu,
-        }
-    }
-
     /// Assembler mnemonic suffix (`beq`, `bne`, ...).
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -250,15 +236,6 @@ impl Inst {
         matches!(self, Inst::Branch { .. })
     }
 
-    /// `true` for any control-flow instruction (branch, jump, call, ret).
-    #[inline]
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Inst::Branch { .. } | Inst::Jump { .. } | Inst::Call { .. } | Inst::Ret
-        )
-    }
-
     /// Source registers read by the instruction (used by the pipeline's
     /// dataflow timing model).
     #[inline]
@@ -287,12 +264,6 @@ impl Inst {
             Inst::Call { .. } => Some(Reg::RA),
             _ => None,
         }
-    }
-
-    /// `true` if the instruction accesses data memory.
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Store { .. })
     }
 }
 
@@ -362,20 +333,16 @@ mod tests {
     }
 
     #[test]
-    fn cond_eval_and_negate_are_complementary() {
+    fn complementary_conditions_never_agree() {
         let pairs = [(0u32, 0u32), (1, 2), (2, 1), (u32::MAX, 0), (0, u32::MAX)];
-        for c in [
-            Cond::Eq,
-            Cond::Ne,
-            Cond::Lt,
-            Cond::Ge,
-            Cond::Le,
-            Cond::Gt,
-            Cond::Ltu,
-            Cond::Geu,
+        for (c, not_c) in [
+            (Cond::Eq, Cond::Ne),
+            (Cond::Lt, Cond::Ge),
+            (Cond::Le, Cond::Gt),
+            (Cond::Ltu, Cond::Geu),
         ] {
             for (a, b) in pairs {
-                assert_ne!(c.eval(a, b), c.negate().eval(a, b), "{c:?} {a} {b}");
+                assert_ne!(c.eval(a, b), not_c.eval(a, b), "{c:?} {a} {b}");
             }
         }
     }
@@ -427,16 +394,7 @@ mod tests {
             target: 0,
         };
         assert!(b.is_cond_branch());
-        assert!(b.is_control());
-        assert!(!Inst::Nop.is_control());
-        assert!(Inst::Ret.is_control());
         assert!(!Inst::Ret.is_cond_branch());
-        assert!(Inst::Load {
-            rd: Reg::T0,
-            base: Reg::SP,
-            off: 0
-        }
-        .is_mem());
     }
 
     #[test]

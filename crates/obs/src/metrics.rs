@@ -165,15 +165,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean sample value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Estimated value at quantile `q` (clamped to `[0, 1]`; NaN is
     /// treated as 0).
     ///

@@ -3,13 +3,13 @@
 //!
 //! [`RunMonitor::start`] spawns a sampling thread that periodically
 //! snapshots a [`Registry`], derives a [`MonitorFrame`] (job progress,
-//! queue depth, cache hit-rate, retries, latency quantiles, throughput),
+//! queue depth, cache hit-rate, retries, job-time bounds, throughput),
 //! and redraws a small status block on stderr using plain ANSI cursor
 //! movement — no curses dependency. Frame derivation and rendering are
 //! pure functions of the snapshot, so they are unit-testable without a
 //! terminal or timing.
 
-use crate::metrics::{MetricValue, MetricsSnapshot, Registry};
+use crate::metrics::{HistogramSnapshot, MetricValue, MetricsSnapshot, Registry};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,14 +34,9 @@ pub struct MonitorFrame {
     pub queue_depth: i64,
     /// Jobs currently executing (`exec.jobs.inflight`).
     pub inflight: i64,
-    /// Job wall-clock p50/p95/p99 in nanoseconds (log2-bucket upper
-    /// bounds from `exec.job.nanos` — see
-    /// [`HistogramSnapshot::quantile`](crate::HistogramSnapshot::quantile)).
-    pub job_nanos_p50: u64,
-    /// See [`MonitorFrame::job_nanos_p50`].
-    pub job_nanos_p95: u64,
-    /// See [`MonitorFrame::job_nanos_p50`].
-    pub job_nanos_p99: u64,
+    /// Job wall-clock times (`exec.job.nanos`; empty when absent),
+    /// rendered by [`fmt_job_time`].
+    pub job_nanos: HistogramSnapshot,
 }
 
 impl MonitorFrame {
@@ -52,11 +47,9 @@ impl MonitorFrame {
             Some(MetricValue::Gauge(v)) => *v,
             _ => 0,
         };
-        let (p50, p95, p99) = match snap.get("exec.job.nanos") {
-            Some(MetricValue::Histogram(h)) => {
-                (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99))
-            }
-            _ => (0, 0, 0),
+        let job_nanos = match snap.get("exec.job.nanos") {
+            Some(MetricValue::Histogram(h)) => h.clone(),
+            _ => HistogramSnapshot::default(),
         };
         MonitorFrame {
             submitted: counter("exec.jobs.submitted"),
@@ -67,9 +60,7 @@ impl MonitorFrame {
             timeouts: counter("exec.timeouts"),
             queue_depth: gauge("exec.queue.depth"),
             inflight: gauge("exec.jobs.inflight"),
-            job_nanos_p50: p50,
-            job_nanos_p95: p95,
-            job_nanos_p99: p99,
+            job_nanos,
         }
     }
 
@@ -88,7 +79,7 @@ impl MonitorFrame {
         format!(
             "jobs: {} submitted · {} executed · {} cached ({:.1}% hit) · {} queued · {} in-flight\n\
              faults: {} retries · {} panics caught · {} timeouts\n\
-             job time: p50 {} · p95 {} · p99 {} · {:.2} jobs/s\n",
+             job time: {} · {:.2} jobs/s\n",
             self.submitted,
             self.executed,
             self.cache_hits,
@@ -98,9 +89,7 @@ impl MonitorFrame {
             self.retries,
             self.panics,
             self.timeouts,
-            fmt_nanos(self.job_nanos_p50),
-            fmt_nanos(self.job_nanos_p95),
-            fmt_nanos(self.job_nanos_p99),
+            fmt_job_time(&self.job_nanos),
             rate,
         )
     }
@@ -122,6 +111,16 @@ pub fn fmt_nanos(nanos: u64) -> String {
     } else {
         format!("{:.2}s", n / 1e9)
     }
+}
+
+/// Job-time quantiles as what they are: `p50 <= 1.0ms, p95 <= 2.1ms,
+/// p99 <= 4.2ms`. Each figure is the upper bound of the log2 bucket that
+/// holds the rank ([`HistogramSnapshot::quantile`]), not the rank's
+/// value, so a figure can overstate the quantile by up to 2×.
+pub fn fmt_job_time(h: &HistogramSnapshot) -> String {
+    [(50, 0.50), (95, 0.95), (99, 0.99)]
+        .map(|(p, q)| format!("p{p} <= {}", fmt_nanos(h.quantile(q))))
+        .join(", ")
 }
 
 /// Handle to a running monitor thread; stop (or drop) it to end the
@@ -232,9 +231,8 @@ mod tests {
         assert!((f.hit_rate() - 0.4).abs() < 1e-12);
         // p50/p95 from the dominant bucket, p99 boundary: rank 100 of
         // 100 falls in the top bucket only at q=1.0; rank 99 stays low.
-        assert_eq!(f.job_nanos_p50, (1 << 20) - 1);
-        assert_eq!(f.job_nanos_p95, (1 << 20) - 1);
-        assert_eq!(f.job_nanos_p99, (1 << 20) - 1);
+        assert_eq!(f.job_nanos.count, 100);
+        assert_eq!(f.job_nanos.quantile(0.99), (1 << 20) - 1);
     }
 
     #[test]
@@ -249,7 +247,7 @@ mod tests {
         assert!(text.contains("2 retries"));
         assert!(text.contains("1 timeouts"));
         assert!(text.contains("2.50 jobs/s"));
-        assert!(text.contains("p50 1.0ms"));
+        assert!(text.contains("job time: p50 <= 1.0ms, p95 <= 1.0ms, p99 <= 1.0ms · "));
     }
 
     #[test]
@@ -258,7 +256,22 @@ mod tests {
         assert_eq!(f, MonitorFrame::default());
         let text = f.render(0.0);
         assert!(text.contains("0 submitted"));
-        assert!(text.contains("p50 0ns"));
+        assert!(text.contains("p50 <= 0ns"));
+    }
+
+    #[test]
+    fn job_time_is_printed_as_bucket_upper_bounds() {
+        let r = Registry::new();
+        let h = r.histogram("exec.job.nanos", &[]);
+        // 60 ms lies in [2^25, 2^26) ns; its upper bound is 67.1 ms.
+        h.record(60_000_000);
+        let Some(MetricValue::Histogram(h)) = r.snapshot().get("exec.job.nanos").cloned() else {
+            panic!("histogram registered above");
+        };
+        assert_eq!(
+            fmt_job_time(&h),
+            "p50 <= 67.1ms, p95 <= 67.1ms, p99 <= 67.1ms"
+        );
     }
 
     #[test]

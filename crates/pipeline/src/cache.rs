@@ -221,11 +221,6 @@ impl Cache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss rate in `[0, 1]` (`NaN` before any access).
-    pub fn miss_rate(&self) -> f64 {
-        self.misses as f64 / self.accesses as f64
-    }
 }
 
 #[cfg(test)]
@@ -295,7 +290,6 @@ mod tests {
         c.access(64);
         assert_eq!(c.accesses(), 3);
         assert_eq!(c.misses(), 2);
-        assert!((c.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -43,11 +43,6 @@ impl CacheConfig {
         }
     }
 
-    /// Total words of capacity.
-    pub fn capacity_words(&self) -> u64 {
-        self.sets as u64 * self.assoc as u64 * self.line_words as u64
-    }
-
     /// Checks that a [`Cache`](crate::Cache) can be built from this
     /// geometry: power-of-two `sets` and `line_words`, a positive `assoc`,
     /// at most [`MAX_CACHE_WAYS`] ways in all, and latencies of at most
@@ -225,10 +220,11 @@ mod tests {
 
     #[test]
     fn paper_cache_capacities() {
+        let words = |c: CacheConfig| c.sets as u64 * c.assoc as u64 * c.line_words as u64;
         // 64 kB of 4-byte words = 16 Ki words.
-        assert_eq!(CacheConfig::paper_dcache().capacity_words(), 16 * 1024);
+        assert_eq!(words(CacheConfig::paper_dcache()), 16 * 1024);
         // 128 kB = 32 Ki words.
-        assert_eq!(CacheConfig::paper_icache().capacity_words(), 32 * 1024);
+        assert_eq!(words(CacheConfig::paper_icache()), 32 * 1024);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl PipelineStats {
         1.0 - self.mispredicted_committed as f64 / self.committed_branches as f64
     }
 
-    /// Branch prediction accuracy over all fetched branches.
-    pub fn accuracy_all(&self) -> f64 {
-        1.0 - self.mispredicted_all as f64 / self.fetched_branches as f64
-    }
-
     /// The paper's Table 1 "ratio all/committed" for instructions.
     pub fn speculation_ratio(&self) -> f64 {
         self.fetched_insts as f64 / self.committed_insts as f64
@@ -219,7 +214,6 @@ mod tests {
         };
         assert!((s.ipc() - 2.0).abs() < 1e-12);
         assert!((s.accuracy_committed() - 0.9).abs() < 1e-12);
-        assert!((s.accuracy_all() - 0.85).abs() < 1e-12);
         assert!((s.speculation_ratio() - 1.5).abs() < 1e-12);
     }
 
@@ -258,7 +252,6 @@ mod tests {
         assert!((s.recoveries_per_kilo_inst() - 10.0).abs() < 1e-12);
         // Complementary pairs agree.
         assert!((s.mispredict_rate_committed() + s.accuracy_committed() - 1.0).abs() < 1e-12);
-        assert!((s.mispredict_rate_all() + s.accuracy_all() - 1.0).abs() < 1e-12);
     }
 
     #[test]

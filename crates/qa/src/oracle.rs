@@ -16,8 +16,10 @@
 //!    both `cestim-trace-io` encodings round-trip bit-exactly, and a
 //!    trace-driven replay reproduces the live replay-mode run,
 //! 6. **composition** — attaching a roster of estimators (leaves plus a
-//!    nested vote or boost) leaves the pipeline statistics unchanged, and
-//!    each entry gets the quadrants it gets alone.
+//!    nested vote or boost) and one distance, cluster or boost analysis
+//!    leaves the pipeline statistics unchanged, each entry gets the
+//!    quadrants it gets alone, and the analysis gets the result it gets
+//!    when run the way its suite job runs it.
 
 use crate::gen::{assemble, QaProgram};
 use crate::rng::XorShift64Star;
@@ -30,9 +32,10 @@ use cestim_exec::{fnv1a, Executor, Job};
 use cestim_isa::{Machine, Program, Step};
 use cestim_obs::{read_trace_jsonl, Tracer};
 use cestim_pipeline::{
-    replay, MultiObserver, OutcomeEvent, PipelineConfig, PipelineStats, SimObserver, Simulator,
+    replay, MultiObserver, NullObserver, OutcomeEvent, PipelineConfig, PipelineStats, SimObserver,
+    Simulator,
 };
-use cestim_trace::{DistanceAnalysis, DistanceSeries};
+use cestim_trace::{BoostAnalysis, ClusterAnalysis, DistanceAnalysis, DistanceSeries};
 use serde::{Deserialize, Map, Serialize, Value};
 use std::fmt;
 
@@ -40,6 +43,13 @@ use std::fmt;
 const MAX_ARCH_STEPS: u64 = 5_000_000;
 /// Pipeline cycle budget (safety net only).
 const MAX_CYCLES: u64 = 50_000_000;
+/// The four series one [`DistanceAnalysis`] measures.
+const DISTANCE_SERIES: [DistanceSeries; 4] = [
+    DistanceSeries::PreciseAll,
+    DistanceSeries::PreciseCommitted,
+    DistanceSeries::PerceivedAll,
+    DistanceSeries::PerceivedCommitted,
+];
 
 /// Which differential oracle to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -317,12 +327,7 @@ fn check_replay(p: &QaProgram) -> Result<(), OracleFailure> {
     let mut replayed = DistanceAnalysis::new(64);
     replay(&events, &mut replayed);
 
-    for series in [
-        DistanceSeries::PreciseAll,
-        DistanceSeries::PreciseCommitted,
-        DistanceSeries::PerceivedAll,
-        DistanceSeries::PerceivedCommitted,
-    ] {
+    for series in DISTANCE_SERIES {
         if live.histogram(series) != replayed.histogram(series) {
             return Err(fail(
                 kind,
@@ -724,6 +729,74 @@ fn composite(rng: &mut XorShift64Star, draws: &[u64], depth: u32) -> AnyEstimato
     }
 }
 
+/// One of the analysis observers the suite's jobs attach.
+enum Analysis {
+    Distance(DistanceAnalysis),
+    Cluster(ClusterAnalysis),
+    Boost(BoostAnalysis),
+}
+
+impl Analysis {
+    fn observer(&mut self) -> &mut dyn SimObserver {
+        match self {
+            Analysis::Distance(a) => a,
+            Analysis::Cluster(a) => a,
+            Analysis::Boost(a) => a,
+        }
+    }
+
+    fn same_result(&self, other: &Analysis) -> bool {
+        match (self, other) {
+            (Analysis::Distance(a), Analysis::Distance(b)) => DISTANCE_SERIES
+                .iter()
+                .all(|&series| a.histogram(series) == b.histogram(series)),
+            (Analysis::Cluster(a), Analysis::Cluster(b)) => a.histogram() == b.histogram(),
+            (Analysis::Boost(a), Analysis::Boost(b)) => a.counts() == b.counts(),
+            _ => false,
+        }
+    }
+}
+
+/// The analysis the composition oracle attaches beside `roster(seed)`
+/// (`entries` long), drawn from the same seed: the analysis watching
+/// its roster entry, the same analysis set up the way its `ExecJob`
+/// runs it (distance with no estimator, cluster or boost on its entry
+/// attached alone as estimator 0), the watched entry (`None` for
+/// distance), and a label.
+fn analysis(seed: u64, entries: usize) -> (Analysis, Analysis, Option<usize>, String) {
+    let mut rng = XorShift64Star::new(!seed);
+    let entry = rng.below(entries as u64) as usize;
+    match rng.below(3) {
+        0 => {
+            let buckets = 1 + rng.below(64);
+            (
+                Analysis::Distance(DistanceAnalysis::new(buckets)),
+                Analysis::Distance(DistanceAnalysis::new(buckets)),
+                None,
+                format!("distance({buckets})"),
+            )
+        }
+        1 => {
+            let buckets = 1 + rng.below(64);
+            (
+                Analysis::Cluster(ClusterAnalysis::new(entry, buckets)),
+                Analysis::Cluster(ClusterAnalysis::new(0, buckets)),
+                Some(entry),
+                format!("cluster({buckets}) of entry {entry}"),
+            )
+        }
+        _ => {
+            let max_k = 1 + rng.below(8) as u32;
+            (
+                Analysis::Boost(BoostAnalysis::new(entry, max_k)),
+                Analysis::Boost(BoostAnalysis::new(0, max_k)),
+                Some(entry),
+                format!("boost(k<={max_k}) of entry {entry}"),
+            )
+        }
+    }
+}
+
 fn check_composition(p: &QaProgram) -> Result<(), OracleFailure> {
     let kind = OracleKind::Composition;
     // Seeded from the program, so a shrunk corpus entry reproduces its
@@ -731,28 +804,51 @@ fn check_composition(p: &QaProgram) -> Result<(), OracleFailure> {
     let seed = fnv1a(serde_json::to_string(p).unwrap_or_default().as_bytes());
     let predictor = EXEC_PREDICTORS[(seed % EXEC_PREDICTORS.len() as u64) as usize];
     let prog = assemble(p);
-    let run = |roster: Vec<AnyEstimator>| {
+    let run = |roster: Vec<AnyEstimator>, obs: &mut dyn SimObserver| {
         let mut sim = Simulator::new(&prog, pipeline_config(), build_predictor(predictor));
         for e in roster {
             sim.add_estimator(e);
         }
-        let stats = sim.run_to_completion();
+        let stats = sim.run(obs);
         (stats, sim.estimator_quadrants().to_vec())
     };
     let names: Vec<String> = roster(seed).iter().map(AnyEstimator::name).collect();
-    let (stats, quads) = run(roster(seed));
-    if stats != run(Vec::new()).0 {
-        let detail = format!("[{}] on {predictor} changed the stats", names.join(", "));
+    let (mut beside, mut reference, watched, label) = analysis(seed, names.len());
+    let mut null = NullObserver;
+    let (stats, quads) = run(
+        roster(seed),
+        &mut MultiObserver::new(vec![beside.observer()]),
+    );
+    let bare = match watched {
+        None => reference.observer(),
+        Some(_) => &mut null,
+    };
+    if stats != run(Vec::new(), bare).0 {
+        let detail = format!(
+            "[{}] with {label} on {predictor} changed the stats",
+            names.join(", ")
+        );
         return Err(fail(kind, detail));
     }
     for (i, (q, name)) in quads.iter().zip(&names).enumerate() {
-        let (_, alone) = run(vec![roster(seed).swap_remove(i)]);
+        let obs = if watched == Some(i) {
+            reference.observer()
+        } else {
+            &mut null
+        };
+        let (_, alone) = run(vec![roster(seed).swap_remove(i)], obs);
         if alone[0] != *q {
             return Err(fail(
                 kind,
                 format!("{name} on {predictor}: quadrants in the roster differ from alone"),
             ));
         }
+    }
+    if !beside.same_result(&reference) {
+        return Err(fail(
+            kind,
+            format!("{label} on {predictor}: result beside the roster differs from its job's"),
+        ));
     }
     Ok(())
 }

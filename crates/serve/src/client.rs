@@ -15,7 +15,8 @@
 //!
 //! * **Deterministic retry.** Failed attempts (I/O errors, EOF,
 //!   response timeouts, rejections, execution errors) are retried under
-//!   exec's [`RetryPolicy`]: exponential backoff whose jitter is keyed
+//!   one fixed [`RetryPolicy`] (8 attempts, 5 ms base, 1 s cap):
+//!   exponential backoff whose jitter is keyed
 //!   on the job's cache key and attempt number, so a given (job,
 //!   attempt) always waits the same time — reproducible load patterns
 //!   even through chaos.
@@ -24,16 +25,10 @@
 //!   the server serves the duplicate from its result cache and every
 //!   attempt observes a byte-identical payload. Retrying is therefore
 //!   always safe.
-//! * **Hedged requests.** Optionally, an attempt that has not completed
-//!   after a delay (the larger of the configured floor and the observed
-//!   completion p99) sends a duplicate request with a distinguishable
-//!   id; whichever copy completes first wins. Tail latency from one
-//!   slow shard or one chaos-delayed line stops dominating.
 //! * **Garbage tolerance.** Unparseable lines, responses for unknown
-//!   ids, and `error` responses without an id are counted and skipped,
-//!   never fatal.
+//!   ids, and `error` responses without an id are skipped, never
+//!   fatal.
 
-use crate::overload::WaitWindow;
 use crate::protocol::{parse_response, render_request, Request, Response};
 use cestim_exec::{CacheKey, Job, RetryPolicy};
 use cestim_sim::ExecJob;
@@ -42,34 +37,13 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Client tuning.
-#[derive(Debug, Clone)]
-pub struct ClientConfig {
-    /// Server (or chaos proxy) address: any `HOST:PORT` that
-    /// [`TcpStream::connect`] accepts, host names included.
-    pub addr: String,
-    /// Retry/backoff policy across attempts.
-    pub retry: RetryPolicy,
-    /// Hedging floor: `None` disables hedging; `Some(d)` sends a
-    /// duplicate request once an attempt has waited `max(d, observed
-    /// completion p99)` without completing.
-    pub hedge_after: Option<Duration>,
-}
-
-impl ClientConfig {
-    /// A sane default aimed at `addr`: 8 attempts, no hedging.
-    pub fn new(addr: impl ToString) -> ClientConfig {
-        ClientConfig {
-            addr: addr.to_string(),
-            retry: RetryPolicy {
-                max_attempts: 8,
-                ..RetryPolicy::default()
-            },
-            hedge_after: None,
-        }
-    }
-}
-
+/// Retry policy of every request: 8 attempts, backing off from 5 ms
+/// to at most 1 s.
+const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 8,
+    base_ms: 5,
+    max_ms: 1_000,
+};
 /// Client identity sent with every [`ServeClient::run_job`] request
 /// (its fair-queuing lane).
 const CLIENT: &str = "resilient";
@@ -81,10 +55,6 @@ const DEADLINE_MS: u64 = 0;
 /// The timer restarts whenever a response for the request arrives, so
 /// long executions are not cut off mid-run.
 const RECV_TIMEOUT: Duration = Duration::from_secs(2);
-/// How often the receive loop wakes to check hedge/abandon timers.
-const POLL_SLICE: Duration = Duration::from_millis(25);
-/// Suffix appended to a request id for its hedged duplicate.
-const HEDGE_SUFFIX: &str = "~h";
 /// Control requests have no cache key; their backoff is keyed on this
 /// fixed one so its jitter stays deterministic.
 const CONTROL_KEY: CacheKey = CacheKey {
@@ -92,33 +62,22 @@ const CONTROL_KEY: CacheKey = CacheKey {
     content: 0xC0_47_01,
 };
 
-/// Cumulative client-side resilience counters. They exist only here:
-/// the server's registry books no hedging.
+/// Cumulative client-side resilience counters.
 #[derive(Debug, Default, Clone)]
 pub struct ClientReport {
-    /// Requests completed with a payload.
-    pub completed: u64,
     /// Total attempts sent (including the first of each request).
     pub attempts: u64,
     /// Open connections dropped after an I/O failure, EOF, or an
     /// abandoned attempt; the next send reconnects.
     pub reconnects: u64,
-    /// Rejections observed (queue-full / shedding / breaker / deadline).
-    pub rejected: u64,
     /// Execution `error` responses observed for our ids.
     pub exec_errors: u64,
-    /// Unparseable or unattributable lines skipped.
-    pub garbage_lines: u64,
-    /// Hedged duplicates sent.
-    pub hedges_sent: u64,
-    /// Requests whose hedged copy completed first.
-    pub hedge_wins: u64,
 }
 
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    /// Partial line carried across timeout slices: a read timeout can
+    /// Partial line carried across receive timeouts: a read timeout can
     /// land mid-line, and the bytes already consumed from the socket
     /// must survive until the line's newline arrives.
     pending: Vec<u8>,
@@ -127,30 +86,30 @@ struct Conn {
 /// The client. Not thread-safe; one instance per submitting thread
 /// (each holds its own connection).
 pub struct ServeClient {
-    cfg: ClientConfig,
+    /// Server (or chaos proxy) address: any `HOST:PORT` that
+    /// [`TcpStream::connect`] accepts, host names included.
+    addr: String,
     conn: Option<Conn>,
-    latencies: WaitWindow,
     report: ClientReport,
 }
 
 impl ServeClient {
-    /// A client for `cfg.addr`; connects lazily on first use.
-    pub fn new(cfg: ClientConfig) -> ServeClient {
+    /// A client for `addr`; connects lazily on first use.
+    pub fn new(addr: impl ToString) -> ServeClient {
         ServeClient {
-            cfg,
+            addr: addr.to_string(),
             conn: None,
-            latencies: WaitWindow::new(),
             report: ClientReport::default(),
         }
     }
 
-    /// A default-configured client for `addr`, connected now.
+    /// A client for `addr`, connected now.
     ///
     /// # Errors
     ///
     /// Returns the connect error.
     pub fn connect(addr: impl ToString) -> io::Result<ServeClient> {
-        let mut client = ServeClient::new(ClientConfig::new(addr));
+        let mut client = ServeClient::new(addr);
         client.ensure_conn()?;
         Ok(client)
     }
@@ -211,26 +170,22 @@ impl ServeClient {
 
     /// Runs one job to a byte-stable payload, healing connection drops,
     /// torn lines, rejections, and transient execution failures by
-    /// deterministic retry (and optional hedging).
+    /// deterministic retry.
     ///
     /// # Errors
     ///
     /// Returns an error only once the retry budget is exhausted.
     pub fn run_job(&mut self, id: &str, job: &ExecJob) -> io::Result<Value> {
-        let outcome = self.with_retry(&job.cache_key(), |client| {
+        self.with_retry(&job.cache_key(), |client| {
             client.report.attempts += 1;
             client.attempt_job(id, job)
-        });
-        match outcome {
-            Ok(payload) => {
-                self.report.completed += 1;
-                Ok(payload)
-            }
-            Err((attempts, failure)) => Err(io::Error::other(format!(
+        })
+        .map_err(|(attempts, failure)| {
+            io::Error::other(format!(
                 "request `{id}` failed after {attempts} attempts: {}",
                 failure.describe()
-            ))),
-        }
+            ))
+        })
     }
 
     /// Sends a `stats` request and returns the fields object.
@@ -284,10 +239,10 @@ impl ServeClient {
                     if matches!(failure, Failure::Io(_) | Failure::Timeout) {
                         self.drop_conn();
                     }
-                    if !self.cfg.retry.allows_retry(attempt) {
+                    if !RETRY.allows_retry(attempt) {
                         return Err((attempt, failure));
                     }
-                    std::thread::sleep(self.cfg.retry.backoff(attempt, key));
+                    std::thread::sleep(RETRY.backoff(attempt, key));
                     attempt += 1;
                 }
             }
@@ -324,56 +279,29 @@ impl ServeClient {
         Err(Failure::Timeout)
     }
 
-    /// One attempt: submit, optionally hedge, wait for a terminal
-    /// response with our id (or the hedge id).
+    /// One attempt: submit, then wait for a terminal response with
+    /// our id.
     fn attempt_job(&mut self, id: &str, job: &ExecJob) -> Result<Value, Failure> {
-        let hedge_delay = self.hedge_delay();
-        let hedge_id = format!("{id}{HEDGE_SUFFIX}");
-        let ours = |rid: &str| rid == id || rid == hedge_id;
-        let started = Instant::now();
         self.submit(id, job)?;
         // Progress-based abandon: the window restarts every time the
         // server says something about this request.
         let mut abandon_at = Instant::now() + RECV_TIMEOUT;
-        let mut hedged = false;
-        loop {
-            if !hedged && hedge_delay.is_some_and(|delay| started.elapsed() >= delay) {
-                hedged = true;
-                self.report.hedges_sent += 1;
-                self.submit(&hedge_id, job)?;
-            }
-            let now = Instant::now();
-            if now >= abandon_at {
-                return Err(Failure::Timeout);
-            }
-            let Some(resp) = self.poll((now + POLL_SLICE).min(abandon_at))? else {
+        while Instant::now() < abandon_at {
+            let Some(resp) = self.poll(abandon_at)? else {
                 continue;
             };
             match resp {
                 Response::Accepted { id: rid, .. } | Response::Started { id: rid, .. }
-                    if ours(&rid) =>
+                    if rid == id =>
                 {
                     abandon_at = Instant::now() + RECV_TIMEOUT;
                 }
                 Response::Result {
                     id: rid, payload, ..
-                } if ours(&rid) => {
-                    if rid == hedge_id {
-                        self.report.hedge_wins += 1;
-                    }
-                    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.latencies.record(nanos);
-                    return Ok(payload);
-                }
-                // A hedge rejection/error is not fatal while the
-                // primary is still in flight, so only the primary id
-                // fails the attempt; the hedge id falls through.
+                } if rid == id => return Ok(payload),
                 Response::Rejected {
                     id: rid, reason, ..
-                } if rid == id => {
-                    self.report.rejected += 1;
-                    return Err(Failure::Rejected(reason));
-                }
+                } if rid == id => return Err(Failure::Rejected(reason)),
                 Response::Error {
                     id: Some(rid),
                     code,
@@ -385,10 +313,10 @@ impl ServeClient {
                 // Stale ids from prior attempts, other clients'
                 // traffic, id-less errors (garbage we injected into
                 // the server): all skipped.
-                Response::Error { id: None, .. } => self.report.garbage_lines += 1,
                 _ => {}
             }
         }
+        Err(Failure::Timeout)
     }
 
     fn submit(&mut self, id: &str, job: &ExecJob) -> Result<(), Failure> {
@@ -403,25 +331,20 @@ impl ServeClient {
     }
 
     /// [`ServeClient::recv_response`] for the retrying paths: `Ok(None)`
-    /// when nothing arrived by `until` or the line was garbage (counted).
+    /// when nothing arrived by `until` or the line was garbage.
     fn poll(&mut self, until: Instant) -> Result<Option<Response>, Failure> {
         match self.recv_response(until.saturating_duration_since(Instant::now())) {
             Ok(resp) => Ok(Some(resp)),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => Ok(None),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                self.report.garbage_lines += 1;
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::TimedOut | io::ErrorKind::InvalidData
+                ) =>
+            {
                 Ok(None)
             }
             Err(e) => Err(Failure::Io(e)),
         }
-    }
-
-    /// The hedge trigger for the next attempt: the configured floor,
-    /// raised to the observed completion p99 once samples exist.
-    fn hedge_delay(&self) -> Option<Duration> {
-        let floor = self.cfg.hedge_after?;
-        let p99 = Duration::from_nanos(self.latencies.p99());
-        Some(floor.max(p99))
     }
 
     /// Drops the connection, counting only one that was open.
@@ -433,7 +356,7 @@ impl ServeClient {
 
     fn ensure_conn(&mut self) -> io::Result<&mut Conn> {
         if self.conn.is_none() {
-            let stream = TcpStream::connect(self.cfg.addr.as_str())?;
+            let stream = TcpStream::connect(self.addr.as_str())?;
             stream.set_nodelay(true).ok();
             let reader = BufReader::new(stream.try_clone()?);
             let writer = BufWriter::new(stream);
@@ -471,7 +394,7 @@ impl Failure {
 }
 
 /// Reads one line, waiting until `deadline`; `Ok(None)` on timeout
-/// slices (caller re-checks its own timers), `Err` on EOF or a real
+/// (caller re-checks its own timers), `Err` on EOF or a real
 /// transport error. Bytes consumed before a timeout are kept in
 /// `conn.pending` so a mid-line timeout never tears the framing.
 fn read_line_until(conn: &mut Conn, deadline: Instant) -> io::Result<Option<String>> {
@@ -519,10 +442,7 @@ mod tests {
             .local_addr()
             .unwrap();
         // The listener is dropped: nothing listens on `addr` any more.
-        let mut client = ServeClient::new(ClientConfig {
-            retry: RetryPolicy::with_attempts(2),
-            ..ClientConfig::new(addr)
-        });
+        let mut client = ServeClient::new(addr);
         assert!(client.health().is_err());
         assert_eq!(client.report().reconnects, 0);
     }

@@ -23,8 +23,8 @@
 //!   failure model in docs/SERVING.md).
 //! * [`client`] — [`ServeClient`]: the one TCP client for the protocol
 //!   (one reconnecting socket, one send path, one framing-safe receive
-//!   path), with deterministic retry/backoff/jitter, idempotent
-//!   re-submission keyed on cache keys, and optional hedged requests.
+//!   path), with deterministic retry/backoff/jitter and idempotent
+//!   re-submission keyed on cache keys.
 //! * [`chaos`] — a deterministic fault-injecting TCP proxy
 //!   ([`ChaosProxy`]) for network-chaos testing: seeded drops,
 //!   truncation, delays, garbage, and mid-stream resets.
@@ -43,7 +43,7 @@ pub mod sched;
 pub mod server;
 
 pub use chaos::{ChaosPlan, ChaosProxy, ChaosStats};
-pub use client::{ClientConfig, ClientReport, ServeClient};
+pub use client::{ClientReport, ServeClient};
 pub use overload::{BreakerConfig, Breakers, OverloadGate, ShedConfig, WaitWindow};
 pub use protocol::{
     parse_line, parse_response, render_request, render_response, ErrorCode, ProtoError, Request,
